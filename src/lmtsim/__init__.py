@@ -9,10 +9,12 @@ step-size schedules (:mod:`lmtsim.lmt`), comparison baselines
 (:mod:`lmtsim.harness`).
 """
 
-from .topology import (C0, AugmentedPair, LcaParams, MixingMatrix,
-                       MixingMatrixError, apply_augmented,
-                       build_complete_mixing, build_ring_mixing, lca_params,
-                       load_mixing_csv, save_mixing_csv, spectral_quantities)
+__version__ = "0.1.0"
+
+from .topology import (C0, LcaParams, MixingMatrix, MixingMatrixError,
+                       build_complete_mixing, build_ring_mixing, lca_mix,
+                       lca_params, load_mixing_csv, save_mixing_csv,
+                       spectral_quantities)
 from .objectives import (Dataset, DatasetError, GradientOracle,
                          LogisticOracle, PartitionedDataset, QuadraticOracle,
                          load_csv, load_libsvm, logistic_l2_oracle,
@@ -20,9 +22,10 @@ from .objectives import (Dataset, DatasetError, GradientOracle,
                          make_synthetic_classification,
                          partition_heterogeneous, quadratic_pl_oracle)
 from .lmt import (HyperParams, LmtState, RoundOutputs, accelerated_consensus,
-                  init_state, lmt_round, local_update_phase, momentum_update,
-                  naive_local_momentum_round, q_star, theorem1_stepsizes,
-                  theorem2_stepsizes, tracking_and_correction)
+                  init_state, lmt_round, local_steps, local_update_phase,
+                  momentum_update, naive_local_momentum_round, q_star,
+                  theorem1_stepsizes, theorem2_stepsizes,
+                  tracking_and_correction)
 from .baselines import (METHODS, BaselineSpec, BaselineState, baseline_round,
                         init_baseline_state, stepsize_parity_map)
 from .diagnostics import (RoundTrace, consensus_error, d_bar_sequence,
@@ -31,5 +34,3 @@ from .diagnostics import (RoundTrace, consensus_error, d_bar_sequence,
 from .config import ConfigError, ExperimentConfig, parse_config_text
 from .harness import ResultTable, run_experiment, run_sweep
 from .streams import TrialStreams, fresh_stream
-
-__version__ = "0.1.0"

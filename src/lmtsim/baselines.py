@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lmt import HyperParams
+from .lmt import HyperParams, local_steps
 from .topology import MixingMatrix
 from .streams import TrialStreams, gradient_rng_factory
 
@@ -111,29 +111,19 @@ def baseline_round(spec: BaselineSpec, state: BaselineState, oracle,
 
 
 def _round_local_dsgd(Q, local, outer, beta, state, oracle, W, streams):
-    X = state.X.copy()
-    for step in range(Q):
-        G = oracle.stochastic_gradient_matrix(X, gradient_rng_factory(streams, state.t, step))
-        X = X - local * G
+    X, _ = local_steps(state.X, None, local, oracle, streams, state.t, Q)
     return BaselineState(X=W.weights @ X, t=state.t + 1, aux={})
 
 
 def _round_led(Q, local, outer, beta, state, oracle, W, streams):
-    Z = state.X.copy()
-    for step in range(Q):
-        G = oracle.stochastic_gradient_matrix(Z, gradient_rng_factory(streams, state.t, step))
-        Z = Z - local * G
-    psi_new = Z
+    psi_new, _ = local_steps(state.X, None, local, oracle, streams, state.t, Q)
     combined = W.weights @ (psi_new + state.X - state.aux["psi"])
     return BaselineState(X=combined, t=state.t + 1, aux={"psi": psi_new})
 
 
 def _round_kgt(Q, local, outer, beta, state, oracle, W, streams):
     C = state.aux["c"]
-    Y = state.X.copy()
-    for step in range(Q):
-        G = oracle.stochastic_gradient_matrix(Y, gradient_rng_factory(streams, state.t, step))
-        Y = Y - local * (G + C)
+    Y, _ = local_steps(state.X, C, local, oracle, streams, state.t, Q)
     delta = Y - state.X
     mixed_delta = W.weights @ delta
     X_next = W.weights @ state.X + outer * mixed_delta
@@ -160,6 +150,8 @@ def _round_scaffold(Q, local, outer, beta, state, oracle, W, streams):
     C = state.aux["c"]
     n = oracle.n_agents
     Y = np.broadcast_to(x, (n, x.shape[0])).copy()
+    # its own loop: local_steps would form G + (c - C), which rounds
+    # differently from G - C + c
     for step in range(Q):
         G = oracle.stochastic_gradient_matrix(Y, gradient_rng_factory(streams, state.t, step))
         Y = Y - local * (G - C + c)

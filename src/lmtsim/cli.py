@@ -8,7 +8,8 @@ Subcommands::
     lmtsim plot trace.csv [...] --metric NAME --out plot.svg
 
 Exit codes: 0 on success, 2 for configuration or usage errors, 3 for
-runtime failures.
+runtime failures, including a run whose iterates stopped being finite
+(``run`` and ``sweep`` write their outputs first).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _cmd_run(args) -> int:
           f"final opt_gap_mean={table.columns['opt_gap_mean'][last]:.6e}")
     if cfg.outdir:
         print(f"wrote {cfg.outdir}/trace.csv")
-    return 0
+    return _divergence_status([table])
 
 
 def run_experiment_entry(cfg: ExperimentConfig):
@@ -91,7 +92,16 @@ def _cmd_sweep(args) -> int:
     if "loglog_slope_grad_norm_avg" in summary:
         print(f"loglog slope of final grad_norm_avg vs Q: "
               f"{summary['loglog_slope_grad_norm_avg']:.4f}")
-    return 0
+    return _divergence_status(tables)
+
+
+def _divergence_status(tables) -> int:
+    """3 after reporting every diverged run on stderr, else 0."""
+    diverged = [t for t in tables if t.diverged_at is not None]
+    for table in diverged:
+        print(f"runtime error: {table.label} diverged: iterates not finite "
+              f"from round {table.diverged_at}", file=sys.stderr)
+    return 3 if diverged else 0
 
 
 def _cmd_spectra(args) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from . import baselines as bl
 from . import diagnostics as dg
 from . import lmt
@@ -26,8 +27,6 @@ from . import objectives as obj
 from . import topology as tp
 from .config import ConfigError, ExperimentConfig
 from .streams import TrialStreams
-
-_VERSION = "0.1.0"
 
 
 @dataclass
@@ -38,6 +37,7 @@ class ResultTable:
     fingerprint: str
     seed: int
     columns: dict[str, np.ndarray]
+    diverged_at: int | None = None  # first round with non-finite iterates
 
     @property
     def rounds(self) -> int:
@@ -166,7 +166,10 @@ _MEAN_ONLY_METRICS = ("consensus_x", "consensus_y", "z_dev",
 
 def _run_trial(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
                oracle: obj.GradientOracle, hp: lmt.HyperParams, trial: int,
-               f_star: float | None) -> dict[str, np.ndarray]:
+               f_star: float | None) -> tuple[dict[str, np.ndarray], int | None]:
+    """Per-round metrics of one trial, and the first round whose iterates
+    are not finite (None if every round's are).  A trial stops there; the
+    rows from that round on stay NaN."""
     streams = TrialStreams(cfg.seed, trial)
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     is_tracking = cfg.method in ("lmt", "naive_lmt")
@@ -223,10 +226,12 @@ def _run_trial(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
                     hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
         else:
             state = bl.baseline_round(spec, state, oracle, mix, streams)
+        if not np.isfinite(state.X).all():
+            return out, t + 1
 
         x_bar_prev = x_bar
         d_prev = d_bar
-    return out
+    return out, None
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -241,8 +246,9 @@ def run_experiment(cfg: ExperimentConfig,
     hp = resolve_hyperparams(cfg, oracle, mix)
     f_star = _resolve_f_star(cfg, oracle)
 
-    trials = [_run_trial(cfg, mix, lca, oracle, hp, trial, f_star)
-              for trial in range(cfg.trials)]
+    trials, diverged = zip(*(_run_trial(cfg, mix, lca, oracle, hp, trial, f_star)
+                             for trial in range(cfg.trials)))
+    diverged_at = min((t for t in diverged if t is not None), default=None)
 
     # mean and std of every metric are kept in memory; the trace CSV
     # schema carries std columns only for the two headline metrics
@@ -253,21 +259,22 @@ def run_experiment(cfg: ExperimentConfig,
         columns[name + "_std"] = stacked.std(axis=0)
 
     table = ResultTable(label=label or cfg.method, fingerprint=cfg.fingerprint(),
-                        seed=cfg.seed, columns=columns)
+                        seed=cfg.seed, columns=columns, diverged_at=diverged_at)
     if cfg.outdir:
         os.makedirs(cfg.outdir, exist_ok=True)
         table.to_csv(os.path.join(cfg.outdir, "trace.csv"))
-        _write_meta(cfg, mix, lca, hp, f_star,
+        _write_meta(cfg, mix, lca, hp, f_star, diverged_at,
                     os.path.join(cfg.outdir, "meta.txt"))
     return table
 
 
 def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
-                hp: lmt.HyperParams, f_star: float | None, path: str) -> None:
+                hp: lmt.HyperParams, f_star: float | None,
+                diverged_at: int | None, path: str) -> None:
     lines = [
         f"fingerprint = {cfg.fingerprint()}",
         f"seed = {cfg.seed}",
-        f"version = {_VERSION}",
+        f"version = {__version__}",
         f"method = {cfg.method}",
         f"schedule = {cfg.schedule}",
         f"n = {mix.n}",
@@ -283,6 +290,7 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
         f"T = {cfg.T}",
         f"trials = {cfg.trials}",
         f"f_star = {'unknown' if f_star is None else repr(f_star)}",
+        f"diverged_at = {'none' if diverged_at is None else diverged_at}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
     ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import C0, MixingMatrix, lca_params
+from .topology import C0, MixingMatrix, lca_mix, lca_params
 from .streams import TrialStreams, gradient_rng_factory
 
 
@@ -80,7 +80,6 @@ class RoundOutputs:
     Y_l: np.ndarray           # their memory counterparts
     R: np.ndarray             # averaged local gradients (momentum input)
     G_sum_avg: np.ndarray     # directly accumulated mean of drawn gradients
-    X_locals: np.ndarray | None = None  # (Q, n, p) local paths, optional
 
 
 def init_state(X0: np.ndarray) -> LmtState:
@@ -96,26 +95,35 @@ def init_state(X0: np.ndarray) -> LmtState:
                     C=zeros.copy(), C_prev=zeros.copy(), t=0)
 
 
+def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
+                streams: TrialStreams | None, t: int, Q: int):
+    """Run ``Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
+
+    ``G`` stacks the agents' stochastic gradients at the current local
+    iterates, drawn from the streams of round ``t`` and the step's index;
+    ``shift=None`` takes plain stochastic-gradient steps.  Returns
+    ``(X_Q, G_sum)``: the end points and the sum of the drawn gradients.
+    """
+    G_sum = np.zeros_like(X)
+    for step in range(Q):
+        G = oracle.stochastic_gradient_matrix(X, gradient_rng_factory(streams, t, step))
+        G_sum += G
+        X = X - eta * (G if shift is None else G + shift)
+    return X, G_sum
+
+
 def local_update_phase(state: LmtState, oracle, hp: HyperParams,
-                       streams: TrialStreams | None,
-                       collect_locals: bool = False):
+                       streams: TrialStreams | None):
     """Run ``Q`` corrected stochastic-gradient steps for every agent.
 
-    Returns ``(X_Q, R, G_sum_avg, X_locals)`` where ``R`` recovers the
-    per-agent average of the drawn gradients from the net local movement,
-    and ``G_sum_avg`` is the same average accumulated directly.
+    Returns ``(X_Q, R, G_sum_avg)`` where ``R`` recovers the per-agent
+    average of the drawn gradients from the net local movement, and
+    ``G_sum_avg`` is the same average accumulated directly.
     """
-    X_cur = state.X.copy()
-    G_sum = np.zeros_like(X_cur)
-    locals_ = np.empty((hp.Q, *X_cur.shape)) if collect_locals else None
-    for step in range(hp.Q):
-        G = oracle.stochastic_gradient_matrix(X_cur, gradient_rng_factory(streams, state.t, step))
-        G_sum += G
-        X_cur = X_cur - hp.eta_a * (G + state.C)
-        if locals_ is not None:
-            locals_[step] = X_cur
-    R = (state.X - X_cur) / (hp.eta_a * hp.Q) - state.C
-    return X_cur, R, G_sum / hp.Q, locals_
+    X_Q, G_sum = local_steps(state.X, state.C, hp.eta_a, oracle, streams,
+                             state.t, hp.Q)
+    R = (state.X - X_Q) / (hp.eta_a * hp.Q) - state.C
+    return X_Q, R, G_sum / hp.Q
 
 
 def momentum_update(Z: np.ndarray, R: np.ndarray, beta: float) -> np.ndarray:
@@ -142,35 +150,30 @@ def accelerated_consensus(state: LmtState, Y: np.ndarray, hp: HyperParams,
                           W: MixingMatrix):
     """Outer step along ``Y`` followed by one accelerated mixing step.
 
-    Equivalent to applying the augmented consensus operator to the stacked
-    pair ``(X - eta_hat Y, X_l - eta_hat Y)``.  With ``eta_w = 0`` this is
-    plain mixing of the stepped iterates.
+    Applies the augmented consensus operator to the stacked pair
+    ``(X - eta_hat Y, X_l - eta_hat Y)`` and returns the new (current,
+    memory) pair.  With ``eta_w = 0`` this is plain mixing of the stepped
+    iterates.
     """
     D = state.X - hp.eta_hat * Y
-    D_l = state.X_l - hp.eta_hat * Y
-    X_next = (1.0 + hp.eta_w) * (W.weights @ D) - hp.eta_w * D_l
-    return X_next, D
+    return lca_mix(W, hp.eta_w, D, state.X_l - hp.eta_hat * Y), D
 
 
 def lmt_round(state: LmtState, oracle, W: MixingMatrix, hp: HyperParams,
-              streams: TrialStreams | None = None,
-              collect_locals: bool = False) -> tuple[LmtState, RoundOutputs]:
+              streams: TrialStreams | None = None) -> tuple[LmtState, RoundOutputs]:
     """One full communication round of local momentum tracking."""
-    X_Q, R, G_avg, locals_ = local_update_phase(state, oracle, hp, streams,
-                                                collect_locals)
+    _, R, G_avg = local_update_phase(state, oracle, hp, streams)
     Z_next = momentum_update(state.Z, R, hp.beta)
     Y, Y_l, C_next = tracking_and_correction(state, Z_next, W, hp.eta_w)
     X_next, X_l_next = accelerated_consensus(state, Y, hp, W)
     new_state = LmtState(X=X_next, X_l=X_l_next, Z=Z_next,
                          C=C_next, C_prev=state.C, t=state.t + 1)
-    return new_state, RoundOutputs(Y=Y, Y_l=Y_l, R=R, G_sum_avg=G_avg,
-                                   X_locals=locals_)
+    return new_state, RoundOutputs(Y=Y, Y_l=Y_l, R=R, G_sum_avg=G_avg)
 
 
 def naive_local_momentum_round(state: LmtState, oracle, W: MixingMatrix,
                                hp: HyperParams,
-                               streams: TrialStreams | None = None,
-                               collect_locals: bool = False) -> tuple[LmtState, RoundOutputs]:
+                               streams: TrialStreams | None = None) -> tuple[LmtState, RoundOutputs]:
     """Negative control: refresh the momentum buffer at every local step.
 
     Each local step folds its gradient into the momentum immediately and
@@ -180,28 +183,22 @@ def naive_local_momentum_round(state: LmtState, oracle, W: MixingMatrix,
     ``Q > 1`` with momentum it loses the variance damping of the
     aggregated update and settles at a higher noise floor.
     """
-    X_cur = state.X.copy()
-    Z_run = state.Z.copy()
+    X_cur = state.X
+    Z_run = state.Z
     M_sum = np.zeros_like(X_cur)
     G_sum = np.zeros_like(X_cur)
-    locals_ = np.empty((hp.Q, *X_cur.shape)) if collect_locals else None
     for step in range(hp.Q):
         G = oracle.stochastic_gradient_matrix(X_cur, gradient_rng_factory(streams, state.t, step))
         G_sum += G
         Z_run = hp.beta * Z_run + (1.0 - hp.beta) * G
         M_sum += Z_run
         X_cur = X_cur - hp.eta_a * (Z_run + state.C)
-        if locals_ is not None:
-            locals_[step] = X_cur
     M = M_sum / hp.Q
-    Y = M + state.C
-    Y_l = M + state.C_prev
-    C_next = state.C - Y + (1.0 + hp.eta_w) * (W.weights @ Y) - hp.eta_w * Y_l
+    Y, Y_l, C_next = tracking_and_correction(state, M, W, hp.eta_w)
     X_next, X_l_next = accelerated_consensus(state, Y, hp, W)
     new_state = LmtState(X=X_next, X_l=X_l_next, Z=Z_run,
                          C=C_next, C_prev=state.C, t=state.t + 1)
-    return new_state, RoundOutputs(Y=Y, Y_l=Y_l, R=M, G_sum_avg=G_sum / hp.Q,
-                                   X_locals=locals_)
+    return new_state, RoundOutputs(Y=Y, Y_l=Y_l, R=M, G_sum_avg=G_sum / hp.Q)
 
 
 # ---------------------------------------------------------------------------

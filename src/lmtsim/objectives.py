@@ -216,22 +216,17 @@ class GradientOracle(abc.ABC):
         """All agents' exact gradients evaluated at the same point, (n, p)."""
         return np.stack([self.full_gradient(i, x) for i in range(self.n_agents)])
 
+    @abc.abstractmethod
     def stochastic_gradient_matrix(self, X: np.ndarray, rng_for) -> np.ndarray:
         """Stacked stochastic gradients, agent i evaluated at row ``X[i]``.
 
         ``rng_for(i)`` must return the generator for agent i's draw;
         generators are consumed one agent at a time, in index order.
         """
-        return np.stack([self.stochastic_gradient(i, X[i], rng_for(i))
-                         for i in range(self.n_agents)])
 
-    def values_at_rows(self, X: np.ndarray) -> np.ndarray:
-        """Per-agent values f_i(X[i]), (n,)."""
-        return np.array([self.value(i, X[i]) for i in range(self.n_agents)])
-
+    @abc.abstractmethod
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
         """Global objective evaluated at each row of ``X``, (n,)."""
-        return np.array([self.global_value(X[i]) for i in range(X.shape[0])])
 
 
 class LogisticOracle(GradientOracle):
@@ -412,10 +407,6 @@ class QuadraticOracle(GradientOracle):
         for i in range(self.n_agents):
             G[i] += rng_for(i).normal(0.0, self._noise_scale, size=self.dim)
         return G
-
-    def values_at_rows(self, X: np.ndarray) -> np.ndarray:
-        d = X - self.b
-        return 0.5 * np.einsum("ip,ipq,iq->i", d, self.A, d)
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
         d = X[:, None, :] - self.b[None, :, :]      # (rows, n, p)

@@ -6,12 +6,13 @@ nonnegative, and positive semidefinite; their consensus speed is governed
 by the spectral gap ``1 - lam`` where ``lam`` is the second-largest
 eigenvalue magnitude.
 
-The augmented operator implemented by :func:`apply_augmented` performs one
-step of loopless Chebyshev-accelerated consensus on a (current, memory)
-pair of iterate matrices.  With ``eta_w = 1/(1 + sqrt(1 - lam^2))`` the
-disagreement component of the pair contracts at rate
-``rho_w = sqrt(eta_w)`` per application, up to the constant factor
-:data:`C0`.
+One step of loopless Chebyshev-accelerated consensus (LCA) maps a
+(current, memory) pair of iterate matrices ``(top, bottom)`` to
+``((1 + eta_w) W top - eta_w bottom, top)``; :func:`lca_mix` computes its
+new current block, the new memory block being ``top`` itself.  With
+``eta_w = 1/(1 + sqrt(1 - lam^2))`` the disagreement component of the pair
+contracts at rate ``rho_w = sqrt(eta_w)`` per application, up to the
+constant factor :data:`C0`.
 """
 
 from __future__ import annotations
@@ -61,19 +62,6 @@ class LcaParams:
     eta_w: float
     rho_w: float
     c0: float = C0
-
-
-@dataclass(frozen=True)
-class AugmentedPair:
-    """A (current, memory) pair of equally shaped ``(n, p)`` matrices."""
-
-    top: np.ndarray
-    bottom: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.top.shape != self.bottom.shape:
-            raise ValueError(
-                f"augmented pair shape mismatch: {self.top.shape} vs {self.bottom.shape}")
 
 
 def validate_weights(weights: np.ndarray) -> np.ndarray:
@@ -161,17 +149,14 @@ def lca_params(lam: float) -> LcaParams:
     return LcaParams(eta_w=eta_w, rho_w=math.sqrt(eta_w))
 
 
-def apply_augmented(W: MixingMatrix, eta_w: float, pair: AugmentedPair) -> AugmentedPair:
-    """One application of the 2n x 2n accelerated consensus operator.
-
-    Maps ``(top, bottom)`` to ``((1 + eta_w) W top - eta_w bottom, top)``.
-    With ``eta_w = 0`` this reduces to plain mixing of the top block.
+def lca_mix(W: MixingMatrix, eta_w: float, top: np.ndarray,
+            bottom: np.ndarray) -> np.ndarray:
+    """New current block ``(1 + eta_w) W top - eta_w bottom`` of one
+    application of the 2n x 2n accelerated consensus operator to the
+    (current, memory) pair ``(top, bottom)``; the new memory block is
+    ``top``.  With ``eta_w = 0`` this reduces to plain mixing of ``top``.
     """
-    if pair.top.shape[0] != W.n:
-        raise ValueError(
-            f"pair has {pair.top.shape[0]} rows but mixing matrix has n={W.n}")
-    new_top = (1.0 + eta_w) * (W.weights @ pair.top) - eta_w * pair.bottom
-    return AugmentedPair(top=new_top, bottom=pair.top)
+    return (1.0 + eta_w) * (W.weights @ top) - eta_w * bottom
 
 
 def consensus_projector(n: int) -> np.ndarray:

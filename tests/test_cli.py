@@ -99,6 +99,40 @@ def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "deliberate failure" in capsys.readouterr().err
 
 
+DIVERGING_CFG = """
+topology.kind = ring
+topology.n = 5
+objective.kind = quadratic_pl
+method = lmt
+schedule = explicit
+hyper.eta_a = 50
+hyper.eta_s = 1
+hyper.Q = 2
+run.T = 200
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_stops_records_and_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DIVERGING_CFG)
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 3
+    assert "diverged" in capsys.readouterr().err
+    meta = dict(line.split(" = ", 1) for line in
+                (out / "meta.txt").read_text().splitlines())
+    at = int(meta["diverged_at"])
+    assert 0 < at < 200
+    rows = np.genfromtxt(out / "trace.csv", delimiter=",", skip_header=1)
+    assert rows.shape[0] == 200
+    assert np.isnan(rows[at:, 1:]).all()
+    assert not np.isnan(rows[at - 1, 1])
+
+    sweep_out = tmp_path / "sweep"
+    assert cli.main(["sweep", cfg, "--axis", "Q", "--values", "2",
+                     "--out", str(sweep_out)]) == 3
+    assert (sweep_out / "summary.csv").is_file()
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "lmtsim.cli", "spectra", "ring", "50"],

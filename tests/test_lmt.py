@@ -68,7 +68,7 @@ def test_local_phase_hand_trace():
     oracle = scalar_quadratic()
     hp = lmt.HyperParams(Q=1, eta_a=1.0, eta_s=1.0, beta=0.0, eta_w=0.0)
     st = lmt.init_state(np.array([[1.0]]))
-    X_Q, R, G_avg, _ = lmt.local_update_phase(st, oracle, hp, None)
+    X_Q, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     assert X_Q[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert R[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert G_avg[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -79,7 +79,7 @@ def test_local_phase_single_step_returns_drawn_gradient():
     hp = lmt.HyperParams(Q=1, eta_a=0.1, eta_s=1.0, beta=0.0, eta_w=0.0)
     X0 = np.random.default_rng(1).normal(size=(5, 3))
     st = lmt.init_state(X0)
-    _, R, G_avg, _ = lmt.local_update_phase(st, oracle, hp, None)
+    _, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     expected = np.stack([oracle.full_gradient(i, X0[i]) for i in range(5)])
     assert np.allclose(R, expected, atol=1e-12)
     assert np.allclose(G_avg, expected, atol=1e-15)
@@ -92,7 +92,7 @@ def test_local_phase_correction_cancels_gradient():
     G = np.stack([oracle.full_gradient(i, X0[i]) for i in range(4)])
     st = dataclasses.replace(lmt.init_state(X0), C=-G)
     hp = lmt.HyperParams(Q=6, eta_a=0.05, eta_s=1.0, beta=0.0, eta_w=0.0)
-    X_Q, R, _, _ = lmt.local_update_phase(st, oracle, hp, None)
+    X_Q, R, _ = lmt.local_update_phase(st, oracle, hp, None)
     assert np.allclose(X_Q, X0, atol=1e-12)
     assert np.allclose(R, G, atol=1e-10)
 
@@ -102,8 +102,7 @@ def test_local_phase_deterministic_mode_averages_path_gradients():
     hp = lmt.HyperParams(Q=5, eta_a=0.02, eta_s=1.0, beta=0.0, eta_w=0.0)
     X0 = np.random.default_rng(3).normal(size=(3, 4))
     st = lmt.init_state(X0)
-    _, R, G_avg, locals_ = lmt.local_update_phase(st, oracle, hp, None,
-                                                  collect_locals=True)
+    X_Q, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     # replay the path independently
     X = X0.copy()
     acc = np.zeros_like(X)
@@ -113,8 +112,8 @@ def test_local_phase_deterministic_mode_averages_path_gradients():
         X = X - hp.eta_a * G
     assert np.allclose(R, acc / 5, atol=1e-12)
     assert np.allclose(G_avg, acc / 5, atol=1e-13)
-    assert locals_.shape == (5, 3, 4)
-    assert np.allclose(locals_[-1], X, atol=1e-14)
+    assert X_Q.shape == (3, 4)
+    assert np.allclose(X_Q, X, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +184,10 @@ def test_consensus_equals_augmented_operator():
     Y = rng.normal(size=(7, 3))
     hp = lmt.HyperParams(Q=3, eta_a=0.05, eta_s=0.2, beta=0.5, eta_w=lca.eta_w)
     X_next, X_l_next = lmt.accelerated_consensus(st, Y, hp, mix)
-    pair = lmtsim.apply_augmented(
-        mix, lca.eta_w,
-        lmtsim.AugmentedPair(top=st.X - hp.eta_hat * Y, bottom=st.X_l - hp.eta_hat * Y))
-    assert np.abs(X_next - pair.top).max() <= 1e-13
-    assert np.abs(X_l_next - pair.bottom).max() <= 1e-13
+    top = st.X - hp.eta_hat * Y
+    new_top = lmtsim.lca_mix(mix, lca.eta_w, top, st.X_l - hp.eta_hat * Y)
+    assert np.abs(X_next - new_top).max() <= 1e-13
+    assert np.abs(X_l_next - top).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

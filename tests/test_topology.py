@@ -127,33 +127,27 @@ def test_lca_params_domain():
             tp.lca_params(bad)
 
 
-def test_apply_augmented_consensus_fixed_point():
+def test_lca_mix_consensus_fixed_point():
     mix = tp.build_ring_mixing(6)
     v = np.arange(3.0)
     top = np.tile(v, (6, 1))
-    pair = tp.AugmentedPair(top=top, bottom=top.copy())
-    out = tp.apply_augmented(mix, 0.7, pair)
-    assert np.allclose(out.top, top, atol=1e-13)
-    assert np.allclose(out.bottom, top, atol=1e-13)
+    assert np.allclose(tp.lca_mix(mix, 0.7, top, top.copy()), top, atol=1e-13)
 
 
-def test_apply_augmented_zero_eta_is_plain_mixing():
+def test_lca_mix_zero_eta_is_plain_mixing():
     mix = tp.build_ring_mixing(5)
     rng = np.random.default_rng(0)
     top = rng.normal(size=(5, 3))
     bottom = rng.normal(size=(5, 3))
-    out = tp.apply_augmented(mix, 0.0, tp.AugmentedPair(top=top, bottom=bottom))
-    assert np.allclose(out.top, mix.weights @ top, atol=1e-14)
-    assert np.array_equal(out.bottom, top)
+    assert np.allclose(tp.lca_mix(mix, 0.0, top, bottom), mix.weights @ top, atol=1e-14)
 
 
-def test_apply_augmented_shape_errors():
+def test_lca_mix_shape_errors():
     mix = tp.build_ring_mixing(5)
     with pytest.raises(ValueError):
-        tp.AugmentedPair(top=np.zeros((5, 2)), bottom=np.zeros((5, 3)))
-    pair = tp.AugmentedPair(top=np.zeros((4, 2)), bottom=np.zeros((4, 2)))
+        tp.lca_mix(mix, 0.5, np.zeros((5, 2)), np.zeros((5, 3)))
     with pytest.raises(ValueError):
-        tp.apply_augmented(mix, 0.5, pair)
+        tp.lca_mix(mix, 0.5, np.zeros((4, 2)), np.zeros((4, 2)))
 
 
 def test_stacking_identity():
@@ -191,15 +185,15 @@ def test_lca_contraction_short_suite():
         proj2[:n, :n] = proj
         proj2[n:, n:] = proj
 
-        pair = tp.AugmentedPair(top=pa.copy(), bottom=pa.copy())
+        top, bottom = pa.copy(), pa.copy()
         vec = np.vstack([pa, pa])
         for k in range(31):
-            stacked = np.vstack([pair.top, pair.bottom])
+            stacked = np.vstack([top, bottom])
             assert np.abs(stacked - vec).max() <= 1e-10 * (1 + np.abs(vec).max())
             projected = proj2 @ stacked
             norm2 = float(np.sum(projected * projected))
             assert norm2 <= 14.0 * lca.rho_w ** (2 * k) * bound0 * (1 + 1e-9)
-            pair = tp.apply_augmented(mix, lca.eta_w, pair)
+            top, bottom = tp.lca_mix(mix, lca.eta_w, top, bottom), top
             vec = big @ vec
 
 
