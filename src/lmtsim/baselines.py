@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lmt import HyperParams, local_steps
+from .lmt import HyperParams, local_steps, round_draws
 from .topology import MixingMatrix
-from .streams import TrialStreams, gradient_rng_factory
+from .streams import TrialStreams
 
 METHODS = ("local_dsgd", "led", "kgt", "pdsgdm", "scaffold")
 
@@ -136,8 +136,8 @@ def _round_kgt(Q, local, outer, beta, state, oracle, W, streams):
 def _round_pdsgdm(Q, local, outer, beta, state, oracle, W, streams):
     X = state.X.copy()
     M = state.aux["m"].copy()
-    for step in range(Q):
-        G = oracle.stochastic_gradient_matrix(X, gradient_rng_factory(streams, state.t, step))
+    for draws_step in round_draws(oracle, streams, state.t, Q):
+        G = oracle.stochastic_gradient_matrix(X, draws_step)
         M = beta * M + G
         X = X - local * M
     return BaselineState(X=W.weights @ X, t=state.t + 1,
@@ -152,8 +152,8 @@ def _round_scaffold(Q, local, outer, beta, state, oracle, W, streams):
     Y = np.broadcast_to(x, (n, x.shape[0])).copy()
     # its own loop: local_steps would form G + (c - C), which rounds
     # differently from G - C + c
-    for step in range(Q):
-        G = oracle.stochastic_gradient_matrix(Y, gradient_rng_factory(streams, state.t, step))
+    for draws_step in round_draws(oracle, streams, state.t, Q):
+        G = oracle.stochastic_gradient_matrix(Y, draws_step)
         Y = Y - local * (G - C + c)
     delta_y = Y - x
     C_next = C - c + (x - Y) / (Q * local)

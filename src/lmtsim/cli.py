@@ -99,7 +99,7 @@ def _divergence_status(tables) -> int:
     """3 after reporting every diverged run on stderr, else 0."""
     diverged = [t for t in tables if t.diverged_at is not None]
     for table in diverged:
-        print(f"runtime error: {table.label} diverged: iterates not finite "
+        print(f"runtime error: {table.label} diverged: iterates or metrics not finite "
               f"from round {table.diverged_at}", file=sys.stderr)
     return 3 if diverged else 0
 

@@ -37,7 +37,7 @@ class ResultTable:
     fingerprint: str
     seed: int
     columns: dict[str, np.ndarray]
-    diverged_at: int | None = None  # first round with non-finite iterates
+    diverged_at: int | None = None  # first round with non-finite iterates or metrics
 
     @property
     def rounds(self) -> int:
@@ -168,8 +168,9 @@ def _run_trial(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
                oracle: obj.GradientOracle, hp: lmt.HyperParams, trial: int,
                f_star: float | None) -> tuple[dict[str, np.ndarray], int | None]:
     """Per-round metrics of one trial, and the first round whose iterates
-    are not finite (None if every round's are).  A trial stops there; the
-    rows from that round on stay NaN."""
+    or whose metrics the method defines are not finite (None if every
+    round's are).  A trial stops there; the rows from that round on stay
+    NaN."""
     streams = TrialStreams(cfg.seed, trial)
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     is_tracking = cfg.method in ("lmt", "naive_lmt")
@@ -185,6 +186,10 @@ def _run_trial(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
     out["t"] = np.arange(cfg.T, dtype=float)
 
     have_lyapunov = is_tracking and f_star is not None and oracle.L is not None
+    defined = (("consensus_x", "grad_norm_avg")
+               + (("opt_gap_mean",) if f_star is not None else ())
+               + (("z_dev", "d_bar_drift", "consensus_y") if is_tracking else ())
+               + (("lyapunov_surrogate",) if have_lyapunov else ()))
     x_bar_prev: np.ndarray | None = None
     d_prev: np.ndarray | None = None
     r_bar_prev: np.ndarray | None = None
@@ -226,6 +231,10 @@ def _run_trial(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
                     hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
         else:
             state = bl.baseline_round(spec, state, oracle, mix, streams)
+        if not all(math.isfinite(out[name][t]) for name in defined):
+            for name in defined:
+                out[name][t] = np.nan
+            return out, t
         if not np.isfinite(state.X).all():
             return out, t + 1
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .topology import C0, MixingMatrix, lca_mix, lca_params
-from .streams import TrialStreams, gradient_rng_factory
+from .streams import TrialStreams
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,13 @@ def init_state(X0: np.ndarray) -> LmtState:
                     C=zeros.copy(), C_prev=zeros.copy(), t=0)
 
 
+def round_draws(oracle, streams: TrialStreams | None, t: int, Q: int):
+    """The oracle's draws of round ``t``, one entry per local step (each
+    None in deterministic mode)."""
+    draws = oracle.draw(streams, t, Q)
+    return [None] * Q if draws is None else draws
+
+
 def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
                 streams: TrialStreams | None, t: int, Q: int):
     """Run ``Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
@@ -105,8 +112,8 @@ def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
     ``(X_Q, G_sum)``: the end points and the sum of the drawn gradients.
     """
     G_sum = np.zeros_like(X)
-    for step in range(Q):
-        G = oracle.stochastic_gradient_matrix(X, gradient_rng_factory(streams, t, step))
+    for draws_step in round_draws(oracle, streams, t, Q):
+        G = oracle.stochastic_gradient_matrix(X, draws_step)
         G_sum += G
         X = X - eta * (G if shift is None else G + shift)
     return X, G_sum
@@ -187,8 +194,8 @@ def naive_local_momentum_round(state: LmtState, oracle, W: MixingMatrix,
     Z_run = state.Z
     M_sum = np.zeros_like(X_cur)
     G_sum = np.zeros_like(X_cur)
-    for step in range(hp.Q):
-        G = oracle.stochastic_gradient_matrix(X_cur, gradient_rng_factory(streams, state.t, step))
+    for draws_step in round_draws(oracle, streams, state.t, hp.Q):
+        G = oracle.stochastic_gradient_matrix(X_cur, draws_step)
         G_sum += G
         Z_run = hp.beta * Z_run + (1.0 - hp.beta) * G
         M_sum += Z_run

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .streams import TrialStreams, bounded_uint32
+
 
 class DatasetError(ValueError):
     """Raised for unusable datasets or malformed data files."""
@@ -217,11 +219,18 @@ class GradientOracle(abc.ABC):
         return np.stack([self.full_gradient(i, x) for i in range(self.n_agents)])
 
     @abc.abstractmethod
-    def stochastic_gradient_matrix(self, X: np.ndarray, rng_for) -> np.ndarray:
+    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
+        """All random draws of round ``t``, one leading entry per local step:
+        entry ``[step, i]`` comes from ``streams.gradient(i, t, step)``.
+        None in deterministic mode, where ``streams`` may be None."""
+
+    @abc.abstractmethod
+    def stochastic_gradient_matrix(self, X: np.ndarray,
+                                   draws_step: np.ndarray | None) -> np.ndarray:
         """Stacked stochastic gradients, agent i evaluated at row ``X[i]``.
 
-        ``rng_for(i)`` must return the generator for agent i's draw;
-        generators are consumed one agent at a time, in index order.
+        ``draws_step`` is one local step's entry of :meth:`draw` (None in
+        deterministic mode).
         """
 
     @abc.abstractmethod
@@ -312,15 +321,32 @@ class LogisticOracle(GradientOracle):
         slope = expit(-(vb * (Ub @ x)))
         return -(Ub.T @ (vb * slope)) / self.batch + self._reg_gradient(x)
 
-    def stochastic_gradient_matrix(self, X: np.ndarray, rng_for) -> np.ndarray:
+    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
+        """The round's minibatch rows, ``(Q, n, batch)`` indices into the
+        stacked shards: ``[step, i]`` is
+        ``streams.gradient(i, t, step).integers(0, shard size, size=batch)``
+        offset to shard i.  All sites are drawn in one vectorised Philox
+        call; a site where numpy's Lemire rule rejects a draw is redrawn
+        through its own generator.  None in full-batch mode."""
         if self.batch is None:
+            return None
+        if streams is None:
+            raise ValueError("minibatch oracle needs random streams")
+        b = self.batch
+        words = streams.gradient_words(t, Q, self.n_agents, (b + 1) // 2)
+        rows, rejected = bounded_uint32(words, self._sizes, b)
+        for step, i in zip(*np.nonzero(rejected)):
+            rows[step, i] = streams.gradient(int(i), t, int(step)).integers(
+                0, self._sizes[i], size=b)
+        return rows + self._offsets[:-1, None]
+
+    def stochastic_gradient_matrix(self, X: np.ndarray,
+                                   draws_step: np.ndarray | None) -> np.ndarray:
+        if draws_step is None:
             return np.stack([self.full_gradient(i, X[i]) for i in range(self.n_agents)])
         b = self.batch
-        rows = np.empty((self.n_agents, b), dtype=np.int64)
-        for i in range(self.n_agents):
-            rows[i] = self._offsets[i] + rng_for(i).integers(0, self._sizes[i], size=b)
-        U = self._features[rows.ravel()].reshape(self.n_agents, b, self.dim)
-        v = self._labels[rows.ravel()].reshape(self.n_agents, b)
+        U = self._features[draws_step.ravel()].reshape(self.n_agents, b, self.dim)
+        v = self._labels[draws_step.ravel()].reshape(self.n_agents, b)
         margins = v * np.einsum("abp,ap->ab", U, X)
         slope = expit(-margins)
         data_grad = -np.einsum("ab,abp->ap", v * slope, U) / b
@@ -400,13 +426,25 @@ class QuadraticOracle(GradientOracle):
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("ipq,q->ip", self.A, x) - np.einsum("ipq,iq->ip", self.A, self.b)
 
-    def stochastic_gradient_matrix(self, X: np.ndarray, rng_for) -> np.ndarray:
-        G = np.einsum("ipq,iq->ip", self.A, X - self.b)
+    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
+        """The round's gradient noise, ``(Q, n, p)``: ``[step, i]`` is drawn
+        from ``streams.gradient(i, t, step)``, one generator per site.  None
+        when the oracle is noiseless."""
         if self.sigma == 0.0:
-            return G
-        for i in range(self.n_agents):
-            G[i] += rng_for(i).normal(0.0, self._noise_scale, size=self.dim)
-        return G
+            return None
+        if streams is None:
+            raise ValueError("noisy oracle needs random streams")
+        noise = np.empty((Q, self.n_agents, self.dim))
+        for step in range(Q):
+            for i in range(self.n_agents):
+                noise[step, i] = streams.gradient(i, t, step).normal(
+                    0.0, self._noise_scale, size=self.dim)
+        return noise
+
+    def stochastic_gradient_matrix(self, X: np.ndarray,
+                                   draws_step: np.ndarray | None) -> np.ndarray:
+        G = np.einsum("ipq,iq->ip", self.A, X - self.b)
+        return G if draws_step is None else G + draws_step
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
         d = X[:, None, :] - self.b[None, :, :]      # (rows, n, p)

@@ -61,8 +61,8 @@ class RecordingOracle:
         self.drawn.append(g.copy())
         return g
 
-    def stochastic_gradient_matrix(self, X, rng_for):
-        G = self._inner.stochastic_gradient_matrix(X, rng_for)
+    def stochastic_gradient_matrix(self, X, draws_step):
+        G = self._inner.stochastic_gradient_matrix(X, draws_step)
         self.drawn.extend(G.copy())
         return G
 

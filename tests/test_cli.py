@@ -133,6 +133,27 @@ def test_diverging_run_stops_records_and_exits_3(tmp_path, capsys):
     assert (sweep_out / "summary.csv").is_file()
 
 
+# iterates stay finite for longer than the squared metrics do
+OVERFLOWING_CFG = DIVERGING_CFG.replace("hyper.eta_a = 50", "hyper.eta_a = 100").replace(
+    "hyper.Q = 2", "hyper.Q = 1")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_metrics_stop_the_run_and_exit_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OVERFLOWING_CFG)
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 3
+    assert "diverged" in capsys.readouterr().err
+    meta = dict(line.split(" = ", 1) for line in
+                (out / "meta.txt").read_text().splitlines())
+    at = int(meta["diverged_at"])
+    assert 0 < at < 200
+    rows = np.genfromtxt(out / "trace.csv", delimiter=",", skip_header=1)
+    assert rows.shape[0] == 200
+    assert np.isnan(rows[at:, 1:]).all()
+    assert np.isfinite(rows[:at, 1]).all()
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "lmtsim.cli", "spectra", "ring", "50"],

@@ -6,11 +6,17 @@ moved, so a refactor that changed results shows where the runs part.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from golden.make_golden import (GOLDEN, METHODS, OBJECTIVES, case_key,
                                 checkpoints, digest, run_case)
+
+_TESTS = Path(__file__).resolve().parent
 
 _GOLDEN = json.loads(GOLDEN.read_text())
 
@@ -36,3 +42,20 @@ def test_golden_trace(method, objective):
     got = digest(table)
     assert got == ref["sha256"], _first_divergence(checkpoints(table),
                                                    ref["checkpoints"], ref["rows"])
+
+
+def _digest_with_blas_threads(threads: int, method: str, objective: str) -> str:
+    code = ("from golden.make_golden import digest, run_case; "
+            f"print(digest(run_case({method!r}, {objective!r})))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(_TESTS), str(_TESTS.parent / "src")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env, check=True)
+    return proc.stdout.strip()
+
+
+def test_trace_digest_does_not_depend_on_blas_threads():
+    method, objective = "lmt", "logistic_l2"
+    ref = _GOLDEN[case_key(method, objective)]["sha256"]
+    assert _digest_with_blas_threads(1, method, objective) == ref
+    assert _digest_with_blas_threads(2, method, objective) == ref

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import finite_difference_gradient
 from lmtsim import objectives as obj
-from lmtsim.streams import TrialStreams, fresh_stream
+from lmtsim.streams import TrialStreams, bounded_uint32, fresh_stream
 
 
 def two_class_dataset(m=40, p=6, seed=0):
@@ -182,10 +182,72 @@ def test_stochastic_gradient_matrix_matches_per_agent_calls():
     oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=2)
     X = np.random.default_rng(5).normal(size=(3, 4))
     streams = TrialStreams(99, 0)
-    G = oracle.stochastic_gradient_matrix(X, lambda i: streams.gradient(i, 7, 1))
+    G = oracle.stochastic_gradient_matrix(X, oracle.draw(streams, 7, 2)[1])
     for i in range(3):
         gi = oracle.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, 1))
         assert np.allclose(G[i], gi, atol=1e-15)
+
+
+def _uneven_partition(sizes, p=3):
+    """Shards of the given sizes, rows and labels drawn from one seed."""
+    rng = np.random.default_rng(sum(sizes))
+    return obj.PartitionedDataset(shards=tuple(
+        (rng.normal(size=(s, p)), np.where(rng.random(s) < 0.5, -1.0, 1.0)) for s in sizes))
+
+
+def _assert_round_rows_match_streams(oracle, sizes, b, seed=13, trial=2, t=6, Q=3):
+    rows = oracle.draw(TrialStreams(seed, trial), t, Q)
+    assert rows.shape == (Q, len(sizes), b)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for step in range(Q):
+        for i, s in enumerate(sizes):
+            expected = fresh_stream(seed, trial, i, t, step).integers(0, s, size=b)
+            assert np.array_equal(rows[step, i], offsets[i] + expected)
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 17])
+def test_logistic_round_draws_match_per_site_streams(b):
+    sizes = (17, 23, 40, 18, 31)
+    oracle = obj.logistic_l2_oracle(_uneven_partition(sizes), rho=0.2, batch=b)
+    _assert_round_rows_match_streams(oracle, sizes, b)
+
+
+def test_logistic_round_draws_with_single_row_shard():
+    sizes = (1, 5, 2)
+    oracle = obj.logistic_l2_oracle(_uneven_partition(sizes), rho=0.2, batch=1)
+    _assert_round_rows_match_streams(oracle, sizes, 1)
+
+
+def test_logistic_rejected_sites_are_redrawn_from_their_streams(monkeypatch):
+    def reject_all(words, bound, count):
+        values, rejected = bounded_uint32(words, bound, count)
+        return np.zeros_like(values), np.ones_like(rejected)
+
+    monkeypatch.setattr(obj, "bounded_uint32", reject_all)
+    sizes = (17, 23, 40)
+    oracle = obj.logistic_l2_oracle(_uneven_partition(sizes), rho=0.2, batch=9)
+    _assert_round_rows_match_streams(oracle, sizes, 9)
+
+
+def test_quadratic_round_noise_matches_per_agent_calls():
+    oracle = obj.quadratic_pl_oracle(n=3, p=4, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
+    X = np.random.default_rng(5).normal(size=(3, 4))
+    draws = oracle.draw(TrialStreams(99, 0), 7, 2)
+    assert draws.shape == (2, 3, 4)
+    for step in range(2):
+        G = oracle.stochastic_gradient_matrix(X, draws[step])
+        for i in range(3):
+            gi = oracle.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, step))
+            assert np.allclose(G[i], gi, atol=1e-15)
+
+
+def test_draws_are_none_in_deterministic_mode():
+    parts = obj.partition_heterogeneous(two_class_dataset(20, 4, seed=6), 2)
+    assert obj.logistic_l2_oracle(parts, rho=0.2, batch=None).draw(None, 0, 3) is None
+    quad = obj.QuadraticOracle(A=np.eye(2)[None], b=np.zeros((1, 2)), sigma=0.0)
+    assert quad.draw(None, 0, 3) is None
+    with pytest.raises(ValueError, match="streams"):
+        obj.logistic_l2_oracle(parts, rho=0.2, batch=1).draw(None, 0, 3)
 
 
 # ---------------------------------------------------------------------------
