@@ -21,15 +21,12 @@ from .objectives import (Dataset, DatasetError, GradientOracle,
                          logistic_nonconvex_oracle,
                          make_synthetic_classification,
                          partition_heterogeneous, quadratic_pl_oracle)
-from .lmt import (HyperParams, LmtState, RoundOutputs, accelerated_consensus,
-                  init_state, lmt_round, local_steps, local_update_phase,
-                  momentum_update, naive_local_momentum_round, q_star,
-                  theorem1_stepsizes, theorem2_stepsizes,
+from .lmt import (HyperParams, accelerated_consensus, init_state, lmt_round,
+                  local_steps, local_update_phase, naive_local_momentum_round,
+                  q_star, theorem1_stepsizes, theorem2_stepsizes,
                   tracking_and_correction)
-from .baselines import (METHODS, BaselineSpec, BaselineState, baseline_round,
-                        init_baseline_state, stepsize_parity_map)
-from .diagnostics import (RoundTrace, consensus_error, d_bar_sequence,
-                          lyapunov_surrogate, running_stationarity,
+from .baselines import BaselineSpec, baseline_round, stepsize_parity_map
+from .diagnostics import (consensus_error, d_bar_sequence, lyapunov_surrogate,
                           solve_f_star)
 from .config import ConfigError, ExperimentConfig, parse_config_text
 from .harness import ResultTable, run_experiment, run_sweep

@@ -29,15 +29,13 @@ not against the originals' code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lmt import HyperParams, local_steps, round_draws
 from .topology import MixingMatrix
 from .streams import TrialStreams
-
-METHODS = ("local_dsgd", "led", "kgt", "pdsgdm", "scaffold")
 
 
 @dataclass(frozen=True)
@@ -46,20 +44,6 @@ class BaselineSpec:
 
     method: str
     hp: HyperParams
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown baseline method {self.method!r}; "
-                             f"expected one of {METHODS}")
-
-
-@dataclass
-class BaselineState:
-    """Iterates plus method-specific auxiliary matrices."""
-
-    X: np.ndarray
-    t: int
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def stepsize_parity_map(eta_a: float, eta_s: float, beta: float,
@@ -71,88 +55,73 @@ def stepsize_parity_map(eta_a: float, eta_s: float, beta: float,
     """
     if method in ("kgt", "scaffold"):
         return eta_a, eta_s
-    if method == "led":
-        return eta_a * eta_s, 1.0
-    if method == "local_dsgd":
+    if method in ("led", "local_dsgd"):
         return eta_a * eta_s, 1.0
     if method == "pdsgdm":
         return eta_a * eta_s * (1.0 - beta), 1.0
     raise ValueError(f"unknown baseline method {method!r}")
 
 
-def init_baseline_state(spec: BaselineSpec, X0: np.ndarray) -> BaselineState:
-    X0 = np.asarray(X0, dtype=float)
-    if not np.all(np.isfinite(X0)):
-        raise ValueError("X0 contains non-finite entries")
-    zeros = np.zeros_like(X0)
-    aux: dict[str, np.ndarray] = {}
-    if spec.method == "led":
-        aux["psi"] = X0.copy()
-    elif spec.method == "kgt":
-        aux["c"] = zeros.copy()
-    elif spec.method == "pdsgdm":
-        aux["m"] = zeros.copy()
-    elif spec.method == "scaffold":
-        aux["x_server"] = X0.mean(axis=0)
-        aux["c_server"] = np.zeros(X0.shape[1])
-        aux["c"] = zeros.copy()
-        X0 = np.broadcast_to(aux["x_server"], X0.shape).copy()
-    return BaselineState(X=X0.copy(), t=0, aux=aux)
+def baseline_round(spec: BaselineSpec, state: dict, oracle, W: MixingMatrix,
+                   streams: TrialStreams | None = None) -> dict:
+    """One communication round (Q local steps + one exchange) of
+    ``spec.method``, from a state built by :func:`lmtsim.lmt.init_state`."""
+    hp, method = spec.hp, spec.method
+    local, outer = stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, method)
+    args = (state, oracle, W, streams, hp.Q, local)
+    if method == "local_dsgd":
+        return _round_local_dsgd(*args)
+    if method == "led":
+        return _round_led(*args)
+    if method == "kgt":
+        return _round_kgt(*args, outer)
+    if method == "pdsgdm":
+        return _round_pdsgdm(*args, hp.beta)
+    return _round_scaffold(*args, outer)
 
 
-def baseline_round(spec: BaselineSpec, state: BaselineState, oracle,
-                   W: MixingMatrix,
-                   streams: TrialStreams | None = None) -> BaselineState:
-    """One communication round (Q local steps + one exchange) of ``spec.method``."""
-    local, outer = stepsize_parity_map(spec.hp.eta_a, spec.hp.eta_s,
-                                       spec.hp.beta, spec.method)
-    step = _ROUNDS[spec.method]
-    return step(spec.hp.Q, local, outer, spec.hp.beta, state, oracle, W, streams)
+def _round_local_dsgd(state, oracle, W, streams, Q, local):
+    X, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], Q)
+    return {"X": W.weights @ X, "t": state["t"] + 1}
 
 
-def _round_local_dsgd(Q, local, outer, beta, state, oracle, W, streams):
-    X, _ = local_steps(state.X, None, local, oracle, streams, state.t, Q)
-    return BaselineState(X=W.weights @ X, t=state.t + 1, aux={})
+def _round_led(state, oracle, W, streams, Q, local):
+    psi_new, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], Q)
+    combined = W.weights @ (psi_new + state["X"] - state["psi"])
+    return {"X": combined, "t": state["t"] + 1, "psi": psi_new}
 
 
-def _round_led(Q, local, outer, beta, state, oracle, W, streams):
-    psi_new, _ = local_steps(state.X, None, local, oracle, streams, state.t, Q)
-    combined = W.weights @ (psi_new + state.X - state.aux["psi"])
-    return BaselineState(X=combined, t=state.t + 1, aux={"psi": psi_new})
-
-
-def _round_kgt(Q, local, outer, beta, state, oracle, W, streams):
-    C = state.aux["c"]
-    Y, _ = local_steps(state.X, C, local, oracle, streams, state.t, Q)
-    delta = Y - state.X
+def _round_kgt(state, oracle, W, streams, Q, local, outer):
+    X, C = state["X"], state["c"]
+    Y, _ = local_steps(X, C, local, oracle, streams, state["t"], Q)
+    delta = Y - X
     mixed_delta = W.weights @ delta
-    X_next = W.weights @ state.X + outer * mixed_delta
+    X_next = W.weights @ X + outer * mixed_delta
     # tracking at communication only: corrections converge to the drift
     # compensation  (mean gradient) - (own gradient)
     C_next = C + (delta - mixed_delta) / (Q * local)
-    return BaselineState(X=X_next, t=state.t + 1, aux={"c": C_next})
+    return {"X": X_next, "t": state["t"] + 1, "c": C_next}
 
 
-def _round_pdsgdm(Q, local, outer, beta, state, oracle, W, streams):
-    X = state.X.copy()
-    M = state.aux["m"].copy()
-    for draws_step in round_draws(oracle, streams, state.t, Q):
+def _round_pdsgdm(state, oracle, W, streams, Q, local, beta):
+    X = state["X"]
+    M = state["m"]
+    for draws_step in round_draws(oracle, streams, state["t"], Q):
         G = oracle.stochastic_gradient_matrix(X, draws_step)
         M = beta * M + G
         X = X - local * M
-    return BaselineState(X=W.weights @ X, t=state.t + 1,
-                         aux={"m": W.weights @ M})
+    return {"X": W.weights @ X, "t": state["t"] + 1, "m": W.weights @ M}
 
 
-def _round_scaffold(Q, local, outer, beta, state, oracle, W, streams):
-    x = state.aux["x_server"]
-    c = state.aux["c_server"]
-    C = state.aux["c"]
+def _round_scaffold(state, oracle, W, streams, Q, local, outer):
+    x = state["x_server"]
+    c = state["c_server"]
+    C = state["c"]
     n = oracle.n_agents
     Y = np.broadcast_to(x, (n, x.shape[0])).copy()
     # its own loop: local_steps would form G + (c - C), which rounds
     # differently from G - C + c
-    for draws_step in round_draws(oracle, streams, state.t, Q):
+    for draws_step in round_draws(oracle, streams, state["t"], Q):
         G = oracle.stochastic_gradient_matrix(Y, draws_step)
         Y = Y - local * (G - C + c)
     delta_y = Y - x
@@ -160,14 +129,5 @@ def _round_scaffold(Q, local, outer, beta, state, oracle, W, streams):
     x_next = x + outer * delta_y.mean(axis=0)
     c_next = c + (C_next - C).mean(axis=0)
     X_next = np.broadcast_to(x_next, (n, x.shape[0])).copy()
-    return BaselineState(X=X_next, t=state.t + 1,
-                         aux={"x_server": x_next, "c_server": c_next, "c": C_next})
-
-
-_ROUNDS = {
-    "local_dsgd": _round_local_dsgd,
-    "led": _round_led,
-    "kgt": _round_kgt,
-    "pdsgdm": _round_pdsgdm,
-    "scaffold": _round_scaffold,
-}
+    return {"X": X_next, "t": state["t"] + 1,
+            "x_server": x_next, "c_server": c_next, "c": C_next}

@@ -11,29 +11,11 @@ output metadata labels it accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lmt import HyperParams
 from .topology import LcaParams
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    """One round's metrics.  Entries that a method does not define
-    (e.g. tracking-variable consensus for baselines) are NaN."""
-
-    t: int
-    consensus_x: float
-    consensus_y: float
-    grad_norm_avg: float
-    opt_gap_mean: float
-    z_dev: float
-    lyapunov_surrogate: float
-    d_bar_drift: float
-    d_bar: np.ndarray | None = None
-
 
 #: CSV column order shared by writers and readers
 TRACE_COLUMNS = ("t", "consensus_x", "consensus_y",
@@ -90,14 +72,6 @@ def lyapunov_surrogate(*, f_dbar: float, f_star: float, z_bar_sq: float,
         + 6.0 * (1.0 + 63.0 * lca.c0) * eta_hat * aq2 * L * L
         / (n * one_minus_beta) * z_dev
     )
-
-
-def running_stationarity(traces) -> float:
-    """Average of the squared global gradient norms over recorded rounds."""
-    values = [tr.grad_norm_avg for tr in traces]
-    if not values:
-        raise ValueError("need at least one recorded round")
-    return float(np.mean(values))
 
 
 def solve_f_star(oracle, tol: float = 1e-10, max_iter: int = 2_000_000) -> float:

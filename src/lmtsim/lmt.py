@@ -1,4 +1,4 @@
-"""Local momentum tracking: the round update, hyperparameters, and schedules.
+"""Local momentum tracking: the round update, method states, and schedules.
 
 One communication round consists of four phases:
 
@@ -60,39 +60,38 @@ class HyperParams:
         return self.eta_a * self.eta_s * self.Q
 
 
-@dataclass(frozen=True)
-class LmtState:
-    """Stacked per-agent state after ``t`` communication rounds."""
+def init_state(method: str, X0: np.ndarray) -> dict:
+    """Fresh state of ``method`` at the initial iterates ``X0``.
 
-    X: np.ndarray        # current iterates, (n, p)
-    X_l: np.ndarray      # memory iterates of the accelerated consensus
-    Z: np.ndarray        # momentum buffers
-    C: np.ndarray        # corrections c_t
-    C_prev: np.ndarray   # corrections c_{t-1}
-    t: int
-
-
-@dataclass(frozen=True)
-class RoundOutputs:
-    """Intermediate quantities of one round, kept for diagnostics."""
-
-    Y: np.ndarray             # tracking directions used by the outer step
-    Y_l: np.ndarray           # their memory counterparts
-    R: np.ndarray             # averaged local gradients (momentum input)
-    G_sum_avg: np.ndarray     # directly accumulated mean of drawn gradients
-
-
-def init_state(X0: np.ndarray) -> LmtState:
-    """Fresh state: memory iterate equals the initial iterate, momentum and
-    both corrections are zero."""
+    Every method's state is a dict of the iterates ``"X"`` (n, p), the
+    round counter ``"t"`` and the method's own arrays: memory iterate
+    ``X_l`` (``X0``), momentum ``Z`` and corrections ``C``, ``C_prev``
+    (zero) for lmt and naive_lmt; last local end points ``psi`` (``X0``)
+    for led; corrections ``c`` for kgt; momentum ``m`` for pdsgdm; server
+    model ``x_server`` (the mean of ``X0``, where every agent starts),
+    server and agent variates ``c_server`` and ``c`` for scaffold.  Round
+    functions return a new state and leave their input unchanged.
+    """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
         raise ValueError(f"X0 must be (n, p), got shape {X0.shape}")
     if not np.all(np.isfinite(X0)):
         raise ValueError("X0 contains non-finite entries")
     zeros = np.zeros_like(X0)
-    return LmtState(X=X0.copy(), X_l=X0.copy(), Z=zeros.copy(),
-                    C=zeros.copy(), C_prev=zeros.copy(), t=0)
+    state = {"X": X0.copy(), "t": 0}
+    if method in ("lmt", "naive_lmt"):
+        state.update(X_l=X0.copy(), Z=zeros, C=zeros.copy(), C_prev=zeros.copy())
+    elif method == "led":
+        state["psi"] = X0.copy()
+    elif method == "kgt":
+        state["c"] = zeros
+    elif method == "pdsgdm":
+        state["m"] = zeros
+    elif method == "scaffold":
+        x_server = X0.mean(axis=0)
+        state.update(X=np.broadcast_to(x_server, X0.shape).copy(),
+                     x_server=x_server, c_server=np.zeros(X0.shape[1]), c=zeros)
+    return state
 
 
 def round_draws(oracle, streams: TrialStreams | None, t: int, Q: int):
@@ -119,7 +118,7 @@ def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
     return X, G_sum
 
 
-def local_update_phase(state: LmtState, oracle, hp: HyperParams,
+def local_update_phase(state: dict, oracle, hp: HyperParams,
                        streams: TrialStreams | None):
     """Run ``Q`` corrected stochastic-gradient steps for every agent.
 
@@ -127,18 +126,13 @@ def local_update_phase(state: LmtState, oracle, hp: HyperParams,
     average of the drawn gradients from the net local movement, and
     ``G_sum_avg`` is the same average accumulated directly.
     """
-    X_Q, G_sum = local_steps(state.X, state.C, hp.eta_a, oracle, streams,
-                             state.t, hp.Q)
-    R = (state.X - X_Q) / (hp.eta_a * hp.Q) - state.C
+    X, C = state["X"], state["C"]
+    X_Q, G_sum = local_steps(X, C, hp.eta_a, oracle, streams, state["t"], hp.Q)
+    R = (X - X_Q) / (hp.eta_a * hp.Q) - C
     return X_Q, R, G_sum / hp.Q
 
 
-def momentum_update(Z: np.ndarray, R: np.ndarray, beta: float) -> np.ndarray:
-    """Exponential averaging of the per-round gradient estimates."""
-    return beta * Z + (1.0 - beta) * R
-
-
-def tracking_and_correction(state: LmtState, Z_next: np.ndarray,
+def tracking_and_correction(state: dict, Z_next: np.ndarray,
                             W: MixingMatrix, eta_w: float):
     """Refresh tracking directions and corrections through one exchange.
 
@@ -147,13 +141,13 @@ def tracking_and_correction(state: LmtState, Z_next: np.ndarray,
     ``C_next = C - Y + (1 + eta_w) W Y - eta_w Y_l``.
     Corrections stay mean-zero because ``W`` is doubly stochastic.
     """
-    Y = Z_next + state.C
-    Y_l = Z_next + state.C_prev
-    C_next = state.C - Y + (1.0 + eta_w) * (W.weights @ Y) - eta_w * Y_l
+    Y = Z_next + state["C"]
+    Y_l = Z_next + state["C_prev"]
+    C_next = state["C"] - Y + (1.0 + eta_w) * (W.weights @ Y) - eta_w * Y_l
     return Y, Y_l, C_next
 
 
-def accelerated_consensus(state: LmtState, Y: np.ndarray, hp: HyperParams,
+def accelerated_consensus(state: dict, Y: np.ndarray, hp: HyperParams,
                           W: MixingMatrix):
     """Outer step along ``Y`` followed by one accelerated mixing step.
 
@@ -162,25 +156,33 @@ def accelerated_consensus(state: LmtState, Y: np.ndarray, hp: HyperParams,
     memory) pair.  With ``eta_w = 0`` this is plain mixing of the stepped
     iterates.
     """
-    D = state.X - hp.eta_hat * Y
-    return lca_mix(W, hp.eta_w, D, state.X_l - hp.eta_hat * Y), D
+    D = state["X"] - hp.eta_hat * Y
+    return lca_mix(W, hp.eta_w, D, state["X_l"] - hp.eta_hat * Y), D
 
 
-def lmt_round(state: LmtState, oracle, W: MixingMatrix, hp: HyperParams,
-              streams: TrialStreams | None = None) -> tuple[LmtState, RoundOutputs]:
+def _track_and_mix(state: dict, M: np.ndarray, Z_next: np.ndarray,
+                   G_avg: np.ndarray, W: MixingMatrix, hp: HyperParams) -> dict:
+    """Tail of both tracking rounds: tracking and correction from the
+    momentum average ``M``, then the outer step and LCA mixing.  The new
+    state keeps, for the diagnostics, the tracking directions ``Y`` and
+    the per-agent mean ``G_avg`` of the round's drawn gradients."""
+    Y, _, C_next = tracking_and_correction(state, M, W, hp.eta_w)
+    X_next, X_l_next = accelerated_consensus(state, Y, hp, W)
+    return {"X": X_next, "t": state["t"] + 1, "X_l": X_l_next, "Z": Z_next,
+            "C": C_next, "C_prev": state["C"], "Y": Y, "G_avg": G_avg}
+
+
+def lmt_round(state: dict, oracle, W: MixingMatrix, hp: HyperParams,
+              streams: TrialStreams | None = None) -> dict:
     """One full communication round of local momentum tracking."""
     _, R, G_avg = local_update_phase(state, oracle, hp, streams)
-    Z_next = momentum_update(state.Z, R, hp.beta)
-    Y, Y_l, C_next = tracking_and_correction(state, Z_next, W, hp.eta_w)
-    X_next, X_l_next = accelerated_consensus(state, Y, hp, W)
-    new_state = LmtState(X=X_next, X_l=X_l_next, Z=Z_next,
-                         C=C_next, C_prev=state.C, t=state.t + 1)
-    return new_state, RoundOutputs(Y=Y, Y_l=Y_l, R=R, G_sum_avg=G_avg)
+    Z_next = hp.beta * state["Z"] + (1.0 - hp.beta) * R
+    return _track_and_mix(state, Z_next, Z_next, G_avg, W, hp)
 
 
-def naive_local_momentum_round(state: LmtState, oracle, W: MixingMatrix,
+def naive_local_momentum_round(state: dict, oracle, W: MixingMatrix,
                                hp: HyperParams,
-                               streams: TrialStreams | None = None) -> tuple[LmtState, RoundOutputs]:
+                               streams: TrialStreams | None = None) -> dict:
     """Negative control: refresh the momentum buffer at every local step.
 
     Each local step folds its gradient into the momentum immediately and
@@ -190,22 +192,17 @@ def naive_local_momentum_round(state: LmtState, oracle, W: MixingMatrix,
     ``Q > 1`` with momentum it loses the variance damping of the
     aggregated update and settles at a higher noise floor.
     """
-    X_cur = state.X
-    Z_run = state.Z
+    X_cur = state["X"]
+    Z_run = state["Z"]
     M_sum = np.zeros_like(X_cur)
     G_sum = np.zeros_like(X_cur)
-    for draws_step in round_draws(oracle, streams, state.t, hp.Q):
+    for draws_step in round_draws(oracle, streams, state["t"], hp.Q):
         G = oracle.stochastic_gradient_matrix(X_cur, draws_step)
         G_sum += G
         Z_run = hp.beta * Z_run + (1.0 - hp.beta) * G
         M_sum += Z_run
-        X_cur = X_cur - hp.eta_a * (Z_run + state.C)
-    M = M_sum / hp.Q
-    Y, Y_l, C_next = tracking_and_correction(state, M, W, hp.eta_w)
-    X_next, X_l_next = accelerated_consensus(state, Y, hp, W)
-    new_state = LmtState(X=X_next, X_l=X_l_next, Z=Z_run,
-                         C=C_next, C_prev=state.C, t=state.t + 1)
-    return new_state, RoundOutputs(Y=Y, Y_l=Y_l, R=M, G_sum_avg=G_sum / hp.Q)
+        X_cur = X_cur - hp.eta_a * (Z_run + state["C"])
+    return _track_and_mix(state, M_sum / hp.Q, Z_run, G_sum / hp.Q, W, hp)
 
 
 # ---------------------------------------------------------------------------

@@ -159,11 +159,6 @@ def lca_mix(W: MixingMatrix, eta_w: float, top: np.ndarray,
     return (1.0 + eta_w) * (W.weights @ top) - eta_w * bottom
 
 
-def consensus_projector(n: int) -> np.ndarray:
-    """The projector ``I - ones/n`` that removes the consensus component."""
-    return np.eye(n) - np.ones((n, n)) / n
-
-
 def save_mixing_csv(matrix: MixingMatrix, path: str) -> None:
     """Write the weight matrix as dense CSV, one row per line, full precision."""
     with open(path, "w", encoding="ascii") as fh:

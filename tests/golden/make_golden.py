@@ -24,7 +24,9 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "traces.json"
 
-METHODS = ("lmt", "naive_lmt", "local_dsgd", "led", "kgt", "pdsgdm", "scaffold")
+sys.path.insert(0, str(HERE.parents[1] / "src"))
+from lmtsim.config import METHOD_CHOICES as METHODS, ExperimentConfig, parse_config_text  # noqa: E402
+from lmtsim.harness import run_experiment  # noqa: E402
 
 _COMMON = """
 topology.kind = ring
@@ -71,9 +73,6 @@ def case_key(method: str, objective: str) -> str:
 
 def run_case(method: str, objective: str):
     """Result table of one golden case, computed in memory."""
-    from lmtsim.config import ExperimentConfig, parse_config_text
-    from lmtsim.harness import run_experiment
-
     text = _COMMON + OBJECTIVES[objective]
     cfg = ExperimentConfig.from_mapping(parse_config_text(text, origin=objective))
     return run_experiment(replace(cfg, method=method))
@@ -106,7 +105,6 @@ def _jsonable(v) -> float | None:
 
 
 def main() -> int:
-    sys.path.insert(0, str(HERE.parents[1] / "src"))
     golden = {}
     for objective in OBJECTIVES:
         for method in METHODS:

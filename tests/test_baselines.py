@@ -6,7 +6,10 @@ from helpers import RecordingOracle
 from lmtsim import baselines as bl
 from lmtsim import lmt
 from lmtsim import objectives as obj
+from lmtsim.config import METHOD_CHOICES
 from lmtsim.streams import TrialStreams
+
+BASELINES = tuple(m for m in METHOD_CHOICES if m not in ("lmt", "naive_lmt"))
 
 
 def quad(n, p, seed=5, sigma=0.0):
@@ -37,10 +40,10 @@ def test_parity_map_figure_values():
         pytest.approx(0.025 / Q), 1.0)
     with pytest.raises(ValueError):
         bl.stepsize_parity_map(eta_a, eta_s, beta, "sgd")
+    hp = lmt.HyperParams(Q=1, eta_a=0.1, eta_s=0.1, beta=0.0, eta_w=0.0)
     with pytest.raises(ValueError):
-        bl.BaselineSpec(method="unknown",
-                        hp=lmt.HyperParams(Q=1, eta_a=0.1, eta_s=0.1,
-                                           beta=0.0, eta_w=0.0))
+        bl.baseline_round(bl.BaselineSpec(method="unknown", hp=hp),
+                          lmt.init_state("local_dsgd", np.zeros((2, 1))), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +51,15 @@ def test_parity_map_figure_values():
 
 def all_method_first_round_means(oracle, mix, hp, X0):
     means = {}
-    st, _ = lmt.lmt_round(lmt.init_state(X0), oracle, mix, hp)
-    means["lmt"] = st.X.mean(axis=0)
-    st, _ = lmt.naive_local_momentum_round(lmt.init_state(X0), oracle, mix, hp)
-    means["naive_lmt"] = st.X.mean(axis=0)
-    for method in bl.METHODS:
+    st = lmt.lmt_round(lmt.init_state("lmt", X0), oracle, mix, hp)
+    means["lmt"] = st["X"].mean(axis=0)
+    st = lmt.naive_local_momentum_round(lmt.init_state("naive_lmt", X0), oracle, mix, hp)
+    means["naive_lmt"] = st["X"].mean(axis=0)
+    for method in BASELINES:
         spec = bl.BaselineSpec(method=method, hp=hp)
-        state = bl.init_baseline_state(spec, X0)
+        state = lmt.init_state(method, X0)
         state = bl.baseline_round(spec, state, oracle, mix)
-        means[method] = state.X.mean(axis=0)
+        means[method] = state["X"].mean(axis=0)
     return means
 
 
@@ -85,17 +88,17 @@ def test_first_round_parity_multi_step_paths():
     def averaged_after_one_round(method):
         oracle = RecordingOracle(quad(n, p))
         if method == "lmt":
-            st, _ = lmt.lmt_round(lmt.init_state(X0), oracle, mix, hp)
-            mean = st.X.mean(axis=0)
+            st = lmt.lmt_round(lmt.init_state("lmt", X0), oracle, mix, hp)
+            mean = st["X"].mean(axis=0)
         else:
             spec = bl.BaselineSpec(method=method, hp=hp)
-            state = bl.init_baseline_state(spec, X0)
-            mean = bl.baseline_round(spec, state, oracle, mix).X.mean(axis=0)
+            state = lmt.init_state(method, X0)
+            mean = bl.baseline_round(spec, state, oracle, mix)["X"].mean(axis=0)
         drawn = np.stack(oracle.drawn)
         assert drawn.shape == (n * Q, p)
         return mean, drawn.mean(axis=0)
 
-    for method in ("lmt",) + bl.METHODS:
+    for method in ("lmt",) + BASELINES:
         if method == "pdsgdm":
             continue  # momentum reweights the path; covered at beta=0 by dsgd
         mean, g_path = averaged_after_one_round(method)
@@ -113,10 +116,10 @@ def test_local_dsgd_complete_mixing_is_centralized_sgd():
     x0, X0 = consensus_start(n, p, seed=1)
     hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=0.5, beta=0.0, eta_w=0.0)
     spec = bl.BaselineSpec(method="local_dsgd", hp=hp)
-    state = bl.baseline_round(spec, bl.init_baseline_state(spec, X0), oracle, mix)
+    state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     flat = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "local_dsgd")[0]
     expected = x0 - flat * oracle.global_gradient(x0)
-    assert np.abs(state.X - expected).max() <= 1e-13
+    assert np.abs(state["X"] - expected).max() <= 1e-13
 
 
 def test_led_complete_mixing_first_round_is_centralized():
@@ -126,9 +129,9 @@ def test_led_complete_mixing_first_round_is_centralized():
     x0, X0 = consensus_start(n, p, seed=2)
     hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=0.5, beta=0.0, eta_w=0.0)
     spec = bl.BaselineSpec(method="led", hp=hp)
-    state = bl.baseline_round(spec, bl.init_baseline_state(spec, X0), oracle, mix)
+    state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     expected = x0 - 0.1 * oracle.global_gradient(x0)
-    assert np.abs(state.X - expected).max() <= 1e-13
+    assert np.abs(state["X"] - expected).max() <= 1e-13
 
 
 def test_kgt_complete_mixing_builds_drift_variates():
@@ -138,11 +141,11 @@ def test_kgt_complete_mixing_builds_drift_variates():
     x0, X0 = consensus_start(n, p, seed=3)
     hp = lmt.HyperParams(Q=1, eta_a=0.3, eta_s=0.4, beta=0.0, eta_w=0.0)
     spec = bl.BaselineSpec(method="kgt", hp=hp)
-    state = bl.baseline_round(spec, bl.init_baseline_state(spec, X0), oracle, mix)
+    state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     grads = oracle.full_gradients_at(x0)
     expected_c = grads.mean(axis=0) - grads  # corrected direction becomes the mean
-    assert np.abs(state.aux["c"] - expected_c).max() <= 1e-12
-    assert np.abs(state.aux["c"].mean(axis=0)).max() <= 1e-13
+    assert np.abs(state["c"] - expected_c).max() <= 1e-12
+    assert np.abs(state["c"].mean(axis=0)).max() <= 1e-13
 
 
 def test_scaffold_zero_variates_is_parallel_sgd():
@@ -152,10 +155,10 @@ def test_scaffold_zero_variates_is_parallel_sgd():
     x0, X0 = consensus_start(n, p, seed=4)
     hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=1.0, beta=0.0, eta_w=0.0)
     spec = bl.BaselineSpec(method="scaffold", hp=hp)
-    state = bl.baseline_round(spec, bl.init_baseline_state(spec, X0), oracle, mix)
+    state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     expected = x0 - 0.2 * oracle.global_gradient(x0)
-    assert np.abs(state.X - expected).max() <= 1e-13
-    assert lmtsim.consensus_error(state.X) == 0.0
+    assert np.abs(state["X"] - expected).max() <= 1e-13
+    assert lmtsim.consensus_error(state["X"]) == 0.0
 
 
 def test_pdsgdm_beta_zero_matches_local_dsgd():
@@ -166,13 +169,13 @@ def test_pdsgdm_beta_zero_matches_local_dsgd():
     hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.2, beta=0.0, eta_w=0.0)
     sa = bl.BaselineSpec(method="pdsgdm", hp=hp)
     sb = bl.BaselineSpec(method="local_dsgd", hp=hp)
-    st_a = bl.init_baseline_state(sa, X0)
-    st_b = bl.init_baseline_state(sb, X0)
+    st_a = lmt.init_state("pdsgdm", X0)
+    st_b = lmt.init_state("local_dsgd", X0)
     streams_a, streams_b = TrialStreams(3, 0), TrialStreams(3, 0)
     for _ in range(10):
         st_a = bl.baseline_round(sa, st_a, oracle, mix, streams_a)
         st_b = bl.baseline_round(sb, st_b, oracle, mix, streams_b)
-        assert np.abs(st_a.X - st_b.X).max() <= 1e-12
+        assert np.abs(st_a["X"] - st_b["X"]).max() <= 1e-12
 
 
 def test_corrections_stay_mean_zero_over_rounds():
@@ -182,13 +185,13 @@ def test_corrections_stay_mean_zero_over_rounds():
     hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.0, eta_w=0.0)
     for method in ("kgt", "scaffold"):
         spec = bl.BaselineSpec(method=method, hp=hp)
-        state = bl.init_baseline_state(spec, np.zeros((n, p)))
+        state = lmt.init_state(method, np.zeros((n, p)))
         streams = TrialStreams(8, 0)
         for _ in range(25):
             state = bl.baseline_round(spec, state, oracle, mix, streams)
-        drift = state.aux["c"].mean(axis=0)
+        drift = state["c"].mean(axis=0)
         if method == "scaffold":
-            drift = drift - state.aux["c_server"]
+            drift = drift - state["c_server"]
         assert np.abs(drift).max() <= 1e-10
 
 
@@ -199,10 +202,10 @@ def test_all_baselines_reduce_objective_on_smooth_problem():
     hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=0.5, eta_w=0.0)
     X0 = np.zeros((n, p))
     gap0 = float(np.mean(oracle.global_values_at_rows(X0))) - oracle.f_star
-    for method in bl.METHODS:
+    for method in BASELINES:
         spec = bl.BaselineSpec(method=method, hp=hp)
-        state = bl.init_baseline_state(spec, X0)
+        state = lmt.init_state(method, X0)
         for _ in range(150):
             state = bl.baseline_round(spec, state, oracle, mix)
-        gap = float(np.mean(oracle.global_values_at_rows(state.X))) - oracle.f_star
+        gap = float(np.mean(oracle.global_values_at_rows(state["X"]))) - oracle.f_star
         assert np.isfinite(gap) and gap < 0.5 * gap0, method

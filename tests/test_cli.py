@@ -154,6 +154,42 @@ def test_overflowing_metrics_stop_the_run_and_exit_3(tmp_path, capsys):
     assert np.isfinite(rows[:at, 1]).all()
 
 
+# ten trials whose values stay finite up to divergence, while from round 60
+# on their sums or squares lie beyond float64
+AVERAGING_CFG = """
+topology.kind = ring
+topology.n = 5
+objective.kind = quadratic_pl
+objective.dim = 4
+objective.mu = 0.2
+objective.L = 1.0
+objective.sigma = 0.5
+objective.seed = 3
+method = lmt
+schedule = explicit
+hyper.eta_a = 100
+hyper.eta_s = 1
+hyper.Q = 1
+run.T = 200
+run.trials = 10
+run.seed = 11
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trial_mean_and_std_stay_finite_until_divergence(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, AVERAGING_CFG)
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 3
+    assert "diverged" in capsys.readouterr().err
+    meta = dict(line.split(" = ", 1) for line in
+                (out / "meta.txt").read_text().splitlines())
+    at = int(meta["diverged_at"])
+    assert at > 100
+    rows = np.genfromtxt(out / "trace.csv", delimiter=",", skip_header=1)
+    assert np.isfinite(rows[:at]).all()
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "lmtsim.cli", "spectra", "ring", "50"],

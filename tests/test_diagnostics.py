@@ -66,23 +66,6 @@ def test_lyapunov_requires_f_star():
                               hp=make_hp(0.5), L=1.0, lca=lca, n=4)
 
 
-def trace(val):
-    return dg.RoundTrace(t=0, consensus_x=0, consensus_y=0, grad_norm_avg=val,
-                         opt_gap_mean=0, z_dev=0, lyapunov_surrogate=0,
-                         d_bar_drift=0)
-
-
-def test_running_stationarity():
-    assert dg.running_stationarity([trace(0.0)]) == 0.0
-    assert dg.running_stationarity([trace(1.0), trace(3.0)]) == pytest.approx(2.0)
-    base = [trace(1.0)] * 4
-    with_zero = base + [trace(0.0)]
-    assert dg.running_stationarity(with_zero) == pytest.approx(
-        dg.running_stationarity(base) * 4 / 5)
-    with pytest.raises(ValueError):
-        dg.running_stationarity([])
-
-
 def test_solve_f_star_quadratic_matches_closed_form():
     oracle = obj.quadratic_pl_oracle(n=6, p=5, mu_min=0.3, L=1.0, sigma=0.0,
                                      rng_seed=3)
@@ -115,20 +98,20 @@ def test_lyapunov_surrogate_monotone_on_deterministic_run():
                                      rng_seed=8)
     hp = lmt.theorem1_stepsizes(L=oracle.L, sigma=0.0, n=n, Q=3, T=100,
                                 delta_f=1.0, beta=lca.rho_w, eta_w=lca.eta_w)
-    st = lmt.init_state(np.zeros((n, p)))
+    st = lmt.init_state("lmt", np.zeros((n, p)))
     xbar_prev = None
     values = []
     for t in range(60):
-        xbar = st.X.mean(axis=0)
-        zbar = st.Z.mean(axis=0)
-        dev = st.Z - oracle.full_gradients_at(xbar)
+        xbar = st["X"].mean(axis=0)
+        zbar = st["Z"].mean(axis=0)
+        dev = st["Z"] - oracle.full_gradients_at(xbar)
         d_bar = dg.d_bar_sequence(xbar, xbar_prev, hp.beta, t)
-        cons_x = dg.consensus_error(st.X)
-        st, outs = lmt.lmt_round(st, oracle, mix, hp)
+        cons_x = dg.consensus_error(st["X"])
+        st = lmt.lmt_round(st, oracle, mix, hp)
         values.append(dg.lyapunov_surrogate(
             f_dbar=oracle.global_value(d_bar), f_star=oracle.f_star,
             z_bar_sq=float(zbar @ zbar), consensus_x=cons_x,
-            consensus_y=dg.consensus_error(outs.Y),
+            consensus_y=dg.consensus_error(st["Y"]),
             z_dev=float(np.sum(dev * dev)), hp=hp, L=oracle.L, lca=lca, n=n))
         xbar_prev = xbar
     values = np.array(values)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import lmtsim
-from lmtsim.config import ConfigError, ExperimentConfig, parse_config_text
+from lmtsim import baselines, lmt
+from lmtsim.config import METHOD_CHOICES, ConfigError, ExperimentConfig, parse_config_text
 from lmtsim.harness import ResultTable, build_oracle, resolve_hyperparams, \
     build_mixing, run_experiment, run_sweep
 
@@ -224,6 +225,26 @@ def test_baseline_run_has_nan_tracking_metrics():
     assert np.all(np.isnan(table.columns["consensus_y"]))
     assert np.all(np.isnan(table.columns["z_dev"]))
     assert np.all(np.isfinite(table.columns["opt_gap_mean"]))
+
+
+@pytest.mark.parametrize("method", METHOD_CHOICES)
+def test_rounds_dispatch_through_module_attributes(method, monkeypatch):
+    # wrappers put on the module attributes after import (as the
+    # benchmark's per-layer timers are) must see every round
+    calls = {}
+    for module, name in ((lmt, "lmt_round"), (lmt, "naive_local_momentum_round"),
+                         (baselines, "baseline_round")):
+        def counting(*args, _inner=getattr(module, name), _name=name, **kwargs):
+            calls.setdefault(_name, []).append(args)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    run_experiment(quad_cfg(method=method, T=3, trials=1))
+    name = {"lmt": "lmt_round", "naive_lmt": "naive_local_momentum_round"}.get(
+        method, "baseline_round")
+    assert list(calls) == [name]
+    assert len(calls[name]) == 3
+    if name == "baseline_round":
+        assert all(args[0].method == method for args in calls[name])
 
 
 def test_gauss_init_uses_init_streams():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -33,32 +32,32 @@ def logistic_setup(n=20, m=200, p=8, seed=0, batch=1):
 # state initialization
 
 def test_init_state_zero():
-    st = lmt.init_state(np.zeros((3, 2)))
-    for field in (st.X, st.X_l, st.Z, st.C, st.C_prev):
-        assert np.all(field == 0.0)
-    assert st.t == 0
+    st = lmt.init_state("lmt", np.zeros((3, 2)))
+    for key in ("X", "X_l", "Z", "C", "C_prev"):
+        assert np.all(st[key] == 0.0)
+    assert st["t"] == 0
 
 
 def test_init_state_copies_and_zeroes():
     X0 = np.random.default_rng(0).normal(size=(4, 3))
-    st = lmt.init_state(X0)
-    assert np.array_equal(st.X, X0)
-    assert np.array_equal(st.X_l, X0)
-    assert np.all(st.Z == 0.0) and np.all(st.C == 0.0) and np.all(st.C_prev == 0.0)
+    st = lmt.init_state("lmt", X0)
+    assert np.array_equal(st["X"], X0)
+    assert np.array_equal(st["X_l"], X0)
+    assert np.all(st["Z"] == 0.0) and np.all(st["C"] == 0.0) and np.all(st["C_prev"] == 0.0)
     X0[0, 0] = 99.0
-    assert st.X[0, 0] != 99.0
+    assert st["X"][0, 0] != 99.0
 
 
 def test_init_state_single_agent_shape():
-    st = lmt.init_state(np.ones((1, 5)))
-    assert st.X.shape == (1, 5)
+    st = lmt.init_state("lmt", np.ones((1, 5)))
+    assert st["X"].shape == (1, 5)
 
 
 def test_init_state_rejects_nonfinite():
     with pytest.raises(ValueError):
-        lmt.init_state(np.array([[np.nan, 0.0]]))
+        lmt.init_state("lmt", np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
-        lmt.init_state(np.array([[np.inf, 0.0]]))
+        lmt.init_state("lmt", np.array([[np.inf, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def test_init_state_rejects_nonfinite():
 def test_local_phase_hand_trace():
     oracle = scalar_quadratic()
     hp = lmt.HyperParams(Q=1, eta_a=1.0, eta_s=1.0, beta=0.0, eta_w=0.0)
-    st = lmt.init_state(np.array([[1.0]]))
+    st = lmt.init_state("lmt", np.array([[1.0]]))
     X_Q, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     assert X_Q[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert R[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -78,7 +77,7 @@ def test_local_phase_single_step_returns_drawn_gradient():
     oracle = stochastic_quadratic(5, 3, seed=2, sigma=0.0)
     hp = lmt.HyperParams(Q=1, eta_a=0.1, eta_s=1.0, beta=0.0, eta_w=0.0)
     X0 = np.random.default_rng(1).normal(size=(5, 3))
-    st = lmt.init_state(X0)
+    st = lmt.init_state("lmt", X0)
     _, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     expected = np.stack([oracle.full_gradient(i, X0[i]) for i in range(5)])
     assert np.allclose(R, expected, atol=1e-12)
@@ -90,7 +89,7 @@ def test_local_phase_correction_cancels_gradient():
     oracle = stochastic_quadratic(4, 3, seed=5, sigma=0.0)
     X0 = np.random.default_rng(2).normal(size=(4, 3))
     G = np.stack([oracle.full_gradient(i, X0[i]) for i in range(4)])
-    st = dataclasses.replace(lmt.init_state(X0), C=-G)
+    st = {**lmt.init_state("lmt", X0), "C": -G}
     hp = lmt.HyperParams(Q=6, eta_a=0.05, eta_s=1.0, beta=0.0, eta_w=0.0)
     X_Q, R, _ = lmt.local_update_phase(st, oracle, hp, None)
     assert np.allclose(X_Q, X0, atol=1e-12)
@@ -101,7 +100,7 @@ def test_local_phase_deterministic_mode_averages_path_gradients():
     oracle = stochastic_quadratic(3, 4, seed=7, sigma=0.0)
     hp = lmt.HyperParams(Q=5, eta_a=0.02, eta_s=1.0, beta=0.0, eta_w=0.0)
     X0 = np.random.default_rng(3).normal(size=(3, 4))
-    st = lmt.init_state(X0)
+    st = lmt.init_state("lmt", X0)
     X_Q, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     # replay the path independently
     X = X0.copy()
@@ -117,18 +116,11 @@ def test_local_phase_deterministic_mode_averages_path_gradients():
 
 
 # ---------------------------------------------------------------------------
-# momentum, tracking, consensus pieces
-
-def test_momentum_update_edges():
-    Z = np.array([[1.0, 2.0]])
-    R = np.array([[3.0, -1.0]])
-    assert np.array_equal(lmt.momentum_update(Z, R, 0.0), R)
-    assert np.allclose(lmt.momentum_update(R, R, 0.42), R, atol=1e-15)
-
+# tracking and consensus pieces
 
 def test_tracking_first_round_equals_momentum():
     mix = lmtsim.build_ring_mixing(5)
-    st = lmt.init_state(np.zeros((5, 2)))
+    st = lmt.init_state("lmt", np.zeros((5, 2)))
     Z_next = np.random.default_rng(0).normal(size=(5, 2))
     Y, Y_l, C_next = lmt.tracking_and_correction(st, Z_next, mix, 0.8)
     assert np.array_equal(Y, Z_next)
@@ -141,7 +133,7 @@ def test_tracking_scalar_recursion():
     mix = lmtsim.build_complete_mixing(1)
     rng = np.random.default_rng(4)
     C, C_prev = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
-    st = dataclasses.replace(lmt.init_state(np.zeros((1, 3))), C=C, C_prev=C_prev)
+    st = {**lmt.init_state("lmt", np.zeros((1, 3))), "C": C, "C_prev": C_prev}
     Z_next = rng.normal(size=(1, 3))
     _, _, C_next = lmt.tracking_and_correction(st, Z_next, mix, 0.6)
     assert np.allclose(C_next, C + 0.6 * (C - C_prev), atol=1e-14)
@@ -154,7 +146,7 @@ def test_tracking_preserves_zero_mean():
     C -= C.mean(axis=0)
     C_prev = rng.normal(size=(6, 2))
     C_prev -= C_prev.mean(axis=0)
-    st = dataclasses.replace(lmt.init_state(np.zeros((6, 2))), C=C, C_prev=C_prev)
+    st = {**lmt.init_state("lmt", np.zeros((6, 2))), "C": C, "C_prev": C_prev}
     _, _, C_next = lmt.tracking_and_correction(st, rng.normal(size=(6, 2)), mix, 0.9)
     assert np.abs(C_next.mean(axis=0)).max() <= 1e-13
 
@@ -163,7 +155,7 @@ def test_consensus_fixed_point_and_plain_mixing():
     mix = lmtsim.build_ring_mixing(5)
     v = np.array([1.5, -2.0])
     X = np.tile(v, (5, 1))
-    st = lmt.init_state(X)
+    st = lmt.init_state("lmt", X)
     hp = lmt.HyperParams(Q=2, eta_a=0.1, eta_s=0.1, beta=0.5, eta_w=0.7)
     X_next, X_l_next = lmt.accelerated_consensus(st, np.zeros((5, 2)), hp, mix)
     assert np.allclose(X_next, X, atol=1e-13)
@@ -179,13 +171,13 @@ def test_consensus_equals_augmented_operator():
     mix = lmtsim.build_ring_mixing(7)
     lca = lmtsim.lca_params(mix.lam)
     rng = np.random.default_rng(8)
-    st = dataclasses.replace(lmt.init_state(rng.normal(size=(7, 3))),
-                             X_l=rng.normal(size=(7, 3)))
+    st = {**lmt.init_state("lmt", rng.normal(size=(7, 3))),
+          "X_l": rng.normal(size=(7, 3))}
     Y = rng.normal(size=(7, 3))
     hp = lmt.HyperParams(Q=3, eta_a=0.05, eta_s=0.2, beta=0.5, eta_w=lca.eta_w)
     X_next, X_l_next = lmt.accelerated_consensus(st, Y, hp, mix)
-    top = st.X - hp.eta_hat * Y
-    new_top = lmtsim.lca_mix(mix, lca.eta_w, top, st.X_l - hp.eta_hat * Y)
+    top = st["X"] - hp.eta_hat * Y
+    new_top = lmtsim.lca_mix(mix, lca.eta_w, top, st["X_l"] - hp.eta_hat * Y)
     assert np.abs(X_next - new_top).max() <= 1e-13
     assert np.abs(X_l_next - top).max() <= 1e-13
 
@@ -197,10 +189,11 @@ def test_round_hand_trace_single_agent():
     oracle = scalar_quadratic()
     mix = lmtsim.build_complete_mixing(1)
     hp = lmt.HyperParams(Q=1, eta_a=1.0, eta_s=1.0, beta=0.0, eta_w=0.0)
-    st, outs = lmt.lmt_round(lmt.init_state(np.array([[1.0]])), oracle, mix, hp)
-    assert st.X[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert outs.R[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert st.t == 1
+    st = lmt.lmt_round(lmt.init_state("lmt", np.array([[1.0]])), oracle, mix, hp)
+    assert st["X"][0, 0] == pytest.approx(0.0, abs=1e-15)
+    # at beta = 0 the new momentum is the round's gradient estimate R
+    assert st["Z"][0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert st["t"] == 1
 
 
 def test_round_consensus_start_homogeneous_objective():
@@ -212,10 +205,10 @@ def test_round_consensus_start_homogeneous_objective():
     mix = lmtsim.build_ring_mixing(n)
     lca = lmtsim.lca_params(mix.lam)
     hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.5, beta=lca.rho_w, eta_w=lca.eta_w)
-    st = lmt.init_state(np.tile(np.ones(p), (n, 1)))
+    st = lmt.init_state("lmt", np.tile(np.ones(p), (n, 1)))
     for _ in range(20):
-        st, _ = lmt.lmt_round(st, oracle, mix, hp)
-        assert lmtsim.consensus_error(st.X) <= 1e-22
+        st = lmt.lmt_round(st, oracle, mix, hp)
+        assert lmtsim.consensus_error(st["X"]) <= 1e-22
 
 
 def test_round_identities_on_stochastic_run():
@@ -224,23 +217,24 @@ def test_round_identities_on_stochastic_run():
     lca = lmtsim.lca_params(mix.lam)
     hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=lca.rho_w, eta_w=lca.eta_w)
     streams = TrialStreams(31, 0)
-    st = lmt.init_state(np.zeros((10, 6)))
+    st = lmt.init_state("lmt", np.zeros((10, 6)))
     for t in range(60):
         prev = st
-        st, outs = lmt.lmt_round(st, oracle, mix, hp, streams)
-        z_next_mean = st.Z.mean(axis=0)
-        y_mean = outs.Y.mean(axis=0)
-        scale = 1.0 + float(np.linalg.norm(st.Z))
+        st = lmt.lmt_round(st, oracle, mix, hp, streams)
+        z_next_mean = st["Z"].mean(axis=0)
+        y_mean = st["Y"].mean(axis=0)
+        y_l = st["Z"] + prev["C_prev"]
+        scale = 1.0 + float(np.linalg.norm(st["Z"]))
         # tracking identity and its memory counterpart
         assert np.abs(y_mean - z_next_mean).max() <= 1e-10 * scale
-        assert np.abs(outs.Y_l.mean(axis=0) - y_mean).max() <= 1e-10 * scale
+        assert np.abs(y_l.mean(axis=0) - y_mean).max() <= 1e-10 * scale
         # averaged-iterate recursion
-        lhs = st.X.mean(axis=0)
-        rhs = prev.X.mean(axis=0) - hp.eta_hat * y_mean
-        assert np.abs(lhs - rhs).max() <= 1e-10 * (1.0 + float(np.linalg.norm(prev.X)))
+        lhs = st["X"].mean(axis=0)
+        rhs = prev["X"].mean(axis=0) - hp.eta_hat * y_mean
+        assert np.abs(lhs - rhs).max() <= 1e-10 * (1.0 + float(np.linalg.norm(prev["X"])))
         # corrections stay mean-zero, memory mean matches iterate mean
-        assert np.abs(st.C.mean(axis=0)).max() <= 1e-10
-        assert np.abs(st.X_l.mean(axis=0) - lhs).max() <= 1e-10 * (1 + np.abs(lhs).max())
+        assert np.abs(st["C"].mean(axis=0)).max() <= 1e-10
+        assert np.abs(st["X_l"].mean(axis=0) - lhs).max() <= 1e-10 * (1 + np.abs(lhs).max())
 
 
 def test_auxiliary_sequence_identities():
@@ -249,15 +243,15 @@ def test_auxiliary_sequence_identities():
     lca = lmtsim.lca_params(mix.lam)
     hp = lmt.HyperParams(Q=3, eta_a=0.04, eta_s=0.2, beta=lca.rho_w, eta_w=lca.eta_w)
     streams = TrialStreams(13, 0)
-    st = lmt.init_state(np.zeros((8, 5)))
-    x_bars = [st.X.mean(axis=0)]
-    z_bars = [st.Z.mean(axis=0)]
+    st = lmt.init_state("lmt", np.zeros((8, 5)))
+    x_bars = [st["X"].mean(axis=0)]
+    z_bars = [st["Z"].mean(axis=0)]
     r_bars = []
     for t in range(50):
-        st, outs = lmt.lmt_round(st, oracle, mix, hp, streams)
-        x_bars.append(st.X.mean(axis=0))
-        z_bars.append(st.Z.mean(axis=0))
-        r_bars.append(outs.G_sum_avg.mean(axis=0))
+        st = lmt.lmt_round(st, oracle, mix, hp, streams)
+        x_bars.append(st["X"].mean(axis=0))
+        z_bars.append(st["Z"].mean(axis=0))
+        r_bars.append(st["G_avg"].mean(axis=0))
 
     beta = hp.beta
     d = [x_bars[0]]
@@ -279,23 +273,23 @@ def test_q1_reduction_bitmatch():
     oracle = stochastic_quadratic(n, p, seed=3, sigma=1.0)
     hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=lca.rho_w, eta_w=lca.eta_w)
     streams = TrialStreams(77, 0)
-    st = lmt.init_state(np.zeros((n, p)))
+    st = lmt.init_state("lmt", np.zeros((n, p)))
     for _ in range(100):
-        st, _ = lmt.lmt_round(st, oracle, mix, hp, streams)
+        st = lmt.lmt_round(st, oracle, mix, hp, streams)
     X_ref = dsmt_reference(np.zeros((n, p)), mix, hp, oracle, 77, 0, 100)
-    assert np.abs(st.X - X_ref).max() <= 1e-13
+    assert np.abs(st["X"] - X_ref).max() <= 1e-13
 
 
 def test_single_agent_recovers_gradient_descent():
     oracle = stochastic_quadratic(1, 4, seed=9, sigma=0.0)
     mix = lmtsim.build_complete_mixing(1)
     hp = lmt.HyperParams(Q=1, eta_a=0.3, eta_s=0.5, beta=0.0, eta_w=0.5)
-    st = lmt.init_state(np.zeros((1, 4)))
+    st = lmt.init_state("lmt", np.zeros((1, 4)))
     x = np.zeros(4)
     for _ in range(50):
-        st, _ = lmt.lmt_round(st, oracle, mix, hp)
+        st = lmt.lmt_round(st, oracle, mix, hp)
         x = x - hp.eta_hat * oracle.full_gradient(0, x)
-    assert np.abs(st.X[0] - x).max() <= 1e-12
+    assert np.abs(st["X"][0] - x).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +301,14 @@ def test_naive_matches_lmt_at_q1():
     lca = lmtsim.lca_params(mix.lam)
     oracle = stochastic_quadratic(n, p, seed=4, sigma=1.0)
     hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=lca.rho_w, eta_w=lca.eta_w)
-    st_a = lmt.init_state(np.zeros((n, p)))
-    st_b = lmt.init_state(np.zeros((n, p)))
+    st_a = lmt.init_state("lmt", np.zeros((n, p)))
+    st_b = lmt.init_state("naive_lmt", np.zeros((n, p)))
     sa, sb = TrialStreams(5, 0), TrialStreams(5, 0)
     for _ in range(40):
-        st_a, _ = lmt.lmt_round(st_a, oracle, mix, hp, sa)
-        st_b, _ = lmt.naive_local_momentum_round(st_b, oracle, mix, hp, sb)
-        assert np.abs(st_a.X - st_b.X).max() <= 1e-12
-        assert np.abs(st_a.Z - st_b.Z).max() <= 1e-12
+        st_a = lmt.lmt_round(st_a, oracle, mix, hp, sa)
+        st_b = lmt.naive_local_momentum_round(st_b, oracle, mix, hp, sb)
+        assert np.abs(st_a["X"] - st_b["X"]).max() <= 1e-12
+        assert np.abs(st_a["Z"] - st_b["Z"]).max() <= 1e-12
 
 
 def test_naive_matches_lmt_at_beta_zero():
@@ -323,13 +317,13 @@ def test_naive_matches_lmt_at_beta_zero():
     lca = lmtsim.lca_params(mix.lam)
     oracle = stochastic_quadratic(n, p, seed=6, sigma=1.0)
     hp = lmt.HyperParams(Q=4, eta_a=0.03, eta_s=0.2, beta=0.0, eta_w=lca.eta_w)
-    st_a = lmt.init_state(np.zeros((n, p)))
-    st_b = lmt.init_state(np.zeros((n, p)))
+    st_a = lmt.init_state("lmt", np.zeros((n, p)))
+    st_b = lmt.init_state("naive_lmt", np.zeros((n, p)))
     sa, sb = TrialStreams(6, 0), TrialStreams(6, 0)
     for _ in range(30):
-        st_a, _ = lmt.lmt_round(st_a, oracle, mix, hp, sa)
-        st_b, _ = lmt.naive_local_momentum_round(st_b, oracle, mix, hp, sb)
-        assert np.abs(st_a.X - st_b.X).max() <= 1e-12
+        st_a = lmt.lmt_round(st_a, oracle, mix, hp, sa)
+        st_b = lmt.naive_local_momentum_round(st_b, oracle, mix, hp, sb)
+        assert np.abs(st_a["X"] - st_b["X"]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_stacking_identity():
         n = int(rng.integers(2, 21))
         p = int(rng.integers(1, 6))
         A = rng.normal(size=(n, p))
-        proj = tp.consensus_projector(n)
+        proj = np.eye(n) - np.ones((n, n)) / n
         stacked = np.vstack([proj @ A, proj @ A])
         lhs = float(np.sum(stacked * stacked))
         rhs = 2.0 * float(np.sum((proj @ A) ** 2))
@@ -173,7 +173,7 @@ def test_lca_contraction_short_suite():
         mix = tp.build_ring_mixing(n) if case % 4 else tp.build_complete_mixing(n)
         lca = tp.lca_params(mix.lam)
         A = rng.normal(size=(n, p))
-        proj = tp.consensus_projector(n)
+        proj = np.eye(n) - np.ones((n, n)) / n
         pa = proj @ A
         bound0 = float(np.sum(pa * pa))
 
