@@ -30,4 +30,4 @@ from .diagnostics import (consensus_error, d_bar_sequence, lyapunov_surrogate,
                           solve_f_star)
 from .config import ConfigError, ExperimentConfig, parse_config_text
 from .harness import ResultTable, run_experiment, run_sweep
-from .streams import TrialStreams, fresh_stream
+from .streams import TrialStreams

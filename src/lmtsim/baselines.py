@@ -31,9 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .lmt import HyperParams, local_steps, round_draws
+from .lmt import HyperParams, agent_copies, local_steps, round_draws
 from .topology import MixingMatrix
 from .streams import TrialStreams
 
@@ -118,16 +116,16 @@ def _round_scaffold(state, oracle, W, streams, Q, local, outer):
     c = state["c_server"]
     C = state["c"]
     n = oracle.n_agents
-    Y = np.broadcast_to(x, (n, x.shape[0])).copy()
+    Y = agent_copies(x, n)
     # its own loop: local_steps would form G + (c - C), which rounds
     # differently from G - C + c
     for draws_step in round_draws(oracle, streams, state["t"], Q):
         G = oracle.stochastic_gradient_matrix(Y, draws_step)
-        Y = Y - local * (G - C + c)
-    delta_y = Y - x
-    C_next = C - c + (x - Y) / (Q * local)
-    x_next = x + outer * delta_y.mean(axis=0)
-    c_next = c + (C_next - C).mean(axis=0)
-    X_next = np.broadcast_to(x_next, (n, x.shape[0])).copy()
+        Y = Y - local * (G - C + c[..., None, :])
+    delta_y = Y - x[..., None, :]
+    C_next = C - c[..., None, :] + (x[..., None, :] - Y) / (Q * local)
+    x_next = x + outer * delta_y.mean(axis=-2)
+    c_next = c + (C_next - C).mean(axis=-2)
+    X_next = agent_copies(x_next, n)
     return {"X": X_next, "t": state["t"] + 1,
             "x_server": x_next, "c_server": c_next, "c": C_next}

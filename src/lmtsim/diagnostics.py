@@ -24,11 +24,12 @@ TRACE_COLUMNS = ("t", "consensus_x", "consensus_y",
                  "z_dev", "lyapunov_surrogate", "d_bar_drift")
 
 
-def consensus_error(M: np.ndarray) -> float:
-    """Squared Frobenius distance of the rows of ``M`` from their mean."""
+def consensus_error(M: np.ndarray):
+    """Squared Frobenius distance of the rows of ``M`` from their mean; one
+    value per trial when ``M`` of shape ``(..., n, p)`` has leading axes."""
     M = np.asarray(M, dtype=float)
-    centered = M - M.mean(axis=0, keepdims=True)
-    return float(np.sum(centered * centered))
+    centered = M - M.mean(axis=-2, keepdims=True)
+    return np.sum(centered * centered, axis=(-2, -1))
 
 
 def d_bar_sequence(x_bar_t: np.ndarray, x_bar_prev: np.ndarray | None,
@@ -56,7 +57,9 @@ def lyapunov_surrogate(*, f_dbar: float, f_star: float, z_bar_sq: float,
     """Single-trajectory evaluation of the descent Lyapunov function.
 
     Consensus terms use the realized ``|Pi x|^2`` and ``|Pi y|^2`` of this
-    trajectory in place of their expectation-level upper bounds.
+    trajectory in place of their expectation-level upper bounds.  The
+    trajectory terms may be arrays, one entry per trial; like float
+    arithmetic, an entry that overflows turns inf or NaN without a warning.
     """
     if f_star is None or L is None:
         raise ValueError("lyapunov surrogate needs f_star and L")
@@ -64,14 +67,15 @@ def lyapunov_surrogate(*, f_dbar: float, f_star: float, z_bar_sq: float,
     one_minus_beta = 1.0 - hp.beta
     one_minus_rho = 1.0 - lca.rho_w
     aq2 = hp.eta_a ** 2 * hp.Q ** 2
-    return (
-        (f_dbar - f_star)
-        + 4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3 * z_bar_sq
-        + 11.0 * eta_hat * L * L / (n * one_minus_rho) * consensus_x
-        + 21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho) * consensus_y
-        + 6.0 * (1.0 + 63.0 * lca.c0) * eta_hat * aq2 * L * L
-        / (n * one_minus_beta) * z_dev
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            (f_dbar - f_star)
+            + 4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3 * z_bar_sq
+            + 11.0 * eta_hat * L * L / (n * one_minus_rho) * consensus_x
+            + 21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho) * consensus_y
+            + 6.0 * (1.0 + 63.0 * lca.c0) * eta_hat * aq2 * L * L
+            / (n * one_minus_beta) * z_dev
+        )
 
 
 def solve_f_star(oracle, tol: float = 1e-10, max_iter: int = 2_000_000) -> float:

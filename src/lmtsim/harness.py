@@ -1,14 +1,16 @@
 """Config-driven experiment runner.
 
 Builds topology, oracle, and method from an :class:`ExperimentConfig`,
-runs ``T`` communication rounds over several seeded trials, aggregates the
-per-round metrics across trials, and writes a ``trace.csv`` plus plain
-text metadata.  Sweeps rerun the experiment along one axis (local steps,
-agent count, or method) and summarize final-window behaviour.
+runs ``T`` communication rounds over several seeded trials as one batch on
+a leading array axis, aggregates the per-round metrics across trials, and
+writes a ``trace.csv`` plus plain text metadata.  Sweeps rerun the
+experiment along one axis (local steps, agent count, or method) and
+summarize final-window behaviour.
 
 Everything is deterministic given (config, seed): random streams are
-derived per (trial, agent, round, local step), and trials are aggregated
-in fixed order.
+derived per (trial, agent, round, local step), every kernel treats each
+trial of the batch as it would that trial alone, and trials are
+aggregated in fixed order.
 """
 
 from __future__ import annotations
@@ -142,11 +144,14 @@ def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
 
 def _initial_iterates(cfg: ExperimentConfig, n: int, p: int,
                       streams: TrialStreams) -> np.ndarray:
+    """Initial iterates of the batch of ``streams``, (trials, n, p)."""
+    trials = len(streams.trials)
     if cfg.init == "zeros":
-        return np.zeros((n, p))
-    X0 = np.empty((n, p))
-    for i in range(n):
-        X0[i] = cfg.init_scale * streams.init_state(i).normal(size=p)
+        return np.zeros((trials, n, p))
+    X0 = np.empty((trials, n, p))
+    for slot in range(trials):
+        for i in range(n):
+            X0[slot, i] = cfg.init_scale * streams.init_state(i, slot).normal(size=p)
     return X0
 
 
@@ -164,56 +169,55 @@ _MEAN_ONLY_METRICS = ("consensus_x", "consensus_y", "z_dev",
                       "lyapunov_surrogate", "d_bar_drift")
 
 
-def _run_trial(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
-               oracle: obj.GradientOracle, hp: lmt.HyperParams, trial: int,
-               f_star: float | None) -> tuple[dict[str, np.ndarray], int | None]:
-    """Per-round metrics of one trial, and the first round whose iterates
-    or whose metrics the method defines are not finite (None if every
-    round's are).  A trial stops there; the rows from that round on stay
-    NaN."""
-    streams = TrialStreams(cfg.seed, trial)
+def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
+                oracle: obj.GradientOracle, hp: lmt.HyperParams, trials: list[int],
+                f_star: float | None) -> tuple[dict[str, np.ndarray], list[int | None]]:
+    """Per-round metrics of ``trials``, run as one batch on a leading array
+    axis (one row per trial, one column per round), and each trial's first
+    round whose iterates or whose metrics the method defines are not finite
+    (None if every round's are).  A trial leaves the batch there; its rows
+    from that round on stay NaN.
+
+    Every kernel acts on each trial's slice exactly as on that trial alone,
+    so a trial's metrics do not depend on the batch it runs in.  The dot
+    products and norms below stay per trial: their batched forms round
+    differently.
+    """
+    k = len(trials)
+    out = {name: np.full((k, cfg.T), np.nan) for name in
+           _MEAN_STD_METRICS + _MEAN_ONLY_METRICS}
+    diverged: list[int | None] = [None] * k
+    live = np.arange(k)  # rows of ``out`` of the trials still in the batch
+
+    streams = TrialStreams(cfg.seed, trials)
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     state = lmt.init_state(cfg.method, X0)
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
     is_tracking = cfg.method in ("lmt", "naive_lmt")
-
-    out = {name: np.full(cfg.T, np.nan) for name in
-           _MEAN_STD_METRICS + _MEAN_ONLY_METRICS}
-    out["t"] = np.arange(cfg.T, dtype=float)
-
     have_lyapunov = is_tracking and f_star is not None and oracle.L is not None
-    defined = (("consensus_x", "grad_norm_avg")
-               + (("opt_gap_mean",) if f_star is not None else ())
-               + (("z_dev", "d_bar_drift", "consensus_y") if is_tracking else ())
-               + (("lyapunov_surrogate",) if have_lyapunov else ()))
-    x_bar_prev: np.ndarray | None = None
-    d_prev: np.ndarray | None = None
-    r_bar_prev: np.ndarray | None = None
+    x_bar_prev = d_prev = r_bar_prev = None
 
     for t in range(cfg.T):
         X = state["X"]
-        x_bar = X.mean(axis=0)
-        out["consensus_x"][t] = dg.consensus_error(X)
-        g_bar = oracle.global_gradient(x_bar)
-        out["grad_norm_avg"][t] = float(g_bar @ g_bar)
+        x_bar = X.mean(axis=-2)
+        grads_at_mean = oracle.full_gradients_at(x_bar)
+        g_bar = grads_at_mean.mean(axis=-2)
+        row = {"consensus_x": dg.consensus_error(X),
+               "grad_norm_avg": np.array([g @ g for g in g_bar])}
         if f_star is not None:
-            out["opt_gap_mean"][t] = float(np.mean(oracle.global_values_at_rows(X))) - f_star
+            row["opt_gap_mean"] = oracle.global_values_at_rows(X).mean(axis=-1) - f_star
 
         d_bar = None
-        z_bar_sq = z_dev = None
         if is_tracking:
-            grads_at_mean = oracle.full_gradients_at(x_bar)
             dev = state["Z"] - grads_at_mean
-            z_dev = float(np.sum(dev * dev))
-            out["z_dev"][t] = z_dev
-            z_mean = state["Z"].mean(axis=0)
-            z_bar_sq = float(z_mean @ z_mean)
+            row["z_dev"] = np.sum(dev * dev, axis=(-2, -1))
+            z_bar_sq = np.array([z @ z for z in state["Z"].mean(axis=-2)])
             d_bar = dg.d_bar_sequence(x_bar, x_bar_prev, hp.beta, t)
             if t == 0:
-                out["d_bar_drift"][t] = 0.0
+                row["d_bar_drift"] = np.zeros(len(live))
             else:
                 resid = d_bar - (d_prev - hp.eta_hat * r_bar_prev)
-                out["d_bar_drift"][t] = float(np.linalg.norm(resid))
+                row["d_bar_drift"] = np.array([np.linalg.norm(r) for r in resid])
 
         # looked up at each call, so wrappers put on the module attributes
         # (such as the benchmark's layer timers) see every round
@@ -224,24 +228,37 @@ def _run_trial(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
         else:
             state = bl.baseline_round(spec, state, oracle, mix, streams)
         if is_tracking:
-            out["consensus_y"][t] = dg.consensus_error(state["Y"])
-            r_bar_prev = state["G_avg"].mean(axis=0)
+            row["consensus_y"] = dg.consensus_error(state["Y"])
+            r_bar_prev = state["G_avg"].mean(axis=-2)
             if have_lyapunov:
-                out["lyapunov_surrogate"][t] = dg.lyapunov_surrogate(
-                    f_dbar=oracle.global_value(d_bar), f_star=f_star,
-                    z_bar_sq=z_bar_sq, consensus_x=out["consensus_x"][t],
-                    consensus_y=out["consensus_y"][t], z_dev=z_dev,
-                    hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
-        if not all(math.isfinite(out[name][t]) for name in defined):
-            for name in defined:
-                out[name][t] = np.nan
-            return out, t
-        if not np.isfinite(state["X"]).all():
-            return out, t + 1
+                row["lyapunov_surrogate"] = dg.lyapunov_surrogate(
+                    f_dbar=np.array([oracle.global_value(d) for d in d_bar]),
+                    f_star=f_star, z_bar_sq=z_bar_sq,
+                    consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
+                    z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
 
-        x_bar_prev = x_bar
-        d_prev = d_bar
-    return out, None
+        # ``row`` holds exactly the metrics the method defines
+        bad_metrics = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
+        bad_iterates = ~np.isfinite(state["X"]).all(axis=(-2, -1)) & ~bad_metrics
+        for name, values in row.items():
+            out[name][live, t] = np.where(bad_metrics, np.nan, values)
+        for j in live[bad_metrics]:
+            diverged[j] = t
+        for j in live[bad_iterates]:
+            diverged[j] = t + 1
+
+        x_bar_prev, d_prev = x_bar, d_bar
+        keep = ~(bad_metrics | bad_iterates)
+        if not keep.all():
+            live = live[keep]
+            if not live.size:
+                break
+            state = {key: v if key == "t" else v[keep] for key, v in state.items()}
+            x_bar_prev = x_bar_prev[keep]
+            if is_tracking:
+                d_prev, r_bar_prev = d_prev[keep], r_bar_prev[keep]
+            streams = TrialStreams(cfg.seed, [trials[j] for j in live])
+    return out, diverged
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -256,15 +273,15 @@ def run_experiment(cfg: ExperimentConfig,
     hp = resolve_hyperparams(cfg, oracle, mix)
     f_star = _resolve_f_star(cfg, oracle)
 
-    trials, diverged = zip(*(_run_trial(cfg, mix, lca, oracle, hp, trial, f_star)
-                             for trial in range(cfg.trials)))
+    per_trial, diverged = _run_trials(cfg, mix, lca, oracle, hp,
+                                      list(range(cfg.trials)), f_star)
     diverged_at = min((t for t in diverged if t is not None), default=None)
 
     # mean and std of every metric are kept in memory; the trace CSV
     # schema carries std columns only for the two headline metrics
-    columns: dict[str, np.ndarray] = {"t": trials[0]["t"].copy()}
+    columns: dict[str, np.ndarray] = {"t": np.arange(cfg.T, dtype=float)}
     for name in _MEAN_STD_METRICS + _MEAN_ONLY_METRICS:
-        stacked = np.stack([tr[name] for tr in trials])
+        stacked = per_trial[name]
         # rounds whose magnitude reaches 2**256 are scaled by an exact power
         # of two, so finite trials overflow neither the sum nor the squares;
         # the others are divided by 1 and stay bit for bit as they were

@@ -71,10 +71,14 @@ def init_state(method: str, X0: np.ndarray) -> dict:
     model ``x_server`` (the mean of ``X0``, where every agent starts),
     server and agent variates ``c_server`` and ``c`` for scaffold.  Round
     functions return a new state and leave their input unchanged.
+
+    ``X0`` of shape ``(..., n, p)`` starts a batch of independent trials:
+    every array of the state then carries the same leading axes, and each
+    round acts on every trial's slice exactly as on that trial alone.
     """
     X0 = np.asarray(X0, dtype=float)
-    if X0.ndim != 2:
-        raise ValueError(f"X0 must be (n, p), got shape {X0.shape}")
+    if X0.ndim < 2:
+        raise ValueError(f"X0 must be (n, p) or (..., n, p), got shape {X0.shape}")
     if not np.all(np.isfinite(X0)):
         raise ValueError("X0 contains non-finite entries")
     zeros = np.zeros_like(X0)
@@ -88,10 +92,16 @@ def init_state(method: str, X0: np.ndarray) -> dict:
     elif method == "pdsgdm":
         state["m"] = zeros
     elif method == "scaffold":
-        x_server = X0.mean(axis=0)
-        state.update(X=np.broadcast_to(x_server, X0.shape).copy(),
-                     x_server=x_server, c_server=np.zeros(X0.shape[1]), c=zeros)
+        x_server = X0.mean(axis=-2)
+        state.update(X=agent_copies(x_server, X0.shape[-2]),
+                     x_server=x_server, c_server=np.zeros_like(x_server), c=zeros)
     return state
+
+
+def agent_copies(x: np.ndarray, n: int) -> np.ndarray:
+    """``n`` agent rows holding the point ``x``: ``(..., n, p)`` for ``x``
+    of shape ``(..., p)``."""
+    return np.repeat(x[..., None, :], n, axis=-2)
 
 
 def round_draws(oracle, streams: TrialStreams | None, t: int, Q: int):

@@ -13,7 +13,7 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from .streams import TrialStreams, bounded_uint32
 
@@ -212,22 +212,27 @@ class GradientOracle(abc.ABC):
         return float(np.mean([self.value(i, x) for i in range(self.n_agents)]))
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.full_gradients_at(x).mean(axis=0)
+        return self.full_gradients_at(x).mean(axis=-2)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
-        """All agents' exact gradients evaluated at the same point, (n, p)."""
-        return np.stack([self.full_gradient(i, x) for i in range(self.n_agents)])
+        """All agents' exact gradients evaluated at the same point:
+        ``(..., n, p)`` for points ``x`` of shape ``(..., p)``."""
+        points = x.reshape(-1, self.dim)
+        grads = [[self.full_gradient(i, xt) for i in range(self.n_agents)] for xt in points]
+        return np.array(grads).reshape(x.shape[:-1] + (self.n_agents, self.dim))
 
     @abc.abstractmethod
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
-        """All random draws of round ``t``, one leading entry per local step:
-        entry ``[step, i]`` comes from ``streams.gradient(i, t, step)``.
-        None in deterministic mode, where ``streams`` may be None."""
+        """All random draws of round ``t``, one leading entry per local step,
+        then the trial axes of ``streams.shape``: entry ``[step, slot, i]``
+        comes from ``streams.gradient(i, t, step, slot)``.  None in
+        deterministic mode, where ``streams`` may be None."""
 
     @abc.abstractmethod
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
-        """Stacked stochastic gradients, agent i evaluated at row ``X[i]``.
+        """Stacked stochastic gradients, agent i evaluated at row
+        ``X[..., i, :]``; ``X`` is ``(n, p)`` or carries leading trial axes.
 
         ``draws_step`` is one local step's entry of :meth:`draw` (None in
         deterministic mode).
@@ -235,7 +240,8 @@ class GradientOracle(abc.ABC):
 
     @abc.abstractmethod
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
-        """Global objective evaluated at each row of ``X``, (n,)."""
+        """Global objective evaluated at each row of ``X``: ``(..., n)`` for
+        ``X`` of shape ``(..., n, p)``."""
 
 
 class LogisticOracle(GradientOracle):
@@ -267,12 +273,14 @@ class LogisticOracle(GradientOracle):
         self.n_agents = data.n_agents
         self.dim = data.dim
 
-        self._features = np.concatenate([f for f, _ in data.shards])
-        self._labels = np.concatenate([l for _, l in data.shards])
+        # label-signed features v * u: with labels +-1 every product with
+        # them is exact, so the margins v * (U @ x) take one product and
+        # the labels need no array of their own
+        self._signed = np.concatenate([l[:, None] * f for f, l in data.shards])
         self._offsets = np.concatenate([[0], np.cumsum(sizes)])
         self._sizes = np.array(sizes)
 
-        sq = np.sum(self._features ** 2, axis=1)
+        sq = np.sum(self._signed ** 2, axis=1)
         mean_sq = np.array([sq[self._offsets[i]:self._offsets[i + 1]].mean()
                             for i in range(self.n_agents)])
         self.L = float(mean_sq.max() / 4.0 + self.coeff)
@@ -283,9 +291,9 @@ class LogisticOracle(GradientOracle):
         self._global_weights = np.concatenate(
             [np.full(s, 1.0 / (self.n_agents * s)) for s in sizes])
 
-    def _shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self._offsets[i], self._offsets[i + 1]
-        return self._features[lo:hi], self._labels[lo:hi]
+    def _shard(self, i: int) -> np.ndarray:
+        """Label-signed features of agent i's shard."""
+        return self._signed[self._offsets[i]:self._offsets[i + 1]]
 
     def _reg_value(self, x: np.ndarray) -> float:
         if self.reg == "l2":
@@ -299,15 +307,13 @@ class LogisticOracle(GradientOracle):
         return self.coeff * x / (1.0 + x * x) ** 2
 
     def value(self, i: int, x: np.ndarray) -> float:
-        U, v = self._shard(i)
-        margins = v * (U @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins))) + self._reg_value(x)
+        # -log_expit(m) is log(1 + exp(-m)), bit-equal to logaddexp(0, -m)
+        return float(np.mean(-log_expit(self._shard(i) @ x))) + self._reg_value(x)
 
     def full_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        U, v = self._shard(i)
-        margins = v * (U @ x)
-        slope = expit(-margins)          # = 1 / (1 + exp(margin))
-        return -(U.T @ (v * slope)) / U.shape[0] + self._reg_gradient(x)
+        S = self._shard(i)
+        slope = expit(-(S @ x))          # = 1 / (1 + exp(margin))
+        return -(S.T @ slope) / S.shape[0] + self._reg_gradient(x)
 
     def stochastic_gradient(self, i: int, x: np.ndarray,
                             rng: np.random.Generator | None) -> np.ndarray:
@@ -315,19 +321,19 @@ class LogisticOracle(GradientOracle):
             return self.full_gradient(i, x)
         if rng is None:
             raise ValueError("minibatch oracle needs a random generator")
-        U, v = self._shard(i)
-        idx = rng.integers(0, U.shape[0], size=self.batch)
-        Ub, vb = U[idx], v[idx]
-        slope = expit(-(vb * (Ub @ x)))
-        return -(Ub.T @ (vb * slope)) / self.batch + self._reg_gradient(x)
+        S = self._shard(i)
+        Sb = S[rng.integers(0, S.shape[0], size=self.batch)]
+        slope = expit(-(Sb @ x))
+        return -(Sb.T @ slope) / self.batch + self._reg_gradient(x)
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
-        """The round's minibatch rows, ``(Q, n, batch)`` indices into the
-        stacked shards: ``[step, i]`` is
-        ``streams.gradient(i, t, step).integers(0, shard size, size=batch)``
-        offset to shard i.  All sites are drawn in one vectorised Philox
-        call; a site where numpy's Lemire rule rejects a draw is redrawn
-        through its own generator.  None in full-batch mode."""
+        """The round's minibatch rows, ``(Q, *streams.shape, n, batch)``
+        indices into the stacked shards: ``[step, slot, i]`` is
+        ``streams.gradient(i, t, step, slot).integers(0, shard size,
+        size=batch)`` offset to shard i.  All sites of all trials are drawn
+        in one vectorised Philox call; a site where numpy's Lemire rule
+        rejects a draw is redrawn through its own generator.  None in
+        full-batch mode."""
         if self.batch is None:
             return None
         if streams is None:
@@ -335,29 +341,34 @@ class LogisticOracle(GradientOracle):
         b = self.batch
         words = streams.gradient_words(t, Q, self.n_agents, (b + 1) // 2)
         rows, rejected = bounded_uint32(words, self._sizes, b)
-        for step, i in zip(*np.nonzero(rejected)):
-            rows[step, i] = streams.gradient(int(i), t, int(step)).integers(
+        sites = rows.reshape(Q, -1, self.n_agents, b)  # a view, one trial axis
+        for step, slot, i in zip(*np.nonzero(rejected.reshape(Q, -1, self.n_agents))):
+            sites[step, slot, i] = streams.gradient(int(i), t, int(step), int(slot)).integers(
                 0, self._sizes[i], size=b)
         return rows + self._offsets[:-1, None]
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
         if draws_step is None:
-            return np.stack([self.full_gradient(i, X[i]) for i in range(self.n_agents)])
-        b = self.batch
-        U = self._features[draws_step.ravel()].reshape(self.n_agents, b, self.dim)
-        v = self._labels[draws_step.ravel()].reshape(self.n_agents, b)
-        margins = v * np.einsum("abp,ap->ab", U, X)
-        slope = expit(-margins)
-        data_grad = -np.einsum("ab,abp->ap", v * slope, U) / b
+            grads = [[self.full_gradient(i, Xt[i]) for i in range(self.n_agents)]
+                     for Xt in X.reshape(-1, self.n_agents, self.dim)]
+            return np.array(grads).reshape(X.shape)
+        S = self._signed[draws_step]
+        slope = expit(-np.einsum("...abp,...ap->...ab", S, X))
+        data_grad = -np.einsum("...ab,...abp->...ap", slope, S) / self.batch
         if self.reg == "l2":
             return data_grad + self.coeff * X
         return data_grad + self.coeff * X / (1.0 + X * X) ** 2
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
-        margins = self._labels[:, None] * (self._features @ X.T)  # (m, rows)
-        losses = self._global_weights @ np.logaddexp(0.0, -margins)
-        return losses + np.array([self._reg_value(x) for x in X])
+        # one product per trial: a single product over the rows of all
+        # trials rounds differently
+        values = []
+        for Xt in X.reshape(-1, X.shape[-2], self.dim):
+            margins = self._signed @ Xt.T  # (m, rows)
+            losses = -(self._global_weights @ log_expit(margins))
+            values.append(losses + np.array([self._reg_value(x) for x in Xt]))
+        return np.array(values).reshape(X.shape[:-1])
 
 
 def logistic_l2_oracle(data: PartitionedDataset, rho: float = 0.2,
@@ -424,31 +435,36 @@ class QuadraticOracle(GradientOracle):
         return g + rng.normal(0.0, self._noise_scale, size=self.dim)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ipq,q->ip", self.A, x) - np.einsum("ipq,iq->ip", self.A, self.b)
+        return np.einsum("ipq,...q->...ip", self.A, x) - np.einsum("ipq,iq->ip", self.A, self.b)
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
-        """The round's gradient noise, ``(Q, n, p)``: ``[step, i]`` is drawn
-        from ``streams.gradient(i, t, step)``, one generator per site.  None
-        when the oracle is noiseless."""
+        """The round's gradient noise, ``(Q, *streams.shape, n, p)``:
+        ``[step, slot, i]`` is drawn from ``streams.gradient(i, t, step,
+        slot)``, one generator per site.  None when the oracle is
+        noiseless."""
         if self.sigma == 0.0:
             return None
         if streams is None:
             raise ValueError("noisy oracle needs random streams")
-        noise = np.empty((Q, self.n_agents, self.dim))
-        for step in range(Q):
-            for i in range(self.n_agents):
-                noise[step, i] = streams.gradient(i, t, step).normal(
-                    0.0, self._noise_scale, size=self.dim)
-        return noise
+        trials = len(streams.trials)
+        noise = np.empty((Q, trials, self.n_agents, self.dim))
+        # trial-major, so the streams switch keys once per trial
+        for slot in range(trials):
+            for step in range(Q):
+                for i in range(self.n_agents):
+                    streams.gradient(i, t, step, slot).standard_normal(out=noise[step, slot, i])
+        # what Generator.normal(0.0, scale) returns from the same draws
+        noise = 0.0 + self._noise_scale * noise
+        return noise.reshape((Q,) + streams.shape + (self.n_agents, self.dim))
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
-        G = np.einsum("ipq,iq->ip", self.A, X - self.b)
+        G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)
         return G if draws_step is None else G + draws_step
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
-        d = X[:, None, :] - self.b[None, :, :]      # (rows, n, p)
-        return 0.5 * np.einsum("rip,ipq,riq->r", d, self.A, d) / self.n_agents
+        d = X[..., :, None, :] - self.b              # (..., rows, n, p)
+        return 0.5 * np.einsum("...rip,ipq,...riq->...r", d, self.A, d) / self.n_agents
 
     def global_value(self, x: np.ndarray) -> float:
         return self._exact_global_value(x)

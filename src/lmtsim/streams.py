@@ -4,10 +4,11 @@ Every stochastic draw in a run is attributed to a tuple
 (master_seed, trial, agent, round, local_step).  Each tuple owns an
 independent Philox stream whose 256-bit counter encodes the tuple, so
 trajectories are identical no matter in which order agents or trials are
-executed, serially or in parallel.
+executed, serially, in parallel or as one batch.
 
-A round's minibatch indices come from one vectorised evaluation of the
-Philox4x64-10 block function over the counters of all its draw sites
+A round's minibatch indices, for every trial of a batch, come from one
+vectorised evaluation of the Philox4x64-10 block function over the
+counters and keys of all its draw sites
 (:meth:`TrialStreams.gradient_words`) and numpy's Lemire rule for bounded
 integers (:func:`bounded_uint32`).  Both are bit-equal to ``np.random.Philox``
 and ``Generator.integers``, so these draws are the ones the per-site
@@ -35,15 +36,6 @@ _SHIFT32 = np.uint64(32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
 
 
-def _counter(agent: int, rnd: int, step: int, purpose: int) -> np.ndarray:
-    # counter[0] is the free-running word consumed by the generator itself;
-    # the identifying words live above it so streams can never collide.
-    # uint64 arrays avoid the silent float64 round trip numpy applies to
-    # plain int lists with values above 2**63.
-    return np.array([0, step | (purpose << 48), agent | (rnd << 32), 0],
-                    dtype=np.uint64)
-
-
 def _key(master_seed: int, trial: int) -> np.ndarray:
     return np.array([master_seed & 0xFFFFFFFFFFFFFFFF,
                      (trial ^ _KEY_SALT) & 0xFFFFFFFFFFFFFFFF],
@@ -62,15 +54,17 @@ def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def philox4x64(counters: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Philox4x64-10 block function over an array of counters.
 
-    ``counters`` is a uint64 array of shape ``(..., 4)`` and ``key`` a pair
-    of uint64 words; returns the uint64 blocks, shape ``(..., 4)``.  A
-    ``np.random.Philox`` bumps its counter before each block, so its first
-    four ``random_raw`` outputs are the block of its counter plus one.
+    ``counters`` is a uint64 array of shape ``(..., 4)`` and ``key`` holds
+    uint64 key pairs along its last axis, broadcast against
+    ``counters[..., :2]``; returns the uint64 blocks, shape ``(..., 4)``.
+    A ``np.random.Philox`` bumps its counter before each block, so its
+    first four ``random_raw`` outputs are the block of its counter plus one.
     """
     # rows: (c0, c2), the multiplied words, and (c1, c3), the xored ones
     even = np.stack([counters[..., 0], counters[..., 2]]).reshape(2, -1)
     odd = np.stack([counters[..., 1], counters[..., 3]]).reshape(2, -1)
-    k = np.asarray(key, dtype=np.uint64).reshape(2, 1)
+    key = np.broadcast_to(np.asarray(key, dtype=np.uint64), counters.shape[:-1] + (2,))
+    k = np.moveaxis(key, -1, 0).reshape(2, -1)
     for r in range(_PHILOX_ROUNDS):
         if r:
             k = k + _PHILOX_W
@@ -99,60 +93,72 @@ def bounded_uint32(words: np.ndarray, bound: np.ndarray,
     return (m >> _SHIFT32).astype(np.int64), ((m & _LOW32) < threshold).any(axis=-1)
 
 
-def fresh_stream(master_seed: int, trial: int, agent: int, rnd: int, step: int,
-                 purpose: int = _PURPOSE_GRADIENT) -> np.random.Generator:
-    """Construct a new, independent generator for one draw site."""
-    bg = np.random.Philox(counter=_counter(agent, rnd, step, purpose),
-                          key=_key(master_seed, trial))
-    return np.random.Generator(bg)
-
-
 class TrialStreams:
-    """All random streams of one (master_seed, trial) pair.
+    """All random streams of one master seed and one trial, or of a batch
+    of trials.
 
-    ``gradient`` and ``init_state`` return a *borrowed* generator that is
-    only valid until the next call on the same ``TrialStreams``.  The
-    borrowed generator produces exactly the same draws as
-    ``fresh_stream`` with the same coordinates; reusing one underlying
-    Philox object merely avoids per-call construction cost.
+    ``trial`` is one trial index, or a sequence of them for a batch run on
+    a leading array axis: then :attr:`shape` is ``(len(trial),)``, arrays of
+    draws carry that axis after their step axis, and the per-site streams
+    take the ``slot`` of their trial in the batch.  ``gradient`` and
+    ``init_state`` return a *borrowed* generator that is only valid until
+    the next call on the same ``TrialStreams``.  It produces exactly the
+    draws of a new ``np.random.Philox`` whose counter encodes the site;
+    reusing one underlying Philox object merely avoids construction cost.
     """
 
-    def __init__(self, master_seed: int, trial: int):
+    def __init__(self, master_seed: int, trial):
         self.master_seed = int(master_seed)
-        self.trial = int(trial)
-        self._key = _key(self.master_seed, self.trial)
-        self._bg = np.random.Philox(counter=np.zeros(4, dtype=np.uint64), key=self._key)
+        self.shape = np.shape(trial)
+        self.trials = tuple(int(j) for j in np.ravel(trial))
+        self._keys = np.stack([_key(self.master_seed, j) for j in self.trials])
+        self._bg = np.random.Philox(counter=np.zeros(4, dtype=np.uint64), key=self._keys[0])
         self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
+        # the state of a fresh Philox (empty buffer, no cached 32-bit half),
+        # its words in int lists: the state setter reads them one at a
+        # time, about twice as fast from a list as from an array.  The
+        # generator never writes to this dict, so reseating rewrites only
+        # its key and the identifying counter words.  counter[0] is the
+        # free-running word the generator itself consumes and counter[3] is
+        # unused; both stay zero, and the identifying words live above
+        # counter[0] so streams can never collide.
+        self._counter = [0, 0, 0, 0]
+        self._key_words = self._keys[0].tolist()
+        self._state = {**self._bg.state, "buffer": [0, 0, 0, 0],
+                       "state": {"counter": self._counter, "key": self._key_words}}
+        self._slot = 0
 
-    def _reseat(self, agent: int, rnd: int, step: int, purpose: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["counter"][:] = _counter(agent, rnd, step, purpose)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+    def _reseat(self, agent: int, rnd: int, step: int, purpose: int,
+                slot: int) -> np.random.Generator:
+        if slot != self._slot:
+            self._key_words[:] = self._keys[slot].tolist()
+            self._slot = slot
+        self._counter[1] = step | (purpose << 48)
+        self._counter[2] = agent | (rnd << 32)
+        self._bg.state = self._state
         return self._gen
 
-    def gradient(self, agent: int, rnd: int, step: int) -> np.random.Generator:
+    def gradient(self, agent: int, rnd: int, step: int, slot: int = 0) -> np.random.Generator:
         """Stream feeding the stochastic-gradient draw of one local step."""
-        return self._reseat(agent, rnd, step, _PURPOSE_GRADIENT)
+        return self._reseat(agent, rnd, step, _PURPOSE_GRADIENT, slot)
 
-    def init_state(self, agent: int) -> np.random.Generator:
+    def init_state(self, agent: int, slot: int = 0) -> np.random.Generator:
         """Stream feeding the optional random initialization of one agent."""
-        return self._reseat(agent, 0, 0, _PURPOSE_INIT)
+        return self._reseat(agent, 0, 0, _PURPOSE_INIT, slot)
 
     def gradient_words(self, rnd: int, steps: int, agents: int, words: int) -> np.ndarray:
         """First ``words`` 64-bit outputs of the gradient streams of round
-        ``rnd``, shape ``(steps, agents, words)``: entry ``[step, i]`` equals
-        ``self.gradient(i, rnd, step).bit_generator.random_raw(words)``."""
+        ``rnd``, shape ``(steps, *shape, agents, words)``: entry
+        ``[step, slot, i]`` equals
+        ``self.gradient(i, rnd, step, slot).bit_generator.random_raw(words)``."""
         blocks = -(-words // 4)
-        counters = np.zeros((steps, agents, blocks, 4), dtype=np.uint64)
+        counters = np.zeros((steps,) + self.shape + (agents, blocks, 4), dtype=np.uint64)
         counters[..., 0] = np.arange(1, blocks + 1, dtype=np.uint64)
-        # the words _counter packs for each (agent, rnd, step) site
-        counters[..., 1] = (np.arange(steps, dtype=np.uint64)
-                            | np.uint64(_PURPOSE_GRADIENT << 48))[:, None, None]
+        # the words _reseat packs for each (agent, rnd, step) site
+        steps_word = np.arange(steps, dtype=np.uint64) | np.uint64(_PURPOSE_GRADIENT << 48)
+        counters[..., 1] = steps_word.reshape((steps,) + (1,) * (counters.ndim - 2))
         counters[..., 2] = (np.arange(agents, dtype=np.uint64)
                             | np.uint64(rnd << 32))[:, None]
-        out = philox4x64(counters, self._key)
-        return out.reshape(steps, agents, 4 * blocks)[..., :words]
+        keys = self._keys.reshape(self.shape + (1, 1, 2))
+        out = philox4x64(counters, keys)
+        return out.reshape(counters.shape[:-2] + (4 * blocks,))[..., :words]

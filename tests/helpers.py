@@ -10,7 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from lmtsim import lca_params
-from lmtsim.streams import TrialStreams
+from lmtsim.streams import _PURPOSE_GRADIENT, TrialStreams, _key
+
+
+def fresh_stream(master_seed, trial, agent, rnd, step, purpose=_PURPOSE_GRADIENT):
+    """A new, independent generator for one draw site, built from the
+    stream layout directly: counter ``[0, step | purpose << 48,
+    agent | rnd << 32, 0]`` under the key of (master_seed, trial)."""
+    counter = np.array([0, step | (purpose << 48), agent | (rnd << 32), 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter,
+                                                key=_key(master_seed, trial)))
 
 
 def dsmt_reference(X0, mix, hp, oracle, master_seed, trial, rounds):

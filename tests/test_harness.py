@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import lmtsim
-from lmtsim import baselines, lmt
+from lmtsim import baselines, harness, lmt
+from lmtsim import topology as tp
 from lmtsim.config import METHOD_CHOICES, ConfigError, ExperimentConfig, parse_config_text
 from lmtsim.harness import ResultTable, build_oracle, resolve_hyperparams, \
     build_mixing, run_experiment, run_sweep
@@ -257,6 +258,105 @@ def test_gauss_init_uses_init_streams():
                               t3.columns["grad_norm_avg"])
     # nonzero start means nonzero initial consensus error
     assert t1.columns["consensus_x"][0] > 0
+
+
+# ---------------------------------------------------------------------------
+# trials batched on a leading axis
+
+LOGISTIC_CFG = """
+topology.kind = ring
+topology.n = 5
+objective.kind = logistic_l2
+objective.data = synthetic
+objective.synthetic.samples = 60
+objective.synthetic.features = 6
+objective.synthetic.seed = 2
+objective.batch = {batch}
+method = lmt
+schedule = figure1
+hyper.Q = 2
+run.T = 12
+run.trials = 3
+run.seed = 3
+run.init = gauss
+"""
+
+
+def run_trials(cfg, trials):
+    """Per-trial metrics and divergence rounds of ``trials`` run as one batch."""
+    mix = build_mixing(cfg)
+    oracle = build_oracle(cfg, mix.n)
+    hp = resolve_hyperparams(cfg, oracle, mix)
+    return harness._run_trials(cfg, mix, tp.lca_params(mix.lam), oracle, hp,
+                               trials, harness._resolve_f_star(cfg, oracle))
+
+
+def assert_batch_matches_each_trial_alone(cfg, trials):
+    batch, diverged = run_trials(cfg, trials)
+    for j, trial in enumerate(trials):
+        alone, (alone_at,) = run_trials(cfg, [trial])
+        assert diverged[j] == alone_at, trial
+        for name, rows in alone.items():
+            assert batch[name][j].tobytes() == rows[0].tobytes(), (trial, name)
+    return diverged
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "minibatch", "full_batch"])
+@pytest.mark.parametrize("method", METHOD_CHOICES)
+def test_batched_trials_match_each_trial_run_alone(method, objective):
+    if objective == "quadratic":
+        cfg = quad_cfg(method=method, init="gauss", T=12, trials=3)
+    else:
+        batch = 2 if objective == "minibatch" else "full"
+        cfg = dataclasses.replace(ExperimentConfig.from_mapping(parse_config_text(
+            LOGISTIC_CFG.format(batch=batch))), method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        diverged = assert_batch_matches_each_trial_alone(cfg, [0, 4, 2])
+    assert diverged == [None] * 3
+
+
+# an unstable step from a start far out: the trials overflow at rounds 52
+# and 53, so at T = 53 some of them run on to T
+DIVERGING_TRIALS_CFG = """
+topology.kind = ring
+topology.n = 5
+objective.kind = quadratic_pl
+objective.dim = 4
+objective.mu = 0.2
+objective.L = 1.0
+objective.sigma = 0.5
+objective.seed = 3
+method = lmt
+schedule = explicit
+hyper.eta_a = 50
+hyper.eta_s = 1
+hyper.Q = 1
+run.T = {T}
+run.trials = 6
+run.seed = 11
+run.init = gauss
+run.init_scale = 1e100
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("T", [53, 60])
+def test_diverging_trials_keep_their_own_round(T):
+    cfg = ExperimentConfig.from_mapping(parse_config_text(DIVERGING_TRIALS_CFG.format(T=T)))
+    diverged = assert_batch_matches_each_trial_alone(cfg, list(range(6)))
+    assert len(set(diverged)) == 2
+    per_trial, _ = run_trials(cfg, list(range(6)))
+    for j, at in enumerate(diverged):
+        rows = per_trial["consensus_x"][j]
+        if at is None:
+            assert np.isfinite(rows).all()
+        else:
+            assert np.isfinite(rows[:at]).all() and np.isnan(rows[at:]).all()
+    if T == 53:
+        assert None in diverged
+    table = run_experiment(cfg)
+    assert table.diverged_at == min(at for at in diverged if at is not None)
 
 
 # ---------------------------------------------------------------------------

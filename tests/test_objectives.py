@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
-from helpers import finite_difference_gradient
+from helpers import finite_difference_gradient, fresh_stream
 from lmtsim import objectives as obj
-from lmtsim.streams import TrialStreams, bounded_uint32, fresh_stream
+from lmtsim.streams import TrialStreams, bounded_uint32
 
 
 def two_class_dataset(m=40, p=6, seed=0):
@@ -102,6 +103,36 @@ def test_logistic_single_sample_hand_values():
     assert oracle.full_gradient(0, np.zeros(1))[0] == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_log_expit_loss_equals_logaddexp_bit_for_bit():
+    # the logistic loss is evaluated as -log_expit(m); it must equal the
+    # textbook logaddexp(0, -m) bit for bit, edge values included
+    rng = np.random.default_rng(4)
+    margins = np.concatenate([
+        rng.normal(scale=scale, size=20_000) for scale in (1.0, 30.0, 300.0)] + [
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 100.0, -100.0, 250.5, -250.5,
+                  700.0, -700.0, 745.2, -745.2, 5e-324, -5e-324])])
+    with np.errstate(invalid="ignore"):
+        expected = np.logaddexp(0.0, -margins)
+    assert (-log_expit(margins)).tobytes() == expected.tobytes()
+
+
+def test_logistic_values_equal_the_logaddexp_form_bit_for_bit():
+    parts = obj.partition_heterogeneous(two_class_dataset(60, 5, seed=3), 4)
+    oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=1)
+    X = np.random.default_rng(6).normal(scale=20.0, size=(3, 4, 5))
+    U = np.concatenate([f for f, _ in parts.shards])
+    v = np.concatenate([l for _, l in parts.shards])
+    weights = np.concatenate([np.full(len(l), 1.0 / (4 * len(l))) for _, l in parts.shards])
+    for Xt, values in zip(X, oracle.global_values_at_rows(X)):
+        losses = weights @ np.logaddexp(0.0, -(v[:, None] * (U @ Xt.T)))
+        ridge = np.array([0.1 * float(x @ x) for x in Xt])
+        assert values.tobytes() == (losses + ridge).tobytes()
+    for i, (Ui, vi) in enumerate(parts.shards):
+        x = X[0, i]
+        expected = float(np.mean(np.logaddexp(0.0, -(vi * (Ui @ x))))) + 0.1 * float(x @ x)
+        assert oracle.value(i, x) == expected
+
+
 def test_logistic_gradient_at_origin_closed_form():
     data = two_class_dataset(24, 5, seed=1)
     parts = obj.partition_heterogeneous(data, 4)
@@ -195,14 +226,19 @@ def _uneven_partition(sizes, p=3):
         (rng.normal(size=(s, p)), np.where(rng.random(s) < 0.5, -1.0, 1.0)) for s in sizes))
 
 
-def _assert_round_rows_match_streams(oracle, sizes, b, seed=13, trial=2, t=6, Q=3):
-    rows = oracle.draw(TrialStreams(seed, trial), t, Q)
+def _assert_round_rows_match_streams(oracle, sizes, b, seed=13, trials=(2, 7, 0), t=6, Q=3):
+    """Rows of one trial, and of a batch of trials, equal the site streams'."""
+    rows = oracle.draw(TrialStreams(seed, trials[0]), t, Q)
+    batch = oracle.draw(TrialStreams(seed, trials), t, Q)
     assert rows.shape == (Q, len(sizes), b)
+    assert batch.shape == (Q, len(trials), len(sizes), b)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     for step in range(Q):
         for i, s in enumerate(sizes):
-            expected = fresh_stream(seed, trial, i, t, step).integers(0, s, size=b)
-            assert np.array_equal(rows[step, i], offsets[i] + expected)
+            for slot, trial in enumerate(trials):
+                expected = fresh_stream(seed, trial, i, t, step).integers(0, s, size=b)
+                assert np.array_equal(batch[step, slot, i], offsets[i] + expected)
+            assert np.array_equal(rows[step, i], batch[step, 0, i])
 
 
 @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 17])
@@ -239,6 +275,20 @@ def test_quadratic_round_noise_matches_per_agent_calls():
         for i in range(3):
             gi = oracle.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, step))
             assert np.allclose(G[i], gi, atol=1e-15)
+
+
+def test_quadratic_round_noise_of_a_batch_matches_each_trial():
+    oracle = obj.quadratic_pl_oracle(n=3, p=4, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
+    trials = [4, 0, 9]
+    draws = oracle.draw(TrialStreams(99, trials), 7, 2)
+    assert draws.shape == (2, 3, 3, 4)
+    scale = 0.5 / np.sqrt(4)
+    for slot, trial in enumerate(trials):
+        assert draws[:, slot].tobytes() == oracle.draw(TrialStreams(99, trial), 7, 2).tobytes()
+        for step in range(2):
+            for i in range(3):
+                expected = fresh_stream(99, trial, i, 7, step).normal(0.0, scale, size=4)
+                assert draws[step, slot, i].tobytes() == expected.tobytes()
 
 
 def test_draws_are_none_in_deterministic_mode():

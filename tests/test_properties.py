@@ -3,7 +3,8 @@
 Graphs carry lazy Metropolis-Hastings weights ``(I + W_mh) / 2``, which are
 symmetric, doubly stochastic and positive semidefinite for any connected
 graph.  Every method runs through the one state and round convention:
-``lmt.init_state(method, X0)`` and a round that returns a new state.
+``lmt.init_state(method, X0)`` and a round that returns a new state, on
+one trial ``(n, p)`` or a batch of trials ``(k, n, p)``.
 """
 
 import numpy as np
@@ -120,3 +121,38 @@ def test_round_leaves_its_input_state_unchanged(method):
     assert state.keys() == before.keys()
     for key, value in before.items():
         assert np.asarray(state[key]).tobytes() == value.tobytes(), (method, key)
+
+
+def logistic(n, seed, batch):
+    data = obj.make_synthetic_classification(8 * n, 3, seed)
+    return obj.logistic_l2_oracle(obj.partition_heterogeneous(data, n), batch=batch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mix=lazy_metropolis_mixing(), seed=st.integers(0, 2**16),
+       trials=st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
+       oracle_kind=st.sampled_from(["quad_noisy", "quad_exact", "logistic_minibatch",
+                                    "logistic_full"]),
+       Q=st.integers(1, 3), beta=st.floats(0.0, 0.9))
+def test_batched_round_equals_each_trials_round(mix, seed, trials, oracle_kind, Q, beta):
+    oracle = {"quad_noisy": lambda: quad(mix.n, seed, sigma=0.5),
+              "quad_exact": lambda: quad(mix.n, seed, sigma=0.0),
+              "logistic_minibatch": lambda: logistic(mix.n, seed, batch=3),
+              "logistic_full": lambda: logistic(mix.n, seed, batch=None)}[oracle_kind]()
+    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
+                         eta_w=tp.lca_params(mix.lam).eta_w)
+    X0 = np.random.default_rng(seed).normal(size=(len(trials), mix.n, 3))
+    batch_streams = TrialStreams(seed, trials)
+    for method in METHOD_CHOICES:
+        batch = lmt.init_state(method, X0)
+        alone = [lmt.init_state(method, X0[j].copy()) for j in range(len(trials))]
+        # two rounds, so the second starts from non-trivial memory arrays
+        for _ in range(2):
+            batch = one_round(method, batch, oracle, mix, hp, batch_streams)
+            alone = [one_round(method, state, oracle, mix, hp, TrialStreams(seed, trial))
+                     for state, trial in zip(alone, trials)]
+            assert batch.keys() == alone[0].keys()
+            for j, state in enumerate(alone):
+                assert batch["t"] == state["t"]
+                for key in state.keys() - {"t"}:
+                    assert batch[key][j].tobytes() == state[key].tobytes(), (method, key, j)

@@ -1,7 +1,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lmtsim.streams import TrialStreams, bounded_uint32, fresh_stream, philox4x64
+from helpers import fresh_stream
+from lmtsim.streams import _PURPOSE_INIT, TrialStreams, bounded_uint32, philox4x64
 
 _U64 = st.integers(0, 2**64 - 1)
 
@@ -67,6 +68,24 @@ def test_gradient_words_match_each_site_stream():
         for i in range(5):
             raw = fresh_stream(2**64 - 1, 3, i, 12, step).bit_generator.random_raw(9)
             assert np.array_equal(words[step, i], raw)
+
+
+def test_batched_streams_match_each_trials_streams():
+    trials = [3, 0, 8]
+    batch = TrialStreams(2**64 - 1, trials)
+    assert batch.shape == (3,) and TrialStreams(5, 3).shape == ()
+    words = batch.gradient_words(12, 2, 4, 5)
+    assert words.shape == (2, 3, 4, 5)
+    for slot, trial in enumerate(trials):
+        alone = TrialStreams(2**64 - 1, trial).gradient_words(12, 2, 4, 5)
+        assert np.array_equal(words[:, slot], alone)
+    # per-site streams, in an order that switches trials at every call
+    for step, slot, i in [(1, 2, 3), (0, 0, 1), (1, 2, 3), (0, 1, 0), (0, 1, 2)]:
+        expected = fresh_stream(2**64 - 1, trials[slot], i, 12, step)
+        assert np.array_equal(batch.gradient(i, 12, step, slot).normal(size=3),
+                              expected.normal(size=3))
+        init = fresh_stream(2**64 - 1, trials[slot], i, 0, 0, purpose=_PURPOSE_INIT)
+        assert np.array_equal(batch.init_state(i, slot).normal(size=3), init.normal(size=3))
 
 
 def test_round_integers_match_numpy_across_block_boundaries():
