@@ -10,6 +10,7 @@ deterministic full-batch mode (zero gradient noise).
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,18 +209,17 @@ class GradientOracle(abc.ABC):
         """Unbiased stochastic gradient of f_i at x (``rng`` may be None
         only in deterministic mode)."""
 
+    @abc.abstractmethod
     def global_value(self, x: np.ndarray) -> float:
-        return float(np.mean([self.value(i, x) for i in range(self.n_agents)]))
+        """Global objective, the mean of the f_i, at one point x."""
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.full_gradients_at(x).mean(axis=-2)
 
+    @abc.abstractmethod
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
         """All agents' exact gradients evaluated at the same point:
         ``(..., n, p)`` for points ``x`` of shape ``(..., p)``."""
-        points = x.reshape(-1, self.dim)
-        grads = [[self.full_gradient(i, xt) for i in range(self.n_agents)] for xt in points]
-        return np.array(grads).reshape(x.shape[:-1] + (self.n_agents, self.dim))
 
     @abc.abstractmethod
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
@@ -279,6 +279,15 @@ class LogisticOracle(GradientOracle):
         self._signed = np.concatenate([l[:, None] * f for f, l in data.shards])
         self._offsets = np.concatenate([[0], np.cumsum(sizes)])
         self._sizes = np.array(sizes)
+        # runs of consecutive agents with equal shard sizes, each with its
+        # rows of ``_signed`` viewed as an (agents, size, p) stack
+        self._runs = []
+        first = 0
+        for size, run in itertools.groupby(sizes):
+            k = len(list(run))
+            rows = self._signed[self._offsets[first]:self._offsets[first + k]]
+            self._runs.append((slice(first, first + k), rows.reshape(k, size, self.dim)))
+            first += k
 
         sq = np.sum(self._signed ** 2, axis=1)
         mean_sq = np.array([sq[self._offsets[i]:self._offsets[i + 1]].mean()
@@ -315,6 +324,28 @@ class LogisticOracle(GradientOracle):
         slope = expit(-(S @ x))          # = 1 / (1 + exp(margin))
         return -(S.T @ slope) / S.shape[0] + self._reg_gradient(x)
 
+    def _exact_gradients(self, X: np.ndarray) -> np.ndarray:
+        """Exact gradients of all agents, agent i at row ``X[..., i, :]``.
+
+        One stacked product per run of equal shard sizes: numpy's matmul
+        makes the same BLAS call for each agent of the stack as for that
+        agent alone, so every entry equals :meth:`full_gradient` bit for bit.
+        """
+        G = np.empty(X.shape)
+        for agents, S in self._runs:
+            slope = expit(-(S @ X[..., agents, :, None]))
+            G[..., agents, :] = -(S.swapaxes(-1, -2) @ slope)[..., 0] / S.shape[1]
+        return G + self._reg_gradient(X)
+
+    def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
+        return self._exact_gradients(
+            np.broadcast_to(x[..., None, :], x.shape[:-1] + (self.n_agents, self.dim)))
+
+    def global_value(self, x: np.ndarray) -> float:
+        # each agent's mean loss, as in :meth:`value`, then the mean over agents
+        losses = np.concatenate([np.mean(-log_expit(S @ x), axis=-1) for _, S in self._runs])
+        return float(np.mean(losses + self._reg_value(x)))
+
     def stochastic_gradient(self, i: int, x: np.ndarray,
                             rng: np.random.Generator | None) -> np.ndarray:
         if self.batch is None:
@@ -350,15 +381,10 @@ class LogisticOracle(GradientOracle):
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
         if draws_step is None:
-            grads = [[self.full_gradient(i, Xt[i]) for i in range(self.n_agents)]
-                     for Xt in X.reshape(-1, self.n_agents, self.dim)]
-            return np.array(grads).reshape(X.shape)
+            return self._exact_gradients(X)
         S = self._signed[draws_step]
         slope = expit(-np.einsum("...abp,...ap->...ab", S, X))
-        data_grad = -np.einsum("...ab,...abp->...ap", slope, S) / self.batch
-        if self.reg == "l2":
-            return data_grad + self.coeff * X
-        return data_grad + self.coeff * X / (1.0 + X * X) ** 2
+        return -np.einsum("...ab,...abp->...ap", slope, S) / self.batch + self._reg_gradient(X)
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
         # one product per trial: a single product over the rows of all

@@ -2,8 +2,8 @@
 
     python3 tests/golden/make_golden.py
 
-Runs each of the seven methods on each of the three objectives at a tiny
-size (ring of 5, T=50, 2 trials, stochastic draws) and stores, per case,
+Runs each of the seven methods on each of five objectives at a tiny size
+(ring of 5, T=50, 2 trials) and stores, per case,
 the SHA-256 of every column of the result table plus float checkpoints at
 every tenth of the run, so a mismatch shows where two versions part.
 ``tests/test_golden.py`` asserts the digests exactly.  Regenerate only for
@@ -46,9 +46,13 @@ objective.data = synthetic
 objective.synthetic.samples = 60
 objective.synthetic.features = 5
 objective.synthetic.seed = 2
-objective.batch = 2
+objective.batch = {batch}
 """
+_L2 = "objective.kind = logistic_l2\nobjective.rho = 0.2\n"
+_NONCONVEX = "objective.kind = logistic_nonconvex\nobjective.omega = 0.05\n"
 
+#: the quadratic draws Gaussian gradient noise and the logistic objectives
+#: minibatches of two; the ``_fullbatch`` ones take exact gradients
 OBJECTIVES = {
     "quadratic_pl": """
 objective.kind = quadratic_pl
@@ -58,9 +62,10 @@ objective.L = 1.0
 objective.sigma = 0.5
 objective.seed = 3
 """,
-    "logistic_l2": "objective.kind = logistic_l2\nobjective.rho = 0.2\n" + _LOGISTIC,
-    "logistic_nonconvex": ("objective.kind = logistic_nonconvex\n"
-                           "objective.omega = 0.05\n" + _LOGISTIC),
+    "logistic_l2": _L2 + _LOGISTIC.format(batch=2),
+    "logistic_nonconvex": _NONCONVEX + _LOGISTIC.format(batch=2),
+    "logistic_l2_fullbatch": _L2 + _LOGISTIC.format(batch="full"),
+    "logistic_nonconvex_fullbatch": _NONCONVEX + _LOGISTIC.format(batch="full"),
 }
 
 #: rows of every column kept as checkpoints: every tenth of the run

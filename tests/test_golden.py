@@ -55,7 +55,8 @@ def _digest_with_blas_threads(threads: int, method: str, objective: str) -> str:
 
 
 def test_trace_digest_does_not_depend_on_blas_threads():
-    method, objective = "lmt", "logistic_l2"
-    ref = _GOLDEN[case_key(method, objective)]["sha256"]
-    assert _digest_with_blas_threads(1, method, objective) == ref
-    assert _digest_with_blas_threads(2, method, objective) == ref
+    # one minibatch and one exact-gradient case
+    for method, objective in [("lmt", "logistic_l2"), ("lmt", "logistic_nonconvex_fullbatch")]:
+        ref = _GOLDEN[case_key(method, objective)]["sha256"]
+        assert _digest_with_blas_threads(1, method, objective) == ref, objective
+        assert _digest_with_blas_threads(2, method, objective) == ref, objective

@@ -359,6 +359,39 @@ def test_diverging_trials_keep_their_own_round(T):
     assert table.diverged_at == min(at for at in diverged if at is not None)
 
 
+class _InfGradientsAtRound:
+    """Delegates to ``oracle``, but every local-step gradient of round
+    ``bad_round`` is inf."""
+
+    def __init__(self, oracle, bad_round):
+        self._oracle, self._bad_round, self._round = oracle, bad_round, None
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+    def draw(self, streams, t, Q):
+        self._round = t
+        return self._oracle.draw(streams, t, Q)
+
+    def stochastic_gradient_matrix(self, X, draws_step):
+        G = self._oracle.stochastic_gradient_matrix(X, draws_step)
+        return np.full_like(G, np.inf) if self._round == self._bad_round else G
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_iterates_that_turn_non_finite_diverge_at_the_next_round(monkeypatch):
+    # round 4 starts from finite iterates, so its metrics are finite; only
+    # the iterates it returns are not, and round 5 is the first to go
+    build = harness.build_oracle
+    monkeypatch.setattr(harness, "build_oracle",
+                        lambda cfg, n: _InfGradientsAtRound(build(cfg, n), 4))
+    table = run_experiment(quad_cfg(method="local_dsgd", T=12))
+    assert table.diverged_at == 5
+    for name in ("consensus_x", "grad_norm_avg", "opt_gap_mean"):
+        assert np.isfinite(table.columns[name][:5]).all(), name
+        assert np.isnan(table.columns[name][5:]).all(), name
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -301,6 +301,45 @@ def test_draws_are_none_in_deterministic_mode():
 
 
 # ---------------------------------------------------------------------------
+# the exact-gradient kernel against the per-agent reference
+
+EXACT_KERNEL_PARTITIONS = {
+    # one run of equal shards
+    "equal": lambda: obj.partition_heterogeneous(two_class_dataset(40, 5, seed=9), 4),
+    # 17 shards of 41 rows, then 33 of 40: two runs
+    "two_sizes": lambda: obj.partition_heterogeneous(two_class_dataset(2017, 50, seed=1), 50),
+    # every agent a run of its own
+    "uneven": lambda: _uneven_partition((17, 23, 40, 18, 31), p=6),
+}
+
+
+@pytest.mark.parametrize("reg", ["l2", "nonconvex"])
+@pytest.mark.parametrize("partition", list(EXACT_KERNEL_PARTITIONS))
+def test_exact_gradient_kernel_equals_per_agent_calls_bit_for_bit(partition, reg):
+    parts = EXACT_KERNEL_PARTITIONS[partition]()
+    oracle = obj.LogisticOracle(parts, reg=reg, coeff=0.1, batch=None)
+    n, p = oracle.n_agents, oracle.dim
+    rng = np.random.default_rng(3)
+
+    def reference(X):
+        """Per-agent gradients, agent i at row i, for every leading index."""
+        return np.array([[oracle.full_gradient(i, Xt[i]) for i in range(n)]
+                         for Xt in X.reshape(-1, n, p)]).reshape(X.shape)
+
+    # rows of their own, without and with a leading trial axis
+    for shape in [(n, p), (3, n, p)]:
+        X = rng.normal(size=shape)
+        assert oracle.stochastic_gradient_matrix(X, None).tobytes() == reference(X).tobytes()
+    # one point broadcast to every agent, without and with a trial axis
+    for shape in [(p,), (2, p)]:
+        x = rng.normal(size=shape)
+        expected = reference(np.broadcast_to(x[..., None, :], shape[:-1] + (n, p)))
+        assert oracle.full_gradients_at(x).tobytes() == expected.tobytes()
+    for x in rng.normal(size=(5, p)):
+        assert oracle.global_value(x) == float(np.mean([oracle.value(i, x) for i in range(n)]))
+
+
+# ---------------------------------------------------------------------------
 # quadratic oracle
 
 def test_quadratic_identity_construction():
