@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lmt import HyperParams, agent_copies, local_steps, round_draws
+from .lmt import HyperParams, agent_copies, local_steps
 from .topology import MixingMatrix
 from .streams import TrialStreams
 
@@ -104,7 +104,7 @@ def _round_kgt(state, oracle, W, streams, Q, local, outer):
 def _round_pdsgdm(state, oracle, W, streams, Q, local, beta):
     X = state["X"]
     M = state["m"]
-    for draws_step in round_draws(oracle, streams, state["t"], Q):
+    for draws_step in oracle.draw(streams, state["t"], Q):
         G = oracle.stochastic_gradient_matrix(X, draws_step)
         M = beta * M + G
         X = X - local * M
@@ -119,7 +119,7 @@ def _round_scaffold(state, oracle, W, streams, Q, local, outer):
     Y = agent_copies(x, n)
     # its own loop: local_steps would form G + (c - C), which rounds
     # differently from G - C + c
-    for draws_step in round_draws(oracle, streams, state["t"], Q):
+    for draws_step in oracle.draw(streams, state["t"], Q):
         G = oracle.stochastic_gradient_matrix(Y, draws_step)
         Y = Y - local * (G - C + c[..., None, :])
     delta_y = Y - x[..., None, :]

@@ -17,6 +17,7 @@ SCHEDULE_CHOICES = ("explicit", "figure1", "theorem1", "theorem2")
 OBJECTIVE_CHOICES = ("logistic_l2", "logistic_nonconvex", "quadratic_pl")
 TOPOLOGY_CHOICES = ("ring", "complete", "file")
 INIT_CHOICES = ("zeros", "gauss")
+FORMAT_CHOICES = ("libsvm", "csv")
 
 
 class ConfigError(ValueError):
@@ -155,8 +156,9 @@ class ExperimentConfig:
                 raise ConfigError("topology.path: required for topology.kind = file")
             if not os.path.exists(self.topology_path):
                 raise ConfigError(f"topology.path: file not found: {self.topology_path}")
-        elif self.n < 1:
-            raise ConfigError(f"topology.n: must be a positive agent count, got {self.n}")
+        elif self.n < (least := 3 if self.topology_kind == "ring" else 1):
+            raise ConfigError(f"topology.n: a {self.topology_kind} topology needs "
+                              f"at least {least} agents, got {self.n}")
         if self.objective_kind not in OBJECTIVE_CHOICES:
             raise ConfigError(f"objective.kind: expected one of {OBJECTIVE_CHOICES}, "
                               f"got {self.objective_kind!r}")
@@ -166,6 +168,9 @@ class ExperimentConfig:
                                   "(path or 'synthetic')")
             if self.data_source != "synthetic" and not os.path.exists(self.data_source):
                 raise ConfigError(f"objective.data: file not found: {self.data_source}")
+        if self.data_format is not None and self.data_format not in FORMAT_CHOICES:
+            raise ConfigError(f"objective.format: expected one of {FORMAT_CHOICES}, "
+                              f"got {self.data_format!r}")
         if self.method not in METHOD_CHOICES:
             raise ConfigError(f"method: expected one of {METHOD_CHOICES}, "
                               f"got {self.method!r}")

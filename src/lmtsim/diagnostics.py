@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .lmt import HyperParams
-from .topology import LcaParams
+from .topology import C0, LcaParams
 
 #: CSV column order shared by writers and readers
 TRACE_COLUMNS = ("t", "consensus_x", "consensus_y",
@@ -73,16 +73,21 @@ def lyapunov_surrogate(*, f_dbar: float, f_star: float, z_bar_sq: float,
             + 4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3 * z_bar_sq
             + 11.0 * eta_hat * L * L / (n * one_minus_rho) * consensus_x
             + 21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho) * consensus_y
-            + 6.0 * (1.0 + 63.0 * lca.c0) * eta_hat * aq2 * L * L
+            + 6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L
             / (n * one_minus_beta) * z_dev
         )
 
 
-def solve_f_star(oracle, tol: float = 1e-10, max_iter: int = 2_000_000) -> float:
+#: gradient-norm target and iteration budget of :func:`solve_f_star`
+_F_STAR_TOL = 1e-10
+_F_STAR_MAX_ITER = 2_000_000
+
+
+def solve_f_star(oracle) -> float:
     """High-accuracy centralized minimum of the global objective.
 
     Deterministic full-gradient descent from the origin with a fixed step,
-    run until the global gradient norm drops below ``tol``.  Intended for
+    run until the global gradient norm drops below 1e-10.  Intended for
     strongly convex objectives (ridge-regularized logistic); raises if the
     oracle exposes no smoothness constant or the tolerance is not reached.
     """
@@ -90,10 +95,10 @@ def solve_f_star(oracle, tol: float = 1e-10, max_iter: int = 2_000_000) -> float
         raise ValueError("cannot solve for f_star without a smoothness constant")
     step = 2.0 / (oracle.L + oracle.mu) if oracle.mu else 1.0 / oracle.L
     x = np.zeros(oracle.dim)
-    for _ in range(max_iter):
+    for _ in range(_F_STAR_MAX_ITER):
         g = oracle.global_gradient(x)
-        if math.sqrt(float(g @ g)) <= tol:
+        if math.sqrt(float(g @ g)) <= _F_STAR_TOL:
             return float(oracle.global_value(x))
         x = x - step * g
-    raise RuntimeError(f"full-gradient solve did not reach |grad| <= {tol} "
-                       f"within {max_iter} iterations")
+    raise RuntimeError(f"full-gradient solve did not reach |grad| <= {_F_STAR_TOL} "
+                       f"within {_F_STAR_MAX_ITER} iterations")

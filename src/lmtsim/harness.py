@@ -36,8 +36,6 @@ class ResultTable:
     """Per-round metrics averaged across trials (one run of one method)."""
 
     label: str
-    fingerprint: str
-    seed: int
     columns: dict[str, np.ndarray]
     diverged_at: int | None = None  # first round with non-finite iterates or metrics
 
@@ -72,8 +70,7 @@ class ResultTable:
             raise ValueError(f"{path}: empty trace")
         data = np.array([[float(c) for c in row] for row in rows])
         columns = {name: data[:, j] for j, name in enumerate(dg.TRACE_COLUMNS)}
-        return ResultTable(label=label or os.path.basename(path),
-                           fingerprint="", seed=0, columns=columns)
+        return ResultTable(label=label or os.path.basename(path), columns=columns)
 
 
 def build_mixing(cfg: ExperimentConfig) -> tp.MixingMatrix:
@@ -291,8 +288,7 @@ def run_experiment(cfg: ExperimentConfig,
         columns[name] = scaled.mean(axis=0) * scale
         columns[name + "_std"] = scaled.std(axis=0) * scale
 
-    table = ResultTable(label=label or cfg.method, fingerprint=cfg.fingerprint(),
-                        seed=cfg.seed, columns=columns, diverged_at=diverged_at)
+    table = ResultTable(label=label or cfg.method, columns=columns, diverged_at=diverged_at)
     if cfg.outdir:
         os.makedirs(cfg.outdir, exist_ok=True)
         table.to_csv(os.path.join(cfg.outdir, "trace.csv"))
@@ -349,6 +345,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    # every point is checked before any runs, so a bad value names its field
+    kind = str if axis == "method" else int
+    for value in values:
+        replace(cfg, **{axis: kind(value)}).validate()
 
     tables: list[ResultTable] = []
     rows: list[dict] = []

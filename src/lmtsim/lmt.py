@@ -104,13 +104,6 @@ def agent_copies(x: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(x[..., None, :], n, axis=-2)
 
 
-def round_draws(oracle, streams: TrialStreams | None, t: int, Q: int):
-    """The oracle's draws of round ``t``, one entry per local step (each
-    None in deterministic mode)."""
-    draws = oracle.draw(streams, t, Q)
-    return [None] * Q if draws is None else draws
-
-
 def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
                 streams: TrialStreams | None, t: int, Q: int):
     """Run ``Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
@@ -121,7 +114,7 @@ def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
     ``(X_Q, G_sum)``: the end points and the sum of the drawn gradients.
     """
     G_sum = np.zeros_like(X)
-    for draws_step in round_draws(oracle, streams, t, Q):
+    for draws_step in oracle.draw(streams, t, Q):
         G = oracle.stochastic_gradient_matrix(X, draws_step)
         G_sum += G
         X = X - eta * (G if shift is None else G + shift)
@@ -206,7 +199,7 @@ def naive_local_momentum_round(state: dict, oracle, W: MixingMatrix,
     Z_run = state["Z"]
     M_sum = np.zeros_like(X_cur)
     G_sum = np.zeros_like(X_cur)
-    for draws_step in round_draws(oracle, streams, state["t"], hp.Q):
+    for draws_step in oracle.draw(streams, state["t"], hp.Q):
         G = oracle.stochastic_gradient_matrix(X_cur, draws_step)
         G_sum += G
         Z_run = hp.beta * Z_run + (1.0 - hp.beta) * G

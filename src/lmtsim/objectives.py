@@ -1,10 +1,11 @@
 """Per-agent objectives: gradient oracles, data ingestion, and partitioning.
 
-An oracle owns the local functions ``f_i`` of all agents and serves
-values, exact gradients, and unbiased stochastic gradients.  Stochastic
-minibatches are sampled with replacement inside each agent's shard, so
-draws are i.i.d. across local steps; ``batch=None`` switches an oracle to
-deterministic full-batch mode (zero gradient noise).
+An oracle owns the local functions ``f_i`` of all agents and serves, for
+all agents at once, their exact and unbiased stochastic gradients, and
+values of the global objective.  Stochastic minibatches are sampled with
+replacement inside each agent's shard, so draws are i.i.d. across local
+steps; ``batch=None`` switches an oracle to deterministic full-batch mode
+(zero gradient noise).
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ def load_csv(path: str) -> Dataset:
     return Dataset(features=arr[:, :-1], labels=_remap_labels(arr[:, -1], path))
 
 
-def make_synthetic_classification(samples: int, features: int, seed: int,
-                                  separation: float = 2.0) -> Dataset:
-    """Two Gaussian clouds on opposite sides of a random hyperplane.
+def make_synthetic_classification(samples: int, features: int, seed: int) -> Dataset:
+    """Two Gaussian clouds on opposite sides of a random hyperplane, their
+    means ``+-direction`` two units apart.
 
     Feature rows are scaled to unit RMS norm so logistic smoothness
     constants stay O(1) regardless of dimension.
@@ -145,7 +146,7 @@ def make_synthetic_classification(samples: int, features: int, seed: int,
     direction = rng.normal(size=features)
     direction /= np.linalg.norm(direction)
     labels = np.where(np.arange(samples) % 2 == 0, 1.0, -1.0)
-    X = rng.normal(size=(samples, features)) + 0.5 * separation * labels[:, None] * direction
+    X = rng.normal(size=(samples, features)) + labels[:, None] * direction
     X /= np.sqrt(np.mean(np.sum(X * X, axis=1)))
     return Dataset(features=X, labels=labels)
 
@@ -196,20 +197,6 @@ class GradientOracle(abc.ABC):
     f_star: float | None = None
 
     @abc.abstractmethod
-    def value(self, i: int, x: np.ndarray) -> float:
-        """Local objective value f_i(x)."""
-
-    @abc.abstractmethod
-    def full_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Exact local gradient of f_i at x."""
-
-    @abc.abstractmethod
-    def stochastic_gradient(self, i: int, x: np.ndarray,
-                            rng: np.random.Generator | None) -> np.ndarray:
-        """Unbiased stochastic gradient of f_i at x (``rng`` may be None
-        only in deterministic mode)."""
-
-    @abc.abstractmethod
     def global_value(self, x: np.ndarray) -> float:
         """Global objective, the mean of the f_i, at one point x."""
 
@@ -222,11 +209,11 @@ class GradientOracle(abc.ABC):
         ``(..., n, p)`` for points ``x`` of shape ``(..., p)``."""
 
     @abc.abstractmethod
-    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
+    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """All random draws of round ``t``, one leading entry per local step,
         then the trial axes of ``streams.shape``: entry ``[step, slot, i]``
-        comes from ``streams.gradient(i, t, step, slot)``.  None in
-        deterministic mode, where ``streams`` may be None."""
+        comes from ``streams.gradient(i, t, step, slot)``.  ``[None] * Q``
+        in deterministic mode, where ``streams`` may be None."""
 
     @abc.abstractmethod
     def stochastic_gradient_matrix(self, X: np.ndarray,
@@ -266,7 +253,6 @@ class LogisticOracle(GradientOracle):
             if batch > min(sizes):
                 raise ValueError(
                     f"batch {batch} exceeds smallest shard size {min(sizes)}")
-        self.data = data
         self.reg = reg
         self.coeff = float(coeff)
         self.batch = batch
@@ -300,10 +286,6 @@ class LogisticOracle(GradientOracle):
         self._global_weights = np.concatenate(
             [np.full(s, 1.0 / (self.n_agents * s)) for s in sizes])
 
-    def _shard(self, i: int) -> np.ndarray:
-        """Label-signed features of agent i's shard."""
-        return self._signed[self._offsets[i]:self._offsets[i + 1]]
-
     def _reg_value(self, x: np.ndarray) -> float:
         if self.reg == "l2":
             return 0.5 * self.coeff * float(x @ x)
@@ -315,25 +297,17 @@ class LogisticOracle(GradientOracle):
             return self.coeff * x
         return self.coeff * x / (1.0 + x * x) ** 2
 
-    def value(self, i: int, x: np.ndarray) -> float:
-        # -log_expit(m) is log(1 + exp(-m)), bit-equal to logaddexp(0, -m)
-        return float(np.mean(-log_expit(self._shard(i) @ x))) + self._reg_value(x)
-
-    def full_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        S = self._shard(i)
-        slope = expit(-(S @ x))          # = 1 / (1 + exp(margin))
-        return -(S.T @ slope) / S.shape[0] + self._reg_gradient(x)
-
     def _exact_gradients(self, X: np.ndarray) -> np.ndarray:
         """Exact gradients of all agents, agent i at row ``X[..., i, :]``.
 
         One stacked product per run of equal shard sizes: numpy's matmul
         makes the same BLAS call for each agent of the stack as for that
-        agent alone, so every entry equals :meth:`full_gradient` bit for bit.
+        agent alone, so every entry equals the per-agent
+        ``-(S_i.T @ expit(-(S_i @ x))) / size + reg'(x)`` bit for bit.
         """
         G = np.empty(X.shape)
         for agents, S in self._runs:
-            slope = expit(-(S @ X[..., agents, :, None]))
+            slope = expit(-(S @ X[..., agents, :, None]))  # = 1 / (1 + exp(margin))
             G[..., agents, :] = -(S.swapaxes(-1, -2) @ slope)[..., 0] / S.shape[1]
         return G + self._reg_gradient(X)
 
@@ -342,31 +316,21 @@ class LogisticOracle(GradientOracle):
             np.broadcast_to(x[..., None, :], x.shape[:-1] + (self.n_agents, self.dim)))
 
     def global_value(self, x: np.ndarray) -> float:
-        # each agent's mean loss, as in :meth:`value`, then the mean over agents
+        # each agent's mean loss, then the mean over agents; -log_expit(m)
+        # is log(1 + exp(-m)), bit-equal to logaddexp(0, -m)
         losses = np.concatenate([np.mean(-log_expit(S @ x), axis=-1) for _, S in self._runs])
         return float(np.mean(losses + self._reg_value(x)))
 
-    def stochastic_gradient(self, i: int, x: np.ndarray,
-                            rng: np.random.Generator | None) -> np.ndarray:
-        if self.batch is None:
-            return self.full_gradient(i, x)
-        if rng is None:
-            raise ValueError("minibatch oracle needs a random generator")
-        S = self._shard(i)
-        Sb = S[rng.integers(0, S.shape[0], size=self.batch)]
-        slope = expit(-(Sb @ x))
-        return -(Sb.T @ slope) / self.batch + self._reg_gradient(x)
-
-    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
+    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's minibatch rows, ``(Q, *streams.shape, n, batch)``
         indices into the stacked shards: ``[step, slot, i]`` is
         ``streams.gradient(i, t, step, slot).integers(0, shard size,
         size=batch)`` offset to shard i.  All sites of all trials are drawn
         in one vectorised Philox call; a site where numpy's Lemire rule
-        rejects a draw is redrawn through its own generator.  None in
-        full-batch mode."""
+        rejects a draw is redrawn through its own generator.  ``[None] * Q``
+        in full-batch mode."""
         if self.batch is None:
-            return None
+            return [None] * Q
         if streams is None:
             raise ValueError("minibatch oracle needs random streams")
         b = self.batch
@@ -437,39 +401,19 @@ class QuadraticOracle(GradientOracle):
         self.L = float(max(np.linalg.eigvalsh(Ai)[-1] for Ai in A))
         rhs = np.einsum("ipq,iq->p", A, b) / self.n_agents
         self.x_star = np.linalg.solve(self._hessian, rhs)
-        self.f_star = self._exact_global_value(self.x_star)
+        self.f_star = self.global_value(self.x_star)
         self._noise_scale = self.sigma / np.sqrt(self.dim)
-
-    def _exact_global_value(self, x: np.ndarray) -> float:
-        d = x[None, :] - self.b
-        return 0.5 * float(np.einsum("ip,ipq,iq->", d, self.A, d)) / self.n_agents
-
-    def value(self, i: int, x: np.ndarray) -> float:
-        d = x - self.b[i]
-        return 0.5 * float(d @ self.A[i] @ d)
-
-    def full_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.A[i] @ (x - self.b[i])
-
-    def stochastic_gradient(self, i: int, x: np.ndarray,
-                            rng: np.random.Generator | None) -> np.ndarray:
-        g = self.full_gradient(i, x)
-        if self.sigma == 0.0:
-            return g
-        if rng is None:
-            raise ValueError("noisy oracle needs a random generator")
-        return g + rng.normal(0.0, self._noise_scale, size=self.dim)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("ipq,...q->...ip", self.A, x) - np.einsum("ipq,iq->ip", self.A, self.b)
 
-    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | None:
+    def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's gradient noise, ``(Q, *streams.shape, n, p)``:
         ``[step, slot, i]`` is drawn from ``streams.gradient(i, t, step,
-        slot)``, one generator per site.  None when the oracle is
+        slot)``, one generator per site.  ``[None] * Q`` when the oracle is
         noiseless."""
         if self.sigma == 0.0:
-            return None
+            return [None] * Q
         if streams is None:
             raise ValueError("noisy oracle needs random streams")
         trials = len(streams.trials)
@@ -493,7 +437,8 @@ class QuadraticOracle(GradientOracle):
         return 0.5 * np.einsum("...rip,ipq,...riq->...r", d, self.A, d) / self.n_agents
 
     def global_value(self, x: np.ndarray) -> float:
-        return self._exact_global_value(x)
+        d = x[None, :] - self.b
+        return 0.5 * float(np.einsum("ip,ipq,iq->", d, self.A, d)) / self.n_agents
 
 
 def quadratic_pl_oracle(n: int, p: int, mu_min: float, L: float, sigma: float,

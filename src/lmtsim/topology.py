@@ -61,7 +61,6 @@ class LcaParams:
 
     eta_w: float
     rho_w: float
-    c0: float = C0
 
 
 def validate_weights(weights: np.ndarray) -> np.ndarray:

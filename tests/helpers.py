@@ -8,6 +8,7 @@ independent code paths.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit, log_expit
 
 from lmtsim import lca_params
 from lmtsim.streams import _PURPOSE_GRADIENT, TrialStreams, _key
@@ -22,14 +23,85 @@ def fresh_stream(master_seed, trial, agent, rnd, step, purpose=_PURPOSE_GRADIENT
                                                 key=_key(master_seed, trial)))
 
 
+class LogisticReference:
+    """Per-agent logistic functions ``f_i`` written from the shards: the
+    mean of ``log(1 + exp(-(v u).x))`` over agent i's label-signed rows
+    ``v u``, plus the ridge (``l2``) or bounded nonconvex regularizer."""
+
+    def __init__(self, parts, reg, coeff, batch=None):
+        self.signed = [l[:, None] * f for f, l in parts.shards]
+        self.reg, self.coeff, self.batch = reg, coeff, batch
+
+    def _reg_value(self, x):
+        if self.reg == "l2":
+            return 0.5 * self.coeff * float(x @ x)
+        xs = x * x
+        return 0.5 * self.coeff * float(np.sum(xs / (1.0 + xs)))
+
+    def _reg_gradient(self, x):
+        if self.reg == "l2":
+            return self.coeff * x
+        return self.coeff * x / (1.0 + x * x) ** 2
+
+    def value(self, i, x):
+        return float(np.mean(-log_expit(self.signed[i] @ x))) + self._reg_value(x)
+
+    @staticmethod
+    def _data_gradient(S, x):
+        return -(S.T @ expit(-(S @ x))) / S.shape[0]
+
+    def gradient(self, i, x):
+        return self._data_gradient(self.signed[i], x) + self._reg_gradient(x)
+
+    def stochastic_gradient(self, i, x, rng):
+        """Gradient over ``batch`` rows of the shard drawn with replacement
+        by ``rng.integers``; the exact gradient in full-batch mode."""
+        if self.batch is None:
+            return self.gradient(i, x)
+        S = self.signed[i]
+        rows = S[rng.integers(0, S.shape[0], size=self.batch)]
+        return self._data_gradient(rows, x) + self._reg_gradient(x)
+
+
+class QuadraticReference:
+    """Per-agent ``f_i(x) = (x - b_i)' A_i (x - b_i) / 2`` with isotropic
+    Gaussian gradient noise of total standard deviation ``sigma``."""
+
+    def __init__(self, A, b, sigma):
+        self.A, self.b, self.sigma = A, b, sigma
+
+    def value(self, i, x):
+        d = x - self.b[i]
+        return 0.5 * float(d @ self.A[i] @ d)
+
+    def gradient(self, i, x):
+        return self.A[i] @ (x - self.b[i])
+
+    def stochastic_gradient(self, i, x, rng):
+        g = self.gradient(i, x)
+        if self.sigma == 0.0:
+            return g
+        return g + rng.normal(0.0, self.sigma / np.sqrt(x.size), size=x.size)
+
+
+def local_reference(oracle, parts=None):
+    """The per-agent reference of ``oracle``: a quadratic one, or a
+    logistic one over the shards ``parts`` it was built from."""
+    if parts is None:
+        return QuadraticReference(oracle.A, oracle.b, oracle.sigma)
+    return LogisticReference(parts, oracle.reg, oracle.coeff, oracle.batch)
+
+
 def dsmt_reference(X0, mix, hp, oracle, master_seed, trial, rounds):
     """Single-local-step momentum tracking with accelerated consensus.
 
     Tracking variables are propagated directly through the augmented
     operator (no correction variables), one stochastic gradient per agent
-    per round, drawn from the same streams the main driver would use.
-    Returns the iterate matrix after ``rounds`` rounds.
+    per round of the quadratic ``oracle``, built from its ``A`` and ``b``
+    and drawn from the same streams the main driver would use.  Returns
+    the iterate matrix after ``rounds`` rounds.
     """
+    reference = local_reference(oracle)
     streams = TrialStreams(master_seed, trial)
     lca = lca_params(mix.lam)
     n, p = X0.shape
@@ -38,7 +110,7 @@ def dsmt_reference(X0, mix, hp, oracle, master_seed, trial, rounds):
     Y = Y_mem = None
     eta_hat = hp.eta_hat
     for t in range(rounds):
-        G = np.stack([oracle.stochastic_gradient(i, X[i], streams.gradient(i, t, 0))
+        G = np.stack([reference.stochastic_gradient(i, X[i], streams.gradient(i, t, 0))
                       for i in range(n)])
         Z_new = hp.beta * Z + (1.0 - hp.beta) * G
         if t == 0:
@@ -64,11 +136,6 @@ class RecordingOracle:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-    def stochastic_gradient(self, i, x, rng):
-        g = self._inner.stochastic_gradient(i, x, rng)
-        self.drawn.append(g.copy())
-        return g
 
     def stochastic_gradient_matrix(self, X, draws_step):
         G = self._inner.stochastic_gradient_matrix(X, draws_step)

@@ -81,6 +81,18 @@ def test_sweep_command(tmp_path, capsys):
     assert "loglog slope" in stdout
 
 
+@pytest.mark.parametrize("axis, values, field", [
+    ("Q", "1,0", "hyper.Q"), ("n", "5,2", "topology.n"), ("method", "lmt,sgd", "method")])
+def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, axis,
+                                                               values, field):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", cfg, "--axis", axis, "--values", values,
+                     "--out", str(out)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = write_cfg(tmp_path, text="method = nonsense\n", name="bad.cfg")
     assert cli.main(["run", bad]) == 2

@@ -61,6 +61,8 @@ def test_unknown_and_invalid_keys():
         quad_cfg(n=0).validate()
     with pytest.raises(ConfigError, match="eta_a"):
         quad_cfg(eta_a=None).validate()
+    with pytest.raises(ConfigError, match="objective.format"):
+        quad_cfg(data_format="parquet").validate()
 
 
 def test_referenced_files_checked_at_load():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lmtsim
-from helpers import dsmt_reference
+from helpers import dsmt_reference, local_reference
 from lmtsim import lmt
 from lmtsim import objectives as obj
 from lmtsim.streams import TrialStreams
@@ -79,7 +79,7 @@ def test_local_phase_single_step_returns_drawn_gradient():
     X0 = np.random.default_rng(1).normal(size=(5, 3))
     st = lmt.init_state("lmt", X0)
     _, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
-    expected = np.stack([oracle.full_gradient(i, X0[i]) for i in range(5)])
+    expected = np.stack([local_reference(oracle).gradient(i, X0[i]) for i in range(5)])
     assert np.allclose(R, expected, atol=1e-12)
     assert np.allclose(G_avg, expected, atol=1e-15)
 
@@ -88,7 +88,7 @@ def test_local_phase_correction_cancels_gradient():
     # corrections equal to minus the gradient freeze the local path
     oracle = stochastic_quadratic(4, 3, seed=5, sigma=0.0)
     X0 = np.random.default_rng(2).normal(size=(4, 3))
-    G = np.stack([oracle.full_gradient(i, X0[i]) for i in range(4)])
+    G = np.stack([local_reference(oracle).gradient(i, X0[i]) for i in range(4)])
     st = {**lmt.init_state("lmt", X0), "C": -G}
     hp = lmt.HyperParams(Q=6, eta_a=0.05, eta_s=1.0, beta=0.0, eta_w=0.0)
     X_Q, R, _ = lmt.local_update_phase(st, oracle, hp, None)
@@ -103,10 +103,11 @@ def test_local_phase_deterministic_mode_averages_path_gradients():
     st = lmt.init_state("lmt", X0)
     X_Q, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     # replay the path independently
+    reference = local_reference(oracle)
     X = X0.copy()
     acc = np.zeros_like(X)
     for step in range(5):
-        G = np.stack([oracle.full_gradient(i, X[i]) for i in range(3)])
+        G = np.stack([reference.gradient(i, X[i]) for i in range(3)])
         acc += G
         X = X - hp.eta_a * G
     assert np.allclose(R, acc / 5, atol=1e-12)
@@ -286,9 +287,10 @@ def test_single_agent_recovers_gradient_descent():
     hp = lmt.HyperParams(Q=1, eta_a=0.3, eta_s=0.5, beta=0.0, eta_w=0.5)
     st = lmt.init_state("lmt", np.zeros((1, 4)))
     x = np.zeros(4)
+    reference = local_reference(oracle)
     for _ in range(50):
         st = lmt.lmt_round(st, oracle, mix, hp)
-        x = x - hp.eta_hat * oracle.full_gradient(0, x)
+        x = x - hp.eta_hat * reference.gradient(0, x)
     assert np.abs(st["X"][0] - x).max() <= 1e-12
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import log_expit
 
-from helpers import finite_difference_gradient, fresh_stream
+from helpers import finite_difference_gradient, fresh_stream, local_reference
 from lmtsim import objectives as obj
 from lmtsim.streams import TrialStreams, bounded_uint32
 
@@ -99,8 +99,8 @@ def test_synthetic_dataset_deterministic():
 def test_logistic_single_sample_hand_values():
     data = obj.PartitionedDataset(shards=((np.array([[1.0]]), np.array([1.0])),))
     oracle = obj.logistic_l2_oracle(data, rho=0.0, batch=None)
-    assert oracle.value(0, np.zeros(1)) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert oracle.full_gradient(0, np.zeros(1))[0] == pytest.approx(-0.5, abs=1e-12)
+    assert oracle.global_value(np.zeros(1)) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert oracle.full_gradients_at(np.zeros(1))[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_log_expit_loss_equals_logaddexp_bit_for_bit():
@@ -127,20 +127,21 @@ def test_logistic_values_equal_the_logaddexp_form_bit_for_bit():
         losses = weights @ np.logaddexp(0.0, -(v[:, None] * (U @ Xt.T)))
         ridge = np.array([0.1 * float(x @ x) for x in Xt])
         assert values.tobytes() == (losses + ridge).tobytes()
-    for i, (Ui, vi) in enumerate(parts.shards):
-        x = X[0, i]
-        expected = float(np.mean(np.logaddexp(0.0, -(vi * (Ui @ x))))) + 0.1 * float(x @ x)
-        assert oracle.value(i, x) == expected
+    for x in X[0]:
+        expected = [float(np.mean(np.logaddexp(0.0, -(vi * (Ui @ x))))) + 0.1 * float(x @ x)
+                    for Ui, vi in parts.shards]
+        assert oracle.global_value(x) == float(np.mean(expected))
 
 
 def test_logistic_gradient_at_origin_closed_form():
     data = two_class_dataset(24, 5, seed=1)
     parts = obj.partition_heterogeneous(data, 4)
     oracle = obj.logistic_l2_oracle(parts, rho=0.3, batch=None)
+    G = oracle.full_gradients_at(np.zeros(5))
     for i in range(4):
         U, v = parts.shards[i]
         expected = -(U * v[:, None]).mean(axis=0) / 2.0
-        assert np.allclose(oracle.full_gradient(i, np.zeros(5)), expected, atol=1e-12)
+        assert np.allclose(G[i], expected, atol=1e-12)
 
 
 def test_nonconvex_regularizer_hand_values():
@@ -149,12 +150,12 @@ def test_nonconvex_regularizer_hand_values():
     x = np.array([1.0, 1.0])
     # each coordinate contributes 0.05 * (1/2) / 2 to the value
     data_term = math.log(1.0 + math.exp(-1.0))
-    assert oracle.value(0, x) == pytest.approx(data_term + 2 * 0.0125, abs=1e-12)
+    assert oracle.global_value(x) == pytest.approx(data_term + 2 * 0.0125, abs=1e-12)
     # regularizer gradient coordinate: 0.05 * 1 / (1 + 1)^2 = 0.0125
-    g = oracle.full_gradient(0, x)
+    g = oracle.full_gradients_at(x)[0]
     assert g[1] == pytest.approx(0.0125, abs=1e-12)
-    zero = oracle.full_gradient(0, np.zeros(2))
-    assert oracle.value(0, np.zeros(2)) == pytest.approx(math.log(2.0), abs=1e-12)
+    zero = oracle.full_gradients_at(np.zeros(2))[0]
+    assert oracle.global_value(np.zeros(2)) == pytest.approx(math.log(2.0), abs=1e-12)
     assert zero[1] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -163,9 +164,8 @@ def test_nonconvex_omega_zero_matches_ridge_rho_zero():
     a = obj.logistic_l2_oracle(parts, rho=0.0, batch=None)
     b = obj.logistic_nonconvex_oracle(parts, omega=0.0, batch=None)
     x = np.linspace(-1, 1, 4)
-    for i in range(3):
-        assert a.value(i, x) == pytest.approx(b.value(i, x), abs=1e-14)
-        assert np.allclose(a.full_gradient(i, x), b.full_gradient(i, x), atol=1e-14)
+    assert a.global_value(x) == pytest.approx(b.global_value(x), abs=1e-14)
+    assert np.allclose(a.full_gradients_at(x), b.full_gradients_at(x), atol=1e-14)
 
 
 def test_full_batch_mode_equals_full_gradient():
@@ -173,17 +173,28 @@ def test_full_batch_mode_equals_full_gradient():
     oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=None)
     x = np.array([0.1, -0.4, 0.2, 0.0])
     assert oracle.sigma == 0.0
-    g1 = oracle.stochastic_gradient(0, x, None)
-    assert np.array_equal(g1, oracle.full_gradient(0, x))
+    (draws_step,) = oracle.draw(None, 0, 1)
+    G = oracle.stochastic_gradient_matrix(np.stack([x, x]), draws_step)
+    assert np.array_equal(G, oracle.full_gradients_at(x))
+
+
+def _agent_samples(oracle, x, agent, samples, seed, Q=100):
+    """``samples`` stochastic gradients of ``agent`` at ``x``, drawn as
+    rounds draw them: every local step of successive rounds of one trial's
+    streams, with all agents at ``x``."""
+    streams = TrialStreams(seed, 0)
+    X = np.broadcast_to(x, (oracle.n_agents, oracle.dim))
+    return np.stack([oracle.stochastic_gradient_matrix(X, draws_step)[agent]
+                     for t in range(samples // Q) for draws_step in oracle.draw(streams, t, Q)])
 
 
 def test_minibatch_unbiased_and_variance_bounded():
     parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=4), 3)
     oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=2)
-    rng = np.random.default_rng(77)
-    x = rng.normal(size=4) * 0.5
-    full = oracle.full_gradient(1, x)
-    draws = np.stack([oracle.stochastic_gradient(1, x, rng) for _ in range(10_000)])
+    x = np.random.default_rng(77).normal(size=4) * 0.5
+    full = oracle.full_gradients_at(x)[1]
+    draws = _agent_samples(oracle, x, 1, 10_000, seed=77)
+    assert draws.shape == (10_000, 4)
     per_coord_err = np.abs(draws.mean(axis=0) - full)
     assert np.all(per_coord_err <= 3.0 * oracle.sigma / math.sqrt(10_000))
     sq_dev = np.sum((draws - full) ** 2, axis=1)
@@ -214,8 +225,9 @@ def test_stochastic_gradient_matrix_matches_per_agent_calls():
     X = np.random.default_rng(5).normal(size=(3, 4))
     streams = TrialStreams(99, 0)
     G = oracle.stochastic_gradient_matrix(X, oracle.draw(streams, 7, 2)[1])
+    reference = local_reference(oracle, parts)
     for i in range(3):
-        gi = oracle.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, 1))
+        gi = reference.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, 1))
         assert np.allclose(G[i], gi, atol=1e-15)
 
 
@@ -270,10 +282,11 @@ def test_quadratic_round_noise_matches_per_agent_calls():
     X = np.random.default_rng(5).normal(size=(3, 4))
     draws = oracle.draw(TrialStreams(99, 0), 7, 2)
     assert draws.shape == (2, 3, 4)
+    reference = local_reference(oracle)
     for step in range(2):
         G = oracle.stochastic_gradient_matrix(X, draws[step])
         for i in range(3):
-            gi = oracle.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, step))
+            gi = reference.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, step))
             assert np.allclose(G[i], gi, atol=1e-15)
 
 
@@ -293,9 +306,9 @@ def test_quadratic_round_noise_of_a_batch_matches_each_trial():
 
 def test_draws_are_none_in_deterministic_mode():
     parts = obj.partition_heterogeneous(two_class_dataset(20, 4, seed=6), 2)
-    assert obj.logistic_l2_oracle(parts, rho=0.2, batch=None).draw(None, 0, 3) is None
+    assert obj.logistic_l2_oracle(parts, rho=0.2, batch=None).draw(None, 0, 3) == [None] * 3
     quad = obj.QuadraticOracle(A=np.eye(2)[None], b=np.zeros((1, 2)), sigma=0.0)
-    assert quad.draw(None, 0, 3) is None
+    assert quad.draw(None, 0, 3) == [None] * 3
     with pytest.raises(ValueError, match="streams"):
         obj.logistic_l2_oracle(parts, rho=0.2, batch=1).draw(None, 0, 3)
 
@@ -320,10 +333,11 @@ def test_exact_gradient_kernel_equals_per_agent_calls_bit_for_bit(partition, reg
     oracle = obj.LogisticOracle(parts, reg=reg, coeff=0.1, batch=None)
     n, p = oracle.n_agents, oracle.dim
     rng = np.random.default_rng(3)
+    local = local_reference(oracle, parts)
 
     def reference(X):
         """Per-agent gradients, agent i at row i, for every leading index."""
-        return np.array([[oracle.full_gradient(i, Xt[i]) for i in range(n)]
+        return np.array([[local.gradient(i, Xt[i]) for i in range(n)]
                          for Xt in X.reshape(-1, n, p)]).reshape(X.shape)
 
     # rows of their own, without and with a leading trial axis
@@ -336,7 +350,7 @@ def test_exact_gradient_kernel_equals_per_agent_calls_bit_for_bit(partition, reg
         expected = reference(np.broadcast_to(x[..., None, :], shape[:-1] + (n, p)))
         assert oracle.full_gradients_at(x).tobytes() == expected.tobytes()
     for x in rng.normal(size=(5, p)):
-        assert oracle.global_value(x) == float(np.mean([oracle.value(i, x) for i in range(n)]))
+        assert oracle.global_value(x) == float(np.mean([local.value(i, x) for i in range(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +359,9 @@ def test_exact_gradient_kernel_equals_per_agent_calls_bit_for_bit(partition, reg
 def test_quadratic_identity_construction():
     oracle = obj.QuadraticOracle(A=np.eye(2)[None], b=np.zeros((1, 2)), sigma=0.0)
     x = np.array([0.3, -0.7])
-    assert np.allclose(oracle.full_gradient(0, x), x, atol=1e-15)
+    assert np.allclose(oracle.full_gradients_at(x)[0], x, atol=1e-15)
     assert oracle.f_star == pytest.approx(0.0, abs=1e-15)
-    assert oracle.value(0, x) == pytest.approx(0.5 * float(x @ x), abs=1e-15)
+    assert oracle.global_value(x) == pytest.approx(0.5 * float(x @ x), abs=1e-15)
 
 
 def test_quadratic_minimizer_solves_normal_equations():
@@ -386,9 +400,9 @@ def test_quadratic_noise_statistics():
     oracle = obj.quadratic_pl_oracle(n=3, p=8, mu_min=0.5, L=1.0, sigma=2.0,
                                      rng_seed=3)
     x = np.zeros(8)
-    rng = np.random.default_rng(42)
-    full = oracle.full_gradient(0, x)
-    draws = np.stack([oracle.stochastic_gradient(0, x, rng) for _ in range(20_000)])
+    full = oracle.full_gradients_at(x)[0]
+    draws = _agent_samples(oracle, x, 0, 20_000, seed=42)
+    assert draws.shape == (20_000, 8)
     assert np.allclose(draws.mean(axis=0), full, atol=3.0 * 2.0 / math.sqrt(20_000))
     sq = np.sum((draws - full) ** 2, axis=1)
     assert sq.mean() == pytest.approx(4.0, rel=0.05)
@@ -427,6 +441,7 @@ def test_global_values_at_rows_consistency():
 @pytest.mark.parametrize("factory", ["l2", "nonconvex", "quadratic"])
 def test_finite_difference_gradients(factory):
     rng = np.random.default_rng(17)
+    parts = None
     if factory == "quadratic":
         oracle = obj.quadratic_pl_oracle(n=4, p=5, mu_min=0.2, L=1.0, sigma=0.0,
                                          rng_seed=5)
@@ -436,10 +451,11 @@ def test_finite_difference_gradients(factory):
             oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=None)
         else:
             oracle = obj.logistic_nonconvex_oracle(parts, omega=0.05, batch=None)
+    reference = local_reference(oracle, parts)
     for _ in range(10):
         i = int(rng.integers(0, oracle.n_agents))
         x = rng.normal(size=oracle.dim)
-        approx = finite_difference_gradient(lambda y: oracle.value(i, y), x)
-        exact = oracle.full_gradient(i, x)
+        approx = finite_difference_gradient(lambda y: reference.value(i, y), x)
+        exact = oracle.full_gradients_at(x)[i]
         denom = max(np.linalg.norm(exact), 1e-8)
         assert np.linalg.norm(approx - exact) / denom <= 1e-5

@@ -19,7 +19,7 @@ def make_table(label, values, std=None):
         "lyapunov_surrogate": np.full(T, np.nan),
         "d_bar_drift": np.zeros(T),
     }
-    return ResultTable(label=label, fingerprint="", seed=0, columns=columns)
+    return ResultTable(label=label, columns=columns)
 
 
 def test_single_table_single_polyline(tmp_path):

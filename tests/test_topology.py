@@ -107,7 +107,7 @@ def test_lca_params_formula():
     p0 = tp.lca_params(0.0)
     assert p0.eta_w == pytest.approx(0.5, abs=1e-15)
     assert p0.rho_w == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert p0.c0 == 14.0
+    assert tp.C0 == 14.0
 
     for lam, eta_ref, rho_ref in [
         (0.997372, 0.93244, 0.96563),     # ring n=50
