@@ -18,10 +18,10 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig
+from . import harness, plotting
+from .config import SWEEP_AXES, TOPOLOGY_CHOICES, ConfigError, ExperimentConfig
 from .objectives import DatasetError
-from .topology import (MixingMatrixError, build_complete_mixing,
-                       build_ring_mixing, lca_params, load_mixing_csv)
+from .topology import MixingMatrixError, lca_params
 
 _CONFIG_ERRORS = (ConfigError, DatasetError, MixingMatrixError,
                   FileNotFoundError, ValueError)
@@ -39,13 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis of an experiment")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", required=True, choices=("Q", "n", "method"))
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
     p_sweep.add_argument("--out", help="override output.dir")
 
     p_spec = sub.add_parser("spectra", help="print spectral quantities of a topology")
-    p_spec.add_argument("kind", choices=("ring", "complete", "file"))
+    p_spec.add_argument("kind", choices=TOPOLOGY_CHOICES)
     p_spec.add_argument("arg", help="agent count, or CSV path for kind=file")
 
     p_plot = sub.add_parser("plot", help="plot metric curves from trace CSVs")
@@ -60,7 +60,7 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.out:
         cfg = replace(cfg, outdir=args.out)
-    table = run_experiment_entry(cfg)
+    table = harness.run_experiment(cfg)
     last = table.rounds - 1
     print(f"method={cfg.method} rounds={table.rounds} "
           f"final grad_norm_avg={table.columns['grad_norm_avg'][last]:.6e} "
@@ -70,21 +70,12 @@ def _cmd_run(args) -> int:
     return _divergence_status([table])
 
 
-def run_experiment_entry(cfg: ExperimentConfig):
-    # imported lazily so `spectra` stays fast
-    from .harness import run_experiment
-    return run_experiment(cfg)
-
-
 def _cmd_sweep(args) -> int:
-    from .harness import run_sweep
     cfg = ExperimentConfig.from_file(args.config)
     if args.out:
         cfg = replace(cfg, outdir=args.out)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if args.axis in ("Q", "n"):
-        values = [int(v) for v in values]
-    tables, summary = run_sweep(cfg, args.axis, values)
+    tables, summary = harness.run_sweep(cfg, args.axis, values)
     for row in summary["rows"]:
         print(f"{row['axis']}={row['value']}: "
               f"final grad_norm_avg={row['final_grad_norm_avg']:.6e} "
@@ -105,12 +96,10 @@ def _divergence_status(tables) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    if args.kind == "ring":
-        mix = build_ring_mixing(int(args.arg))
-    elif args.kind == "complete":
-        mix = build_complete_mixing(int(args.arg))
-    else:
-        mix = load_mixing_csv(args.arg)
+    file = args.kind == "file"
+    mix = harness.build_mixing(ExperimentConfig(
+        topology_kind=args.kind, n=0 if file else int(args.arg),
+        topology_path=args.arg if file else None))
     lca = lca_params(mix.lam) if mix.lam < 1.0 else None
     print(f"n = {mix.n}")
     print(f"lambda = {mix.lam!r}")
@@ -125,10 +114,8 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .harness import ResultTable
-    from .plotting import emit_plot
-    tables = [ResultTable.from_csv(path) for path in args.traces]
-    emit_plot(tables, args.metric, args.out, title=args.title)
+    tables = [harness.ResultTable.from_csv(path) for path in args.traces]
+    plotting.emit_plot(tables, args.metric, args.out, title=args.title)
     print(f"wrote {args.out}")
     return 0
 

@@ -16,12 +16,18 @@ METHOD_CHOICES = ("lmt", "naive_lmt", "local_dsgd", "led", "kgt", "pdsgdm", "sca
 SCHEDULE_CHOICES = ("explicit", "figure1", "theorem1", "theorem2")
 OBJECTIVE_CHOICES = ("logistic_l2", "logistic_nonconvex", "quadratic_pl")
 TOPOLOGY_CHOICES = ("ring", "complete", "file")
+SWEEP_AXES = ("Q", "n", "method")
 INIT_CHOICES = ("zeros", "gauss")
 FORMAT_CHOICES = ("libsvm", "csv")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
+
+
+def _key(key: str, default):
+    """A config field read from the dotted ``key``."""
+    return field(default=default, metadata={"key": key})
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -49,84 +55,49 @@ class ExperimentConfig:
     """Validated experiment description (all paths resolved)."""
 
     # topology
-    topology_kind: str = "ring"
-    n: int = 0
-    topology_path: str | None = None
+    topology_kind: str = _key("topology.kind", "ring")
+    n: int = _key("topology.n", 0)
+    topology_path: str | None = _key("topology.path", None)
     # objective
-    objective_kind: str = "quadratic_pl"
-    data_source: str | None = None          # "synthetic" or a file path
-    data_format: str | None = None          # "libsvm" | "csv" | None (by extension)
-    synthetic_samples: int = 1000
-    synthetic_features: int = 20
-    synthetic_seed: int = 0
-    rho: float = 0.2
-    omega: float = 0.05
-    batch: int | None = 1                   # None = deterministic full batch
-    quad_dim: int = 10
-    quad_mu: float = 0.1
-    quad_l: float = 1.0
-    quad_sigma: float = 0.0
-    quad_seed: int = 0
-    quad_center: bool = False
+    objective_kind: str = _key("objective.kind", "quadratic_pl")
+    data_source: str | None = _key("objective.data", None)  # "synthetic" or a path
+    data_format: str | None = _key("objective.format", None)  # None = by extension
+    synthetic_samples: int = _key("objective.synthetic.samples", 1000)
+    synthetic_features: int = _key("objective.synthetic.features", 20)
+    synthetic_seed: int = _key("objective.synthetic.seed", 0)
+    rho: float = _key("objective.rho", 0.2)
+    omega: float = _key("objective.omega", 0.05)
+    batch: int | None = _key("objective.batch", 1)  # None = deterministic full batch
+    quad_dim: int = _key("objective.dim", 10)
+    quad_mu: float = _key("objective.mu", 0.1)
+    quad_l: float = _key("objective.L", 1.0)
+    quad_sigma: float = _key("objective.sigma", 0.0)
+    quad_seed: int = _key("objective.seed", 0)
+    quad_center: bool = _key("objective.center", False)
     # method and schedule
-    method: str = "lmt"
-    schedule: str = "explicit"
-    Q: int = 1
-    eta_a: float | None = None
-    eta_s: float | None = None
-    beta: float | None = None               # None = use consensus rate rho_w
-    delta_f: float | None = None            # theorem1 input
+    method: str = _key("method", "lmt")
+    schedule: str = _key("schedule", "explicit")
+    Q: int = _key("hyper.Q", 1)
+    eta_a: float | None = _key("hyper.eta_a", None)
+    eta_s: float | None = _key("hyper.eta_s", None)
+    beta: float | None = _key("hyper.beta", None)  # None = consensus rate rho_w
+    delta_f: float | None = _key("schedule.delta_f", None)  # theorem1 input
     # run
-    T: int = 100
-    trials: int = 10
-    seed: int = 0
-    init: str = "zeros"
-    init_scale: float = 1.0
-    outdir: str | None = None
-
-    _KEYMAP = {
-        "topology.kind": "topology_kind",
-        "topology.n": "n",
-        "topology.path": "topology_path",
-        "objective.kind": "objective_kind",
-        "objective.data": "data_source",
-        "objective.format": "data_format",
-        "objective.synthetic.samples": "synthetic_samples",
-        "objective.synthetic.features": "synthetic_features",
-        "objective.synthetic.seed": "synthetic_seed",
-        "objective.rho": "rho",
-        "objective.omega": "omega",
-        "objective.batch": "batch",
-        "objective.dim": "quad_dim",
-        "objective.mu": "quad_mu",
-        "objective.L": "quad_l",
-        "objective.sigma": "quad_sigma",
-        "objective.seed": "quad_seed",
-        "objective.center": "quad_center",
-        "method": "method",
-        "schedule": "schedule",
-        "schedule.delta_f": "delta_f",
-        "hyper.Q": "Q",
-        "hyper.eta_a": "eta_a",
-        "hyper.eta_s": "eta_s",
-        "hyper.beta": "beta",
-        "run.T": "T",
-        "run.trials": "trials",
-        "run.seed": "seed",
-        "run.init": "init",
-        "run.init_scale": "init_scale",
-        "output.dir": "outdir",
-    }
+    T: int = _key("run.T", 100)
+    trials: int = _key("run.trials", 10)
+    seed: int = _key("run.seed", 0)
+    init: str = _key("run.init", "zeros")
+    init_scale: float = _key("run.init_scale", 1.0)
+    outdir: str | None = _key("output.dir", None)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str],
                      base_dir: str = ".") -> "ExperimentConfig":
         values: dict[str, object] = {}
         for key, raw in mapping.items():
-            if key not in cls._KEYMAP:
+            if key not in KEYS:
                 raise ConfigError(f"{key}: unknown configuration key")
-            attr = cls._KEYMAP[key]
-            values[attr] = _convert(key, attr, raw)
+            values[KEYS[key]] = parse_value(KEYS[key], raw)
         cfg = cls(**values)
         cfg = cfg._resolve_paths(base_dir)
         cfg.validate()
@@ -156,6 +127,9 @@ class ExperimentConfig:
                 raise ConfigError("topology.path: required for topology.kind = file")
             if not os.path.exists(self.topology_path):
                 raise ConfigError(f"topology.path: file not found: {self.topology_path}")
+            if self.n:
+                raise ConfigError(f"topology.n: the file of topology.kind = file sets "
+                                  f"the agent count, got {self.n}")
         elif self.n < (least := 3 if self.topology_kind == "ring" else 1):
             raise ConfigError(f"topology.n: a {self.topology_kind} topology needs "
                               f"at least {least} agents, got {self.n}")
@@ -168,6 +142,9 @@ class ExperimentConfig:
                                   "(path or 'synthetic')")
             if self.data_source != "synthetic" and not os.path.exists(self.data_source):
                 raise ConfigError(f"objective.data: file not found: {self.data_source}")
+            if self.data_source == "synthetic" and self.synthetic_samples < self.n:
+                raise ConfigError(f"objective.synthetic.samples: cannot split "
+                                  f"{self.synthetic_samples} samples among {self.n} agents")
         if self.data_format is not None and self.data_format not in FORMAT_CHOICES:
             raise ConfigError(f"objective.format: expected one of {FORMAT_CHOICES}, "
                               f"got {self.data_format!r}")
@@ -192,21 +169,21 @@ class ExperimentConfig:
             raise ConfigError(f"hyper.beta: must lie in [0, 1), got {self.beta}")
 
     def canonical_items(self) -> list[tuple[str, str]]:
-        inverse = {attr: key for key, attr in self._KEYMAP.items()}
-        items = []
-        for f in fields(self):
-            if f.name.startswith("_") or f.name == "outdir":
-                continue
-            items.append((inverse[f.name], repr(getattr(self, f.name))))
-        return sorted(items)
+        return sorted((f.metadata["key"], repr(getattr(self, f.name)))
+                      for f in fields(self) if f.name != "outdir")
 
     def fingerprint(self) -> str:
         text = "\n".join(f"{k} = {v}" for k, v in self.canonical_items())
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _convert(key: str, attr: str, raw: str):
-    kind = ExperimentConfig.__dataclass_fields__[attr].type
+#: every accepted key and the attribute it sets
+KEYS = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
+
+
+def parse_value(attr: str, raw: str):
+    """The value of field ``attr`` written as ``raw``; errors name its key."""
+    spec = ExperimentConfig.__dataclass_fields__[attr]
     try:
         if attr == "batch":
             return None if raw.lower() == "full" else _positive_int(raw)
@@ -216,13 +193,13 @@ def _convert(key: str, attr: str, raw: str):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(f"expected a boolean, got {raw!r}")
-        if kind == "int":
+        if spec.type == "int":
             return int(raw)
-        if kind == "float" or kind == "float | None":
+        if spec.type in ("float", "float | None"):
             return float(raw)
         return raw
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}")
+        raise ConfigError(f"{spec.metadata['key']}: {exc}")
 
 
 def _positive_int(raw: str) -> int:

@@ -27,7 +27,7 @@ from . import diagnostics as dg
 from . import lmt
 from . import objectives as obj
 from . import topology as tp
-from .config import ConfigError, ExperimentConfig
+from .config import SWEEP_AXES, ConfigError, ExperimentConfig, parse_value
 from .streams import TrialStreams
 
 
@@ -82,6 +82,9 @@ def build_mixing(cfg: ExperimentConfig) -> tp.MixingMatrix:
 
 
 def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
+    """The oracle of ``cfg`` over ``n`` agents, its ``f_star`` set whenever
+    it is known: closed form for the quadratic, one full-gradient solve for
+    ridge logistic regression with ``rho > 0``."""
     if cfg.objective_kind == "quadratic_pl":
         return obj.quadratic_pl_oracle(n=n, p=cfg.quad_dim, mu_min=cfg.quad_mu,
                                        L=cfg.quad_l, sigma=cfg.quad_sigma,
@@ -97,9 +100,12 @@ def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
         loader = obj.load_csv if fmt == "csv" else obj.load_libsvm
         data = loader(cfg.data_source)
     shards = obj.partition_heterogeneous(data, n)
-    if cfg.objective_kind == "logistic_l2":
-        return obj.logistic_l2_oracle(shards, rho=cfg.rho, batch=cfg.batch)
-    return obj.logistic_nonconvex_oracle(shards, omega=cfg.omega, batch=cfg.batch)
+    if cfg.objective_kind == "logistic_nonconvex":
+        return obj.logistic_nonconvex_oracle(shards, omega=cfg.omega, batch=cfg.batch)
+    oracle = obj.logistic_l2_oracle(shards, rho=cfg.rho, batch=cfg.batch)
+    if cfg.rho > 0:
+        oracle.f_star = dg.solve_f_star(oracle)
+    return oracle
 
 
 def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
@@ -129,11 +135,10 @@ def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
                                     Q=cfg.Q, T=cfg.T, delta_f=delta_f, beta=beta,
                                     eta_w=lca.eta_w)
     else:  # theorem2
-        mu = oracle.mu if oracle.mu else cfg.quad_mu
-        if not mu or mu <= 0:
-            raise ConfigError("schedule: theorem2 needs a positive strong "
-                              "convexity / PL modulus")
-        hp = lmt.theorem2_stepsizes(mu=mu, Q=cfg.Q, T=cfg.T, lam=mix.lam)
+        if not oracle.mu or oracle.mu <= 0:
+            raise ConfigError("schedule: theorem2 needs an oracle with a positive "
+                              "strong convexity / PL modulus")
+        hp = lmt.theorem2_stepsizes(mu=oracle.mu, Q=cfg.Q, T=cfg.T, lam=mix.lam)
     if cfg.method in ("lmt", "naive_lmt", "pdsgdm"):
         lmt.check_momentum(hp.beta, lca.rho_w)
     return hp
@@ -152,23 +157,14 @@ def _initial_iterates(cfg: ExperimentConfig, n: int, p: int,
     return X0
 
 
-def _resolve_f_star(cfg: ExperimentConfig, oracle: obj.GradientOracle) -> float | None:
-    if oracle.f_star is not None:
-        return oracle.f_star
-    if cfg.objective_kind == "logistic_l2" and cfg.rho > 0:
-        oracle.f_star = dg.solve_f_star(oracle)
-        return oracle.f_star
-    return None
-
-
-_MEAN_STD_METRICS = ("grad_norm_avg", "opt_gap_mean")
-_MEAN_ONLY_METRICS = ("consensus_x", "consensus_y", "z_dev",
-                      "lyapunov_surrogate", "d_bar_drift")
+#: the per-round metrics, each averaged across trials with its std
+_METRICS = tuple(name for name in dg.TRACE_COLUMNS
+                 if name != "t" and not name.endswith("_std"))
 
 
 def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
-                oracle: obj.GradientOracle, hp: lmt.HyperParams, trials: list[int],
-                f_star: float | None) -> tuple[dict[str, np.ndarray], list[int | None]]:
+                oracle: obj.GradientOracle, hp: lmt.HyperParams,
+                trials: list[int]) -> tuple[dict[str, np.ndarray], list[int | None]]:
     """Per-round metrics of ``trials``, run as one batch on a leading array
     axis (one row per trial, one column per round), and each trial's first
     round whose iterates or whose metrics the method defines are not finite
@@ -181,8 +177,7 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
     differently.
     """
     k = len(trials)
-    out = {name: np.full((k, cfg.T), np.nan) for name in
-           _MEAN_STD_METRICS + _MEAN_ONLY_METRICS}
+    out = {name: np.full((k, cfg.T), np.nan) for name in _METRICS}
     diverged: list[int | None] = [None] * k
     live = np.arange(k)  # rows of ``out`` of the trials still in the batch
 
@@ -191,6 +186,7 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
     state = lmt.init_state(cfg.method, X0)
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
     is_tracking = cfg.method in ("lmt", "naive_lmt")
+    f_star = oracle.f_star
     have_lyapunov = is_tracking and f_star is not None and oracle.L is not None
     x_bar_prev = d_prev = r_bar_prev = None
 
@@ -268,16 +264,14 @@ def run_experiment(cfg: ExperimentConfig,
     lca = tp.lca_params(mix.lam)
     oracle = build_oracle(cfg, mix.n)
     hp = resolve_hyperparams(cfg, oracle, mix)
-    f_star = _resolve_f_star(cfg, oracle)
 
-    per_trial, diverged = _run_trials(cfg, mix, lca, oracle, hp,
-                                      list(range(cfg.trials)), f_star)
+    per_trial, diverged = _run_trials(cfg, mix, lca, oracle, hp, list(range(cfg.trials)))
     diverged_at = min((t for t in diverged if t is not None), default=None)
 
     # mean and std of every metric are kept in memory; the trace CSV
     # schema carries std columns only for the two headline metrics
     columns: dict[str, np.ndarray] = {"t": np.arange(cfg.T, dtype=float)}
-    for name in _MEAN_STD_METRICS + _MEAN_ONLY_METRICS:
+    for name in _METRICS:
         stacked = per_trial[name]
         # rounds whose magnitude reaches 2**256 are scaled by an exact power
         # of two, so finite trials overflow neither the sum nor the squares;
@@ -292,13 +286,13 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.outdir:
         os.makedirs(cfg.outdir, exist_ok=True)
         table.to_csv(os.path.join(cfg.outdir, "trace.csv"))
-        _write_meta(cfg, mix, lca, hp, f_star, diverged_at,
+        _write_meta(cfg, mix, lca, oracle, hp, diverged_at,
                     os.path.join(cfg.outdir, "meta.txt"))
     return table
 
 
 def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
-                hp: lmt.HyperParams, f_star: float | None,
+                oracle: obj.GradientOracle, hp: lmt.HyperParams,
                 diverged_at: int | None, path: str) -> None:
     lines = [
         f"fingerprint = {cfg.fingerprint()}",
@@ -318,16 +312,13 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
         f"beta = {hp.beta!r}",
         f"T = {cfg.T}",
         f"trials = {cfg.trials}",
-        f"f_star = {'unknown' if f_star is None else repr(f_star)}",
+        f"f_star = {'unknown' if oracle.f_star is None else repr(oracle.f_star)}",
         f"diverged_at = {'none' if diverged_at is None else diverged_at}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-SWEEP_AXES = ("Q", "n", "method")
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[ResultTable], dict]:
@@ -346,9 +337,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     # every point is checked before any runs, so a bad value names its field
-    kind = str if axis == "method" else int
+    values = [parse_value(axis, str(v)) for v in values]
     for value in values:
-        replace(cfg, **{axis: kind(value)}).validate()
+        replace(cfg, **{axis: value}).validate()
 
     tables: list[ResultTable] = []
     rows: list[dict] = []
@@ -361,18 +352,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
         base_hp = resolve_hyperparams(cfg, oracle, mix)
 
     for value in values:
+        point = replace(cfg, **{axis: value})
         if axis == "Q":
-            q = int(value)
-            point = replace(cfg, schedule="explicit", Q=q,
-                            eta_a=base_hp.eta_hat / (base_hp.eta_s * q),
+            point = replace(point, schedule="explicit",
+                            eta_a=base_hp.eta_hat / (base_hp.eta_s * value),
                             eta_s=base_hp.eta_s, beta=base_hp.beta)
-            label = f"Q={q}"
-        elif axis == "n":
-            point = replace(cfg, n=int(value))
-            label = f"n={int(value)}"
-        else:
-            point = replace(cfg, method=str(value))
-            label = str(value)
+        label = value if axis == "method" else f"{axis}={value}"
         if base_outdir:
             point = replace(point, outdir=os.path.join(
                 base_outdir, f"point_{axis}_{label.replace('=', '')}"))

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lmtsim import cli
+from lmtsim import cli, harness
 from lmtsim.topology import build_ring_mixing, save_mixing_csv
 
 QUICK_CFG = """
@@ -81,11 +81,36 @@ def test_sweep_command(tmp_path, capsys):
     assert "loglog slope" in stdout
 
 
-@pytest.mark.parametrize("axis, values, field", [
-    ("Q", "1,0", "hyper.Q"), ("n", "5,2", "topology.n"), ("method", "lmt,sgd", "method")])
+# a graph read from a file fixes the agent count
+FILE_TOPOLOGY_CFG = QUICK_CFG.replace("topology.kind = ring", "topology.kind = file\n"
+                                      "topology.path = W.csv").replace("topology.n = 5\n", "")
+
+# six samples cannot be split among seven agents
+SIX_SAMPLES_CFG = """
+topology.kind = ring
+topology.n = 3
+objective.kind = logistic_l2
+objective.data = synthetic
+objective.synthetic.samples = 6
+objective.synthetic.features = 2
+method = lmt
+schedule = figure1
+run.T = 5
+run.trials = 1
+"""
+
+
+@pytest.mark.parametrize("axis, values, field, text", [
+    pytest.param(*row, id="-".join(row[:3])) for row in [
+        ("Q", "1,0", "hyper.Q", QUICK_CFG), ("Q", "1,2.5", "hyper.Q", QUICK_CFG),
+        ("n", "5,2", "topology.n", QUICK_CFG),
+        ("method", "lmt,sgd", "method", QUICK_CFG),
+        ("n", "5,9", "topology.n", FILE_TOPOLOGY_CFG),
+        ("n", "3,7", "objective.synthetic.samples", SIX_SAMPLES_CFG)]])
 def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, axis,
-                                                               values, field):
-    cfg = write_cfg(tmp_path)
+                                                               values, field, text):
+    save_mixing_csv(build_ring_mixing(5), str(tmp_path / "W.csv"))
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "sweep"
     assert cli.main(["sweep", cfg, "--axis", axis, "--values", values,
                      "--out", str(out)]) == 2
@@ -106,7 +131,7 @@ def test_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise RuntimeError("deliberate failure")
 
-    monkeypatch.setattr(cli, "run_experiment_entry", boom)
+    monkeypatch.setattr(harness, "run_experiment", boom)
     assert cli.main(["run", cfg]) == 3
     assert "deliberate failure" in capsys.readouterr().err
 

@@ -9,9 +9,12 @@ import pytest
 import lmtsim
 from lmtsim import baselines, harness, lmt
 from lmtsim import topology as tp
-from lmtsim.config import METHOD_CHOICES, ConfigError, ExperimentConfig, parse_config_text
+from lmtsim.config import KEYS, METHOD_CHOICES, ConfigError, ExperimentConfig, \
+    parse_config_text
 from lmtsim.harness import ResultTable, build_oracle, resolve_hyperparams, \
     build_mixing, run_experiment, run_sweep
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 QUAD_CFG = """
 topology.kind = ring
@@ -102,6 +105,15 @@ def test_fingerprint_changes_with_every_field():
         seen.add(fp)
 
 
+def test_shipped_config_fingerprint_and_keys():
+    # pins every key, default and repr the fingerprint reads
+    cfg = ExperimentConfig.from_file(os.path.join(ROOT, "configs", "figure1_ring50.cfg"))
+    assert cfg.fingerprint() == ("2fde4e3b23771aa5e86d107f7a2d2c50"
+                                 "46589ac818a6769f899e76e2ba38fdee")
+    keys = [key for key, _ in cfg.canonical_items()] + ["output.dir"]
+    assert sorted(keys) == sorted(KEYS)
+
+
 def test_fingerprint_ignores_outdir():
     a = quad_cfg(outdir=None).fingerprint()
     b = quad_cfg(outdir="/tmp/x").fingerprint()
@@ -136,6 +148,27 @@ def test_theorem_schedules_resolve():
     oracle2 = build_oracle(cfg2, mix.n)
     hp2 = resolve_hyperparams(cfg2, oracle2, mix)
     assert hp2.eta_a == pytest.approx(1.0 / (cfg2.Q * oracle2.mu * cfg2.T), rel=1e-12)
+
+    # ridge logistic regression: theorem1 takes delta_f from the solved optimum
+    ridge = quad_cfg(objective_kind="logistic_l2", data_source="synthetic",
+                     synthetic_samples=60, synthetic_features=3, schedule="theorem1")
+    oracle3 = build_oracle(ridge, mix.n)
+    lca = tp.lca_params(mix.lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hp3 = resolve_hyperparams(ridge, oracle3, mix)
+        expected = lmt.theorem1_stepsizes(
+            L=oracle3.L, sigma=oracle3.sigma, n=mix.n, Q=ridge.Q, T=ridge.T,
+            delta_f=oracle3.global_value(np.zeros(oracle3.dim)) - oracle3.f_star,
+            beta=lca.rho_w, eta_w=lca.eta_w)
+    assert hp3 == expected
+
+    # theorem2 takes the modulus from the oracle only, never from objective.mu
+    # (0.3 here), so objectives without one are rejected
+    for no_modulus in (dict(objective_kind="logistic_nonconvex"), dict(rho=0.0)):
+        cfg3 = dataclasses.replace(ridge, schedule="theorem2", **no_modulus)
+        with pytest.raises(ConfigError, match="schedule"):
+            resolve_hyperparams(cfg3, build_oracle(cfg3, mix.n), mix)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +322,7 @@ def run_trials(cfg, trials):
     mix = build_mixing(cfg)
     oracle = build_oracle(cfg, mix.n)
     hp = resolve_hyperparams(cfg, oracle, mix)
-    return harness._run_trials(cfg, mix, tp.lca_params(mix.lam), oracle, hp,
-                               trials, harness._resolve_f_star(cfg, oracle))
+    return harness._run_trials(cfg, mix, tp.lca_params(mix.lam), oracle, hp, trials)
 
 
 def assert_batch_matches_each_trial_alone(cfg, trials):
