@@ -9,6 +9,7 @@ content fingerprint for provenance.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -196,7 +197,10 @@ def parse_value(attr: str, raw: str):
         if spec.type == "int":
             return int(raw)
         if spec.type in ("float", "float | None"):
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {raw!r}")
+            return value
         return raw
     except ValueError as exc:
         raise ConfigError(f"{spec.metadata['key']}: {exc}")

@@ -58,24 +58,22 @@ def lyapunov_surrogate(*, f_dbar: float, f_star: float, z_bar_sq: float,
 
     Consensus terms use the realized ``|Pi x|^2`` and ``|Pi y|^2`` of this
     trajectory in place of their expectation-level upper bounds.  The
-    trajectory terms may be arrays, one entry per trial; like float
-    arithmetic, an entry that overflows turns inf or NaN without a warning.
+    trajectory terms may be arrays, one entry per trial.
     """
-    if f_star is None or L is None:
-        raise ValueError("lyapunov surrogate needs f_star and L")
+    if f_star is None:
+        raise ValueError("lyapunov surrogate needs f_star")
     eta_hat = hp.eta_hat
     one_minus_beta = 1.0 - hp.beta
     one_minus_rho = 1.0 - lca.rho_w
     aq2 = hp.eta_a ** 2 * hp.Q ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            (f_dbar - f_star)
-            + 4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3 * z_bar_sq
-            + 11.0 * eta_hat * L * L / (n * one_minus_rho) * consensus_x
-            + 21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho) * consensus_y
-            + 6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L
-            / (n * one_minus_beta) * z_dev
-        )
+    return (
+        (f_dbar - f_star)
+        + 4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3 * z_bar_sq
+        + 11.0 * eta_hat * L * L / (n * one_minus_rho) * consensus_x
+        + 21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho) * consensus_y
+        + 6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L
+        / (n * one_minus_beta) * z_dev
+    )
 
 
 #: gradient-norm target and iteration budget of :func:`solve_f_star`
@@ -89,10 +87,8 @@ def solve_f_star(oracle) -> float:
     Deterministic full-gradient descent from the origin with a fixed step,
     run until the global gradient norm drops below 1e-10.  Intended for
     strongly convex objectives (ridge-regularized logistic); raises if the
-    oracle exposes no smoothness constant or the tolerance is not reached.
+    tolerance is not reached.
     """
-    if oracle.L is None:
-        raise ValueError("cannot solve for f_star without a smoothness constant")
     step = 2.0 / (oracle.L + oracle.mu) if oracle.mu else 1.0 / oracle.L
     x = np.zeros(oracle.dim)
     for _ in range(_F_STAR_MAX_ITER):

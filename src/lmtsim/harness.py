@@ -120,9 +120,6 @@ def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
         hp = lmt.HyperParams(Q=cfg.Q, eta_a=0.25 / cfg.Q, eta_s=0.1,
                              beta=beta, eta_w=lca.eta_w)
     elif cfg.schedule == "theorem1":
-        if oracle.L is None:
-            raise ConfigError("schedule: theorem1 needs an oracle with a "
-                              "known smoothness constant")
         delta_f = cfg.delta_f
         if delta_f is None:
             if oracle.f_star is None:
@@ -162,24 +159,26 @@ _METRICS = tuple(name for name in dg.TRACE_COLUMNS
                  if name != "t" and not name.endswith("_std"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
                 trials: list[int]) -> tuple[dict[str, np.ndarray], list[int | None]]:
     """Per-round metrics of ``trials``, run as one batch on a leading array
     axis (one row per trial, one column per round), and each trial's first
-    round whose iterates or whose metrics the method defines are not finite
-    (None if every round's are).  A trial leaves the batch there; its rows
-    from that round on stay NaN.
+    round whose metrics the method defines are not finite, or ``T`` if only
+    the iterates of the last round are not (None if every round's are).  A
+    trial's rows from that round on are NaN; the loop stops after the round
+    in which the last trial diverged.
 
     Every kernel acts on each trial's slice exactly as on that trial alone,
-    so a trial's metrics do not depend on the batch it runs in.  The dot
+    so a trial's metrics do not depend on the batch it runs in, and a
+    diverged trial's inf and NaN values stay in its own slice.  The dot
     products and norms below stay per trial: their batched forms round
     differently.
     """
     k = len(trials)
     out = {name: np.full((k, cfg.T), np.nan) for name in _METRICS}
-    diverged: list[int | None] = [None] * k
-    live = np.arange(k)  # rows of ``out`` of the trials still in the batch
+    at = np.full(k, cfg.T + 1)  # each trial's divergence round, T + 1 for none
 
     streams = TrialStreams(cfg.seed, trials)
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
@@ -187,7 +186,6 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
     is_tracking = cfg.method in ("lmt", "naive_lmt")
     f_star = oracle.f_star
-    have_lyapunov = is_tracking and f_star is not None and oracle.L is not None
     x_bar_prev = d_prev = r_bar_prev = None
 
     for t in range(cfg.T):
@@ -207,7 +205,7 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
             z_bar_sq = np.array([z @ z for z in state["Z"].mean(axis=-2)])
             d_bar = dg.d_bar_sequence(x_bar, x_bar_prev, hp.beta, t)
             if t == 0:
-                row["d_bar_drift"] = np.zeros(len(live))
+                row["d_bar_drift"] = np.zeros(k)
             else:
                 resid = d_bar - (d_prev - hp.eta_hat * r_bar_prev)
                 row["d_bar_drift"] = np.array([np.linalg.norm(r) for r in resid])
@@ -223,7 +221,7 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
         if is_tracking:
             row["consensus_y"] = dg.consensus_error(state["Y"])
             r_bar_prev = state["G_avg"].mean(axis=-2)
-            if have_lyapunov:
+            if f_star is not None:
                 row["lyapunov_surrogate"] = dg.lyapunov_surrogate(
                     f_dbar=np.array([oracle.global_value(d) for d in d_bar]),
                     f_star=f_star, z_bar_sq=z_bar_sq,
@@ -231,27 +229,20 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
                     z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
 
         # ``row`` holds exactly the metrics the method defines
-        bad_metrics = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
-        bad_iterates = ~np.isfinite(state["X"]).all(axis=(-2, -1)) & ~bad_metrics
         for name, values in row.items():
-            out[name][live, t] = np.where(bad_metrics, np.nan, values)
-        for j in live[bad_metrics]:
-            diverged[j] = t
-        for j in live[bad_iterates]:
-            diverged[j] = t + 1
-
+            out[name][:, t] = values
+        bad = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
+        at[bad & (at > cfg.T)] = t
         x_bar_prev, d_prev = x_bar, d_bar
-        keep = ~(bad_metrics | bad_iterates)
-        if not keep.all():
-            live = live[keep]
-            if not live.size:
-                break
-            state = {key: v if key == "t" else v[keep] for key, v in state.items()}
-            x_bar_prev = x_bar_prev[keep]
-            if is_tracking:
-                d_prev, r_bar_prev = d_prev[keep], r_bar_prev[keep]
-            streams = TrialStreams(cfg.seed, [trials[j] for j in live])
-    return out, diverged
+        if (at <= t).all():
+            break
+
+    # non-finite iterates make the next round's ``consensus_x`` non-finite,
+    # so only those the last round returned need a check of their own
+    at[(at > cfg.T) & ~np.isfinite(state["X"]).all(axis=(-2, -1))] = cfg.T
+    for values in out.values():
+        values[np.arange(cfg.T) >= at[:, None]] = np.nan
+    return out, [int(a) if a <= cfg.T else None for a in at]
 
 
 def run_experiment(cfg: ExperimentConfig,

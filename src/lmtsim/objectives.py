@@ -184,7 +184,7 @@ class GradientOracle(abc.ABC):
         dim: iterate dimension p.
         sigma: upper bound on the stochastic-gradient standard deviation
             (0 in deterministic mode).
-        L: smoothness constant of the local functions, if known.
+        L: smoothness constant of the local functions.
         mu: strong-convexity / PL modulus of the global function, if known.
         f_star: global minimum value, if known.
     """
@@ -192,7 +192,7 @@ class GradientOracle(abc.ABC):
     n_agents: int
     dim: int
     sigma: float
-    L: float | None = None
+    L: float
     mu: float | None = None
     f_star: float | None = None
 

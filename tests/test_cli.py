@@ -149,7 +149,6 @@ run.T = 200
 """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_stops_records_and_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, DIVERGING_CFG)
     out = tmp_path / "run"
@@ -175,7 +174,6 @@ OVERFLOWING_CFG = DIVERGING_CFG.replace("hyper.eta_a = 50", "hyper.eta_a = 100")
     "hyper.Q = 2", "hyper.Q = 1")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_metrics_stop_the_run_and_exit_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, OVERFLOWING_CFG)
     out = tmp_path / "run"

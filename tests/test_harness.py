@@ -58,6 +58,10 @@ def test_unknown_and_invalid_keys():
         ExperimentConfig.from_mapping({"nonsense": "1"})
     with pytest.raises(ConfigError, match="hyper.Q"):
         ExperimentConfig.from_mapping({"hyper.Q": "few"})
+    for key, raw in (("hyper.eta_a", "nan"), ("objective.rho", "inf"),
+                     ("schedule.delta_f", "-inf")):
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            ExperimentConfig.from_mapping({key: raw})
     with pytest.raises(ConfigError, match="method"):
         quad_cfg(method="sgd").validate()
     with pytest.raises(ConfigError, match="topology.n"):
@@ -374,7 +378,6 @@ run.init_scale = 1e100
 """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("T", [53, 60])
 def test_diverging_trials_keep_their_own_round(T):
     cfg = ExperimentConfig.from_mapping(parse_config_text(DIVERGING_TRIALS_CFG.format(T=T)))
@@ -391,6 +394,22 @@ def test_diverging_trials_keep_their_own_round(T):
         assert None in diverged
     table = run_experiment(cfg)
     assert table.diverged_at == min(at for at in diverged if at is not None)
+
+
+@pytest.mark.parametrize("T", [60, 200])
+def test_run_stops_after_the_round_the_last_trial_diverged_in(T, monkeypatch):
+    # the trials diverge at rounds 52 and 53, so rounds 0 to 53 run
+    calls = []
+    lmt_round = lmt.lmt_round
+
+    def counted(*args):
+        calls.append(args)
+        return lmt_round(*args)
+
+    monkeypatch.setattr(lmt, "lmt_round", counted)
+    cfg = ExperimentConfig.from_mapping(parse_config_text(DIVERGING_TRIALS_CFG.format(T=T)))
+    run_experiment(cfg)
+    assert len(calls) == 54
 
 
 class _InfGradientsAtRound:
@@ -412,18 +431,20 @@ class _InfGradientsAtRound:
         return np.full_like(G, np.inf) if self._round == self._bad_round else G
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_iterates_that_turn_non_finite_diverge_at_the_next_round(monkeypatch):
-    # round 4 starts from finite iterates, so its metrics are finite; only
-    # the iterates it returns are not, and round 5 is the first to go
+@pytest.mark.parametrize("bad_round, T", [(4, 12), (11, 12)])
+def test_iterates_that_turn_non_finite_diverge_at_the_next_round(bad_round, T, monkeypatch):
+    # the bad round starts from finite iterates, so its metrics are finite;
+    # only the iterates it returns are not, and the next round is the first
+    # to go, even when the bad round is the last one
     build = harness.build_oracle
     monkeypatch.setattr(harness, "build_oracle",
-                        lambda cfg, n: _InfGradientsAtRound(build(cfg, n), 4))
-    table = run_experiment(quad_cfg(method="local_dsgd", T=12))
-    assert table.diverged_at == 5
+                        lambda cfg, n: _InfGradientsAtRound(build(cfg, n), bad_round))
+    table = run_experiment(quad_cfg(method="local_dsgd", T=T))
+    at = bad_round + 1
+    assert table.diverged_at == at
     for name in ("consensus_x", "grad_norm_avg", "opt_gap_mean"):
-        assert np.isfinite(table.columns[name][:5]).all(), name
-        assert np.isnan(table.columns[name][5:]).all(), name
+        assert np.isfinite(table.columns[name][:at]).all(), name
+        assert np.isnan(table.columns[name][at:]).all(), name
 
 
 # ---------------------------------------------------------------------------
