@@ -146,6 +146,8 @@ class ExperimentConfig:
             if self.data_source == "synthetic" and self.synthetic_samples < self.n:
                 raise ConfigError(f"objective.synthetic.samples: cannot split "
                                   f"{self.synthetic_samples} samples among {self.n} agents")
+        if self.quad_dim < 1:
+            raise ConfigError(f"objective.dim: must be >= 1, got {self.quad_dim}")
         if self.data_format is not None and self.data_format not in FORMAT_CHOICES:
             raise ConfigError(f"objective.format: expected one of {FORMAT_CHOICES}, "
                               f"got {self.data_format!r}")

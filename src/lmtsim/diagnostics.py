@@ -33,47 +33,81 @@ def consensus_error(M: np.ndarray):
 
 
 def d_bar_sequence(x_bar_t: np.ndarray, x_bar_prev: np.ndarray | None,
-                   beta: float, t: int) -> np.ndarray:
+                   beta: float) -> np.ndarray:
     """Momentum-compensated auxiliary point.
 
-    Equals the averaged iterate at ``t = 0``; afterwards
-    ``x_bar_t / (1 - beta) - beta x_bar_{t-1} / (1 - beta)``, which removes
-    the momentum lag so the sequence moves like plain SGD on the averaged
-    gradients.
+    Equals the averaged iterate in round 0 (``x_bar_prev`` None);
+    afterwards ``x_bar_t / (1 - beta) - beta x_bar_{t-1} / (1 - beta)``,
+    which removes the momentum lag so the sequence moves like plain SGD on
+    the averaged gradients.
     """
     if beta >= 1.0:
         raise ValueError(f"beta must be < 1, got {beta}")
-    if t == 0:
-        return np.asarray(x_bar_t, dtype=float).copy()
     if x_bar_prev is None:
-        raise ValueError("x_bar_prev is required for t >= 1")
+        return np.asarray(x_bar_t, dtype=float).copy()
     return (np.asarray(x_bar_t) - beta * np.asarray(x_bar_prev)) / (1.0 - beta)
 
 
-def lyapunov_surrogate(*, f_dbar: float, f_star: float, z_bar_sq: float,
-                       consensus_x: float, consensus_y: float, z_dev: float,
-                       hp: HyperParams, L: float, lca: LcaParams,
-                       n: int) -> float:
-    """Single-trajectory evaluation of the descent Lyapunov function.
+def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
+                       consensus_y: float, z_dev: float, hp: HyperParams, L: float,
+                       lca: LcaParams, n: int) -> float:
+    """Single-trajectory evaluation of the descent Lyapunov function at the
+    optimality gap ``gap = F(d_bar) - f_star`` of the auxiliary point.
 
     Consensus terms use the realized ``|Pi x|^2`` and ``|Pi y|^2`` of this
     trajectory in place of their expectation-level upper bounds.  The
     trajectory terms may be arrays, one entry per trial.
     """
-    if f_star is None:
-        raise ValueError("lyapunov surrogate needs f_star")
     eta_hat = hp.eta_hat
     one_minus_beta = 1.0 - hp.beta
     one_minus_rho = 1.0 - lca.rho_w
     aq2 = hp.eta_a ** 2 * hp.Q ** 2
     return (
-        (f_dbar - f_star)
+        gap
         + 4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3 * z_bar_sq
         + 11.0 * eta_hat * L * L / (n * one_minus_rho) * consensus_x
         + 21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho) * consensus_y
         + 6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L
         / (n * one_minus_beta) * z_dev
     )
+
+
+def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dict,
+                  carry: tuple | None) -> tuple[dict, tuple]:
+    """Metrics of the round that took ``state`` to ``new``, one value per
+    trial, and the carry ``(x_bar, d_bar, r_bar)`` the next call takes
+    (None in round 0).  A metric is computed exactly when the arrays it
+    needs exist: the tracking metrics need ``Z`` in the state, the gap and
+    the surrogate need ``oracle.f_star``.  Dot products and norms stay per
+    trial: their batched forms round differently.
+    """
+    x_bar_prev, d_prev, r_bar_prev = carry or (None, None, None)
+    X = state["X"]
+    x_bar = X.mean(axis=-2)
+    grads_at_mean = oracle.full_gradients_at(x_bar)
+    g_bar = grads_at_mean.mean(axis=-2)
+    row = {"consensus_x": consensus_error(X),
+           "grad_norm_avg": np.array([g @ g for g in g_bar])}
+    if oracle.f_star is not None:
+        row["opt_gap_mean"] = oracle.global_values_at_rows(X).mean(axis=-1) - oracle.f_star
+    if "Z" not in state:
+        return row, (x_bar, None, None)
+    dev = state["Z"] - grads_at_mean
+    row["z_dev"] = np.sum(dev * dev, axis=(-2, -1))
+    d_bar = d_bar_sequence(x_bar, x_bar_prev, hp.beta)
+    if x_bar_prev is None:
+        row["d_bar_drift"] = np.zeros(len(x_bar))
+    else:
+        resid = d_bar - (d_prev - hp.eta_hat * r_bar_prev)
+        row["d_bar_drift"] = np.array([np.linalg.norm(r) for r in resid])
+    row["consensus_y"] = consensus_error(new["Y"])
+    if oracle.f_star is not None:
+        row["lyapunov_surrogate"] = lyapunov_surrogate(
+            gap=np.array([oracle.global_value(d) for d in d_bar]) - oracle.f_star,
+            z_bar_sq=np.array([z @ z for z in state["Z"].mean(axis=-2)]),
+            consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
+            z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
+    return row, (x_bar, d_bar, new["G_avg"].mean(axis=-2))
 
 
 #: gradient-norm target and iteration budget of :func:`solve_f_star`

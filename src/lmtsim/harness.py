@@ -172,9 +172,7 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
 
     Every kernel acts on each trial's slice exactly as on that trial alone,
     so a trial's metrics do not depend on the batch it runs in, and a
-    diverged trial's inf and NaN values stay in its own slice.  The dot
-    products and norms below stay per trial: their batched forms round
-    differently.
+    diverged trial's inf and NaN values stay in its own slice.
     """
     k = len(trials)
     out = {name: np.full((k, cfg.T), np.nan) for name in _METRICS}
@@ -184,56 +182,23 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     state = lmt.init_state(cfg.method, X0)
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
-    is_tracking = cfg.method in ("lmt", "naive_lmt")
-    f_star = oracle.f_star
-    x_bar_prev = d_prev = r_bar_prev = None
-
+    carry = None
     for t in range(cfg.T):
-        X = state["X"]
-        x_bar = X.mean(axis=-2)
-        grads_at_mean = oracle.full_gradients_at(x_bar)
-        g_bar = grads_at_mean.mean(axis=-2)
-        row = {"consensus_x": dg.consensus_error(X),
-               "grad_norm_avg": np.array([g @ g for g in g_bar])}
-        if f_star is not None:
-            row["opt_gap_mean"] = oracle.global_values_at_rows(X).mean(axis=-1) - f_star
-
-        d_bar = None
-        if is_tracking:
-            dev = state["Z"] - grads_at_mean
-            row["z_dev"] = np.sum(dev * dev, axis=(-2, -1))
-            z_bar_sq = np.array([z @ z for z in state["Z"].mean(axis=-2)])
-            d_bar = dg.d_bar_sequence(x_bar, x_bar_prev, hp.beta, t)
-            if t == 0:
-                row["d_bar_drift"] = np.zeros(k)
-            else:
-                resid = d_bar - (d_prev - hp.eta_hat * r_bar_prev)
-                row["d_bar_drift"] = np.array([np.linalg.norm(r) for r in resid])
-
         # looked up at each call, so wrappers put on the module attributes
         # (such as the benchmark's layer timers) see every round
         if cfg.method == "lmt":
-            state = lmt.lmt_round(state, oracle, mix, hp, streams)
+            new = lmt.lmt_round(state, oracle, mix, hp, streams)
         elif cfg.method == "naive_lmt":
-            state = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
+            new = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
         else:
-            state = bl.baseline_round(spec, state, oracle, mix, streams)
-        if is_tracking:
-            row["consensus_y"] = dg.consensus_error(state["Y"])
-            r_bar_prev = state["G_avg"].mean(axis=-2)
-            if f_star is not None:
-                row["lyapunov_surrogate"] = dg.lyapunov_surrogate(
-                    f_dbar=np.array([oracle.global_value(d) for d in d_bar]),
-                    f_star=f_star, z_bar_sq=z_bar_sq,
-                    consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
-                    z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
-
+            new = bl.baseline_round(spec, state, oracle, mix, streams)
+        row, carry = dg.round_metrics(oracle, hp, lca, state, new, carry)
+        state = new
         # ``row`` holds exactly the metrics the method defines
         for name, values in row.items():
             out[name][:, t] = values
         bad = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
         at[bad & (at > cfg.T)] = t
-        x_bar_prev, d_prev = x_bar, d_bar
         if (at <= t).all():
             break
 
@@ -329,6 +294,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
         raise ConfigError("sweep needs at least one axis value")
     # every point is checked before any runs, so a bad value names its field
     values = [parse_value(axis, str(v)) for v in values]
+    if len(set(values)) < len(values):
+        key = ExperimentConfig.__dataclass_fields__[axis].metadata["key"]
+        raise ConfigError(f"{key}: sweep values must be distinct, got {values}")
     for value in values:
         replace(cfg, **{axis: value}).validate()
 

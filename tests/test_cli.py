@@ -106,7 +106,9 @@ run.trials = 1
         ("n", "5,2", "topology.n", QUICK_CFG),
         ("method", "lmt,sgd", "method", QUICK_CFG),
         ("n", "5,9", "topology.n", FILE_TOPOLOGY_CFG),
-        ("n", "3,7", "objective.synthetic.samples", SIX_SAMPLES_CFG)]])
+        ("n", "3,7", "objective.synthetic.samples", SIX_SAMPLES_CFG),
+        ("Q", "2,02,4", "hyper.Q", QUICK_CFG),
+        ("method", "lmt,led,lmt", "method", QUICK_CFG)]])
 def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, axis,
                                                                values, field, text):
     save_mixing_csv(build_ring_mixing(5), str(tmp_path / "W.csv"))

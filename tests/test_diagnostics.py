@@ -25,15 +25,13 @@ def test_consensus_error_shift_invariance():
 
 def test_d_bar_sequence_cases():
     x0 = np.array([1.0, 2.0])
-    assert np.array_equal(dg.d_bar_sequence(x0, None, 0.5, 0), x0)
+    assert np.array_equal(dg.d_bar_sequence(x0, None, 0.5), x0)
     x1 = np.array([3.0, 4.0])
-    assert np.allclose(dg.d_bar_sequence(x1, x0, 0.0, 1), x1)
+    assert np.allclose(dg.d_bar_sequence(x1, x0, 0.0), x1)
     v = np.array([0.3, -0.3])
-    assert np.allclose(dg.d_bar_sequence(v, v, 0.8, 5), v, atol=1e-14)
+    assert np.allclose(dg.d_bar_sequence(v, v, 0.8), v, atol=1e-14)
     with pytest.raises(ValueError):
-        dg.d_bar_sequence(x1, x0, 1.0, 1)
-    with pytest.raises(ValueError):
-        dg.d_bar_sequence(x1, None, 0.5, 1)
+        dg.d_bar_sequence(x1, x0, 1.0)
 
 
 def make_hp(beta, eta_a=0.1, eta_s=0.1, Q=2):
@@ -42,7 +40,7 @@ def make_hp(beta, eta_a=0.1, eta_s=0.1, Q=2):
 
 def test_lyapunov_zero_at_perfect_state():
     lca = lmtsim.lca_params(0.5)
-    val = dg.lyapunov_surrogate(f_dbar=1.25, f_star=1.25, z_bar_sq=0.0,
+    val = dg.lyapunov_surrogate(gap=0.0, z_bar_sq=0.0,
                                 consensus_x=0.0, consensus_y=0.0, z_dev=0.0,
                                 hp=make_hp(0.5), L=1.0, lca=lca, n=4)
     assert val == 0.0
@@ -51,19 +49,11 @@ def test_lyapunov_zero_at_perfect_state():
 def test_lyapunov_momentum_coefficient_cubic():
     # only the momentum term active: doubling (1 - beta) scales it by 1/8
     lca = lmtsim.lca_params(0.5)
-    kwargs = dict(f_dbar=0.0, f_star=0.0, z_bar_sq=1.0, consensus_x=0.0,
+    kwargs = dict(gap=0.0, z_bar_sq=1.0, consensus_x=0.0,
                   consensus_y=0.0, z_dev=0.0, L=1.0, lca=lca, n=4)
     hi = dg.lyapunov_surrogate(hp=make_hp(beta=0.5), **kwargs)   # 1-beta = 0.5
     lo = dg.lyapunov_surrogate(hp=make_hp(beta=0.75), **kwargs)  # 1-beta = 0.25
     assert lo / hi == pytest.approx(8.0, rel=1e-12)
-
-
-def test_lyapunov_requires_f_star():
-    lca = lmtsim.lca_params(0.5)
-    with pytest.raises(ValueError):
-        dg.lyapunov_surrogate(f_dbar=0.0, f_star=None, z_bar_sq=0.0,
-                              consensus_x=0.0, consensus_y=0.0, z_dev=0.0,
-                              hp=make_hp(0.5), L=1.0, lca=lca, n=4)
 
 
 def test_solve_f_star_quadratic_matches_closed_form():
@@ -101,15 +91,15 @@ def test_lyapunov_surrogate_monotone_on_deterministic_run():
     st = lmt.init_state("lmt", np.zeros((n, p)))
     xbar_prev = None
     values = []
-    for t in range(60):
+    for _ in range(60):
         xbar = st["X"].mean(axis=0)
         zbar = st["Z"].mean(axis=0)
         dev = st["Z"] - oracle.full_gradients_at(xbar)
-        d_bar = dg.d_bar_sequence(xbar, xbar_prev, hp.beta, t)
+        d_bar = dg.d_bar_sequence(xbar, xbar_prev, hp.beta)
         cons_x = dg.consensus_error(st["X"])
         st = lmt.lmt_round(st, oracle, mix, hp)
         values.append(dg.lyapunov_surrogate(
-            f_dbar=oracle.global_value(d_bar), f_star=oracle.f_star,
+            gap=oracle.global_value(d_bar) - oracle.f_star,
             z_bar_sq=float(zbar @ zbar), consensus_x=cons_x,
             consensus_y=dg.consensus_error(st["Y"]),
             z_dev=float(np.sum(dev * dev)), hp=hp, L=oracle.L, lca=lca, n=n))

@@ -8,6 +8,7 @@ import pytest
 
 import lmtsim
 from lmtsim import baselines, harness, lmt
+from lmtsim import diagnostics as dg
 from lmtsim import topology as tp
 from lmtsim.config import KEYS, METHOD_CHOICES, ConfigError, ExperimentConfig, \
     parse_config_text
@@ -70,6 +71,9 @@ def test_unknown_and_invalid_keys():
         quad_cfg(eta_a=None).validate()
     with pytest.raises(ConfigError, match="objective.format"):
         quad_cfg(data_format="parquet").validate()
+    for dim in (0, -2):
+        with pytest.raises(ConfigError, match=f"objective.dim: must be >= 1, got {dim}"):
+            quad_cfg(quad_dim=dim).validate()
 
 
 def test_referenced_files_checked_at_load():
@@ -272,8 +276,10 @@ def test_rounds_dispatch_through_module_attributes(method, monkeypatch):
     # wrappers put on the module attributes after import (as the
     # benchmark's per-layer timers are) must see every round
     calls = {}
+    diagnostics = ("consensus_error", "d_bar_sequence", "lyapunov_surrogate")
     for module, name in ((lmt, "lmt_round"), (lmt, "naive_local_momentum_round"),
-                         (baselines, "baseline_round")):
+                         (baselines, "baseline_round"),
+                         *((dg, name) for name in diagnostics)):
         def counting(*args, _inner=getattr(module, name), _name=name, **kwargs):
             calls.setdefault(_name, []).append(args)
             return _inner(*args, **kwargs)
@@ -281,10 +287,15 @@ def test_rounds_dispatch_through_module_attributes(method, monkeypatch):
     run_experiment(quad_cfg(method=method, T=3, trials=1))
     name = {"lmt": "lmt_round", "naive_lmt": "naive_local_momentum_round"}.get(
         method, "baseline_round")
-    assert list(calls) == [name]
-    assert len(calls[name]) == 3
+    rounds = {key: calls.pop(key) for key in list(calls) if key not in diagnostics}
+    assert list(rounds) == [name]
+    assert len(rounds[name]) == 3
     if name == "baseline_round":
-        assert all(args[0].method == method for args in calls[name])
+        assert all(args[0].method == method for args in rounds[name])
+    # the metrics call the diagnostics through the module too, so their
+    # timers see every round: per round on the quadratic (f_star known)
+    per_round = (2, 1, 1) if method in ("lmt", "naive_lmt") else (1, 0, 0)
+    assert [len(calls.get(key, ())) for key in diagnostics] == [3 * c for c in per_round]
 
 
 def test_gauss_init_uses_init_streams():

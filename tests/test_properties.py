@@ -1,4 +1,5 @@
-"""Properties of every method's round, over random connected graphs.
+"""Properties of every method's round, over random connected graphs, and
+of whole runs under an exact rescaling of the objective.
 
 Graphs carry lazy Metropolis-Hastings weights ``(I + W_mh) / 2``, which are
 symmetric, doubly stochastic and positive semidefinite for any connected
@@ -7,15 +8,17 @@ graph.  Every method runs through the one state and round convention:
 one trial ``(n, p)`` or a batch of trials ``(k, n, p)``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmtsim import baselines as bl
-from lmtsim import lmt
+from lmtsim import harness, lmt
 from lmtsim import objectives as obj
 from lmtsim import topology as tp
-from lmtsim.config import METHOD_CHOICES
+from lmtsim.config import METHOD_CHOICES, ExperimentConfig
 from lmtsim.streams import TrialStreams
 
 _EXAMPLES = settings(max_examples=50, deadline=None)
@@ -156,3 +159,72 @@ def test_batched_round_equals_each_trials_round(mix, seed, trials, oracle_kind, 
                 assert batch["t"] == state["t"]
                 for key in state.keys() - {"t"}:
                     assert batch[key][j].tobytes() == state[key].tobytes(), (method, key, j)
+
+
+class DoubledOracle:
+    """``inner`` with its objective doubled: gradients, values, ``f_star``,
+    ``mu`` and ``L`` are exactly twice the inner oracle's, from the same
+    draws.  Nothing else is delegated, so any other use fails."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.n_agents, self.dim = inner.n_agents, inner.dim
+        self.L = 2.0 * inner.L
+        self.mu = None if inner.mu is None else 2.0 * inner.mu
+        self.f_star = None if inner.f_star is None else 2.0 * inner.f_star
+
+    def draw(self, streams, t, Q):
+        return self._inner.draw(streams, t, Q)
+
+    def stochastic_gradient_matrix(self, X, draws_step):
+        return 2.0 * self._inner.stochastic_gradient_matrix(X, draws_step)
+
+    def full_gradients_at(self, x):
+        return 2.0 * self._inner.full_gradients_at(x)
+
+    def global_gradient(self, x):
+        return 2.0 * self._inner.global_gradient(x)
+
+    def global_values_at_rows(self, X):
+        return 2.0 * self._inner.global_values_at_rows(X)
+
+    def global_value(self, x):
+        return 2.0 * self._inner.global_value(x)
+
+
+#: the factor of each metric when the objective doubles and ``eta_a`` halves
+_RESCALED = {"consensus_x": 1.0, "d_bar_drift": 1.0,
+             "opt_gap_mean": 2.0, "lyapunov_surrogate": 2.0,
+             "grad_norm_avg": 4.0, "z_dev": 4.0, "consensus_y": 4.0}
+
+
+@pytest.mark.parametrize("objective", [
+    dict(objective_kind="quadratic_pl", quad_dim=4, quad_sigma=0.5),
+    dict(objective_kind="logistic_l2", data_source="synthetic", batch=2),
+    dict(objective_kind="logistic_nonconvex", data_source="synthetic", batch=None)],
+    ids=["noisy_quadratic", "minibatch_ridge_logistic", "fullbatch_nonconvex_logistic"])
+def test_doubled_objective_at_half_the_local_step_scales_every_metric_exactly(objective):
+    # doubling every gradient and halving the local step leaves every
+    # iterate bit for bit as it was, since both are exact powers of two;
+    # a step size or correction in the wrong units breaks that
+    cfg = ExperimentConfig(n=8, synthetic_samples=64, synthetic_features=4,
+                           schedule="explicit", Q=3, eta_a=0.05, eta_s=0.5, T=20,
+                           trials=3, seed=4, init="gauss", **objective)
+    cfg.validate()
+    mix = harness.build_mixing(cfg)
+    lca = tp.lca_params(mix.lam)
+    oracle = harness.build_oracle(cfg, mix.n)
+    hp = harness.resolve_hyperparams(cfg, oracle, mix)
+    half = dataclasses.replace(hp, eta_a=hp.eta_a / 2)
+    for method in METHOD_CHOICES:
+        run = dataclasses.replace(cfg, method=method)
+        plain, plain_at = harness._run_trials(run, mix, lca, oracle, hp, [0, 1, 2])
+        doubled, doubled_at = harness._run_trials(run, mix, lca, DoubledOracle(oracle),
+                                                  half, [0, 1, 2])
+        assert plain_at == doubled_at == [None] * 3, method
+        assert plain.keys() == doubled.keys() == _RESCALED.keys()
+        for name, factor in _RESCALED.items():
+            nan = np.isnan(plain[name])
+            assert np.array_equal(np.isnan(doubled[name]), nan), (method, name)
+            assert (doubled[name][~nan].tobytes()
+                    == (factor * plain[name][~nan]).tobytes()), (method, name)
