@@ -148,6 +148,18 @@ class ExperimentConfig:
                                   f"{self.synthetic_samples} samples among {self.n} agents")
         if self.quad_dim < 1:
             raise ConfigError(f"objective.dim: must be >= 1, got {self.quad_dim}")
+        if self.objective_kind == "quadratic_pl":
+            if self.quad_mu <= 0:
+                raise ConfigError(f"objective.mu: must be > 0, got {self.quad_mu}")
+            if self.quad_l < self.quad_mu:
+                raise ConfigError(f"objective.L: must be >= objective.mu = {self.quad_mu}, "
+                                  f"got {self.quad_l}")
+            if self.quad_sigma < 0:
+                raise ConfigError(f"objective.sigma: must be >= 0, got {self.quad_sigma}")
+        if self.objective_kind == "logistic_l2" and self.rho < 0:
+            raise ConfigError(f"objective.rho: must be >= 0, got {self.rho}")
+        if self.objective_kind == "logistic_nonconvex" and self.omega < 0:
+            raise ConfigError(f"objective.omega: must be >= 0, got {self.omega}")
         if self.data_format is not None and self.data_format not in FORMAT_CHOICES:
             raise ConfigError(f"objective.format: expected one of {FORMAT_CHOICES}, "
                               f"got {self.data_format!r}")
@@ -160,6 +172,9 @@ class ExperimentConfig:
         if self.schedule == "explicit" and (self.eta_a is None or self.eta_s is None):
             raise ConfigError("hyper.eta_a / hyper.eta_s: required for "
                               "schedule = explicit")
+        for key, eta in (("hyper.eta_a", self.eta_a), ("hyper.eta_s", self.eta_s)):
+            if eta is not None and eta <= 0:
+                raise ConfigError(f"{key}: must be > 0, got {eta}")
         if self.init not in INIT_CHOICES:
             raise ConfigError(f"run.init: expected one of {INIT_CHOICES}, got {self.init!r}")
         if self.Q < 1:

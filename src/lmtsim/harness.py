@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 import os
+import platform
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import baselines as bl
@@ -272,9 +274,24 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
         f"diverged_at = {'none' if diverged_at is None else diverged_at}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
+        *_library_lines(),
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _library_lines() -> list[str]:
+    """The libraries a run's numbers depend on: the logistic opt gap's last
+    ulp follows numpy's SIMD dispatch, every product the BLAS."""
+    build = np.show_config(mode="dicts")
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    return [
+        f"python = {platform.python_version()}",
+        f"numpy = {np.__version__}",
+        f"scipy = {scipy.__version__}",
+        f"blas = {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        f"numpy_simd = {' '.join(build.get('SIMD Extensions', {}).get('found', []))}",
+    ]
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[ResultTable], dict]:

@@ -231,6 +231,22 @@ class GradientOracle(abc.ABC):
         ``X`` of shape ``(..., n, p)``."""
 
 
+def logistic_loss_inplace(margins: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(-m))`` of every margin, as ``log1p(exp(-|m|)) - min(m, 0)``.
+
+    The same formula as ``-log_expit(m)``, on numpy's vectorised ``exp``
+    and ``log1p``: within 4 ulp of ``np.logaddexp(0, -m)``, exact at
+    +-inf, NaN and +-0, but its last ulp depends on numpy's CPU dispatch.
+    Overwrites ``margins``; one new array of its shape.
+    """
+    loss = np.abs(margins)
+    np.negative(loss, out=loss)
+    np.exp(loss, out=loss)
+    np.log1p(loss, out=loss)
+    loss -= np.minimum(margins, 0.0, out=margins)
+    return loss
+
+
 class LogisticOracle(GradientOracle):
     """Binary logistic loss over per-agent shards with a configurable
     regularizer: ridge (``l2``) or a bounded nonconvex penalty.
@@ -317,7 +333,8 @@ class LogisticOracle(GradientOracle):
 
     def global_value(self, x: np.ndarray) -> float:
         # each agent's mean loss, then the mean over agents; -log_expit(m)
-        # is log(1 + exp(-m)), bit-equal to logaddexp(0, -m)
+        # is log(1 + exp(-m)), bit-equal to logaddexp(0, -m); kept exact
+        # here, as it sets f_star and the schedules' delta_f
         losses = np.concatenate([np.mean(-log_expit(S @ x), axis=-1) for _, S in self._runs])
         return float(np.mean(losses + self._reg_value(x)))
 
@@ -355,8 +372,7 @@ class LogisticOracle(GradientOracle):
         # trials rounds differently
         values = []
         for Xt in X.reshape(-1, X.shape[-2], self.dim):
-            margins = self._signed @ Xt.T  # (m, rows)
-            losses = -(self._global_weights @ log_expit(margins))
+            losses = self._global_weights @ logistic_loss_inplace(self._signed @ Xt.T)
             values.append(losses + np.array([self._reg_value(x) for x in Xt]))
         return np.array(values).reshape(X.shape[:-1])
 

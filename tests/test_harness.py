@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import os
+import platform
+import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 import lmtsim
 from lmtsim import baselines, harness, lmt
@@ -74,6 +77,25 @@ def test_unknown_and_invalid_keys():
     for dim in (0, -2):
         with pytest.raises(ConfigError, match=f"objective.dim: must be >= 1, got {dim}"):
             quad_cfg(quad_dim=dim).validate()
+    logistic = dict(data_source="synthetic", synthetic_samples=40)
+    for overrides, message in (
+            (dict(quad_mu=0.0), "objective.mu: must be > 0, got 0.0"),
+            (dict(quad_mu=-0.5), "objective.mu: must be > 0, got -0.5"),
+            (dict(quad_mu=2.0), "objective.L: must be >= objective.mu = 2.0, got 1.0"),
+            (dict(quad_l=0.05), "objective.L: must be >= objective.mu = 0.3, got 0.05"),
+            (dict(quad_sigma=-1.0), "objective.sigma: must be >= 0, got -1.0"),
+            (dict(objective_kind="logistic_l2", rho=-0.1, **logistic),
+             "objective.rho: must be >= 0, got -0.1"),
+            (dict(objective_kind="logistic_nonconvex", omega=-0.01, **logistic),
+             "objective.omega: must be >= 0, got -0.01"),
+            (dict(eta_a=-0.1), "hyper.eta_a: must be > 0, got -0.1"),
+            (dict(eta_s=0.0), "hyper.eta_s: must be > 0, got 0.0"),
+            (dict(schedule="figure1", eta_a=0.0), "hyper.eta_a: must be > 0, got 0.0")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            quad_cfg(**overrides).validate()
+    # a range applies to its own objective only
+    quad_cfg(rho=-1.0, omega=-1.0).validate()
+    quad_cfg(objective_kind="logistic_l2", quad_mu=0.0, quad_sigma=-1.0, **logistic).validate()
 
 
 def test_referenced_files_checked_at_load():
@@ -201,6 +223,21 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     meta = (out1 / "meta.txt").read_text()
     assert "fingerprint = " in meta and "lyapunov_note = surrogate" in meta
+
+
+def test_meta_records_library_versions_and_simd(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_experiment(quad_cfg(outdir=str(tmp_path)))
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "meta.txt").read_text().splitlines())
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    assert meta["scipy"] == scipy.__version__
+    assert meta["blas"] == f"{blas['name']} {blas['version']}"
+    assert meta["numpy_simd"].split() == build["SIMD Extensions"]["found"]
 
 
 def test_trace_roundtrip(tmp_path):

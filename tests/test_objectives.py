@@ -103,20 +103,50 @@ def test_logistic_single_sample_hand_values():
     assert oracle.full_gradients_at(np.zeros(1))[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_log_expit_loss_equals_logaddexp_bit_for_bit():
-    # the logistic loss is evaluated as -log_expit(m); it must equal the
-    # textbook logaddexp(0, -m) bit for bit, edge values included
+def edge_margins():
+    """Margins at three scales plus the edge values of the logistic loss:
+    +-0, +-inf, NaN, large margins, +-745.2 (where exp(-|m|) is subnormal)
+    and the smallest subnormals."""
     rng = np.random.default_rng(4)
-    margins = np.concatenate([
+    return np.concatenate([
         rng.normal(scale=scale, size=20_000) for scale in (1.0, 30.0, 300.0)] + [
         np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 100.0, -100.0, 250.5, -250.5,
                   700.0, -700.0, 745.2, -745.2, 5e-324, -5e-324])])
+
+
+def assert_within_ulps(got, expected, ulps):
+    """``got`` equals ``expected`` within ``ulps`` units in the last place
+    of ``expected``, elementwise, with NaN and inf at the same positions."""
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    inf = np.isinf(expected)
+    assert np.array_equal(got[inf], expected[inf])
+    finite = np.isfinite(expected)
+    assert np.all(np.abs(got[finite] - expected[finite])
+                  <= ulps * np.spacing(np.abs(expected[finite])))
+
+
+def test_log_expit_loss_equals_logaddexp_bit_for_bit():
+    # global_value evaluates the logistic loss as -log_expit(m); it must
+    # equal the textbook logaddexp(0, -m) bit for bit, edge values included
+    margins = edge_margins()
     with np.errstate(invalid="ignore"):
         expected = np.logaddexp(0.0, -margins)
     assert (-log_expit(margins)).tobytes() == expected.tobytes()
 
 
+def test_inplace_logistic_loss_within_4_ulp_of_logaddexp():
+    margins = edge_margins()
+    with np.errstate(invalid="ignore"):
+        expected = np.logaddexp(0.0, -margins)
+        got = obj.logistic_loss_inplace(margins.copy())
+    assert_within_ulps(got, expected, 4)
+    # the edge values come out exactly as logaddexp gives them
+    assert (got[-15:] == expected[-15:])[~np.isnan(expected[-15:])].all()
+
+
 def test_logistic_values_equal_the_logaddexp_form_bit_for_bit():
+    # global_value is bit-equal to the logaddexp form; the rows form of
+    # the opt-gap diagnostic is within 4 ulp of it
     parts = obj.partition_heterogeneous(two_class_dataset(60, 5, seed=3), 4)
     oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=1)
     X = np.random.default_rng(6).normal(scale=20.0, size=(3, 4, 5))
@@ -126,7 +156,7 @@ def test_logistic_values_equal_the_logaddexp_form_bit_for_bit():
     for Xt, values in zip(X, oracle.global_values_at_rows(X)):
         losses = weights @ np.logaddexp(0.0, -(v[:, None] * (U @ Xt.T)))
         ridge = np.array([0.1 * float(x @ x) for x in Xt])
-        assert values.tobytes() == (losses + ridge).tobytes()
+        assert_within_ulps(values, losses + ridge, 4)
     for x in X[0]:
         expected = [float(np.mean(np.logaddexp(0.0, -(vi * (Ui @ x))))) + 0.1 * float(x @ x)
                     for Ui, vi in parts.shards]
@@ -432,7 +462,7 @@ def test_global_values_at_rows_consistency():
     parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=2), 5)
     logistic = obj.logistic_l2_oracle(parts, rho=0.2, batch=1)
     direct = np.array([logistic.global_value(x) for x in X])
-    assert np.allclose(logistic.global_values_at_rows(X), direct, atol=1e-12)
+    assert np.allclose(logistic.global_values_at_rows(X), direct, rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -228,3 +228,46 @@ def test_doubled_objective_at_half_the_local_step_scales_every_metric_exactly(ob
             assert np.array_equal(np.isnan(doubled[name]), nan), (method, name)
             assert (doubled[name][~nan].tobytes()
                     == (factor * plain[name][~nan]).tobytes()), (method, name)
+
+
+def relabelled_oracles(kind, n, seed, perm):
+    """A deterministic oracle over ``n`` agents and the same oracle with its
+    agents relabelled: agent i of the second is agent ``perm[i]`` of the
+    first.  Logistic shards differ in size, so the relabelling also splits
+    the runs of equal shard sizes the oracle groups agents by."""
+    if kind == "quadratic":
+        oracle = quad(n, seed, sigma=0.0)
+        return oracle, obj.QuadraticOracle(oracle.A[perm], oracle.b[perm])
+    parts = obj.partition_heterogeneous(
+        obj.make_synthetic_classification(8 * n + n // 2, 3, seed), n)
+    shuffled = obj.PartitionedDataset(tuple(parts.shards[j] for j in perm))
+    return (obj.logistic_l2_oracle(parts, batch=None),
+            obj.logistic_l2_oracle(shuffled, batch=None))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mix=lazy_metropolis_mixing(), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["quadratic", "logistic"]), Q=st.integers(1, 3),
+       beta=st.floats(0.0, 0.9))
+def test_relabelling_the_agents_permutes_the_trajectory(mix, seed, kind, Q, beta):
+    # W -> P W P', the local functions and X0 permuted alike: every method
+    # must run the same trajectory with its agents relabelled.  Only the
+    # summation order of the mixing products changes, so within 1e-12.
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mix.n)
+    oracle, oracle_p = relabelled_oracles(kind, mix.n, seed, perm)
+    mix_p = tp.from_weights(mix.weights[np.ix_(perm, perm)])
+    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
+                         eta_w=tp.lca_params(mix.lam).eta_w)
+    X0 = rng.normal(size=(mix.n, 3))
+    for method in METHOD_CHOICES:
+        state, state_p = lmt.init_state(method, X0), lmt.init_state(method, X0[perm])
+        for _ in range(50):
+            state = one_round(method, state, oracle, mix, hp)
+            state_p = one_round(method, state_p, oracle_p, mix_p, hp)
+        assert state.keys() == state_p.keys()
+        for key in state.keys() - {"t"}:
+            # per-agent arrays are (n, p); scaffold's server arrays are (p,)
+            expected = state[key][perm] if np.ndim(state[key]) == 2 else state[key]
+            scale = 1.0 + np.abs(expected).max()
+            assert np.abs(state_p[key] - expected).max() <= 1e-12 * scale, (method, key)
