@@ -89,7 +89,7 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
     row = {"consensus_x": consensus_error(X),
            "grad_norm_avg": np.array([g @ g for g in g_bar])}
     if oracle.f_star is not None:
-        row["opt_gap_mean"] = oracle.global_values_at_rows(X).mean(axis=-1) - oracle.f_star
+        row["opt_gap_mean"] = oracle.opt_gap(X)
     if "Z" not in state:
         return row, (x_bar, None, None)
     dev = state["Z"] - grads_at_mean
@@ -103,7 +103,7 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
     row["consensus_y"] = consensus_error(new["Y"])
     if oracle.f_star is not None:
         row["lyapunov_surrogate"] = lyapunov_surrogate(
-            gap=np.array([oracle.global_value(d) for d in d_bar]) - oracle.f_star,
+            gap=oracle.opt_gap(d_bar[..., None, :]),
             z_bar_sq=np.array([z @ z for z in state["Z"].mean(axis=-2)]),
             consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
             z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import os
 import platform
+import sys
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -303,7 +305,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     everything per point (the graph changes); ``method`` sweeps share the
     resolved stepsizes through the parity map.  For ``Q`` sweeps the
     summary carries the log-log slope of the final-window gradient metric
-    against ``Q``.
+    against ``Q``.  Each finished point prints one line to stderr: its
+    label, its index out of the total and its seconds.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -327,7 +330,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
         oracle = build_oracle(cfg, mix.n)
         base_hp = resolve_hyperparams(cfg, oracle, mix)
 
-    for value in values:
+    for index, value in enumerate(values, start=1):
+        started = time.perf_counter()
         point = replace(cfg, **{axis: value})
         if axis == "Q":
             point = replace(point, schedule="explicit",
@@ -338,6 +342,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
             point = replace(point, outdir=os.path.join(
                 base_outdir, f"point_{axis}_{label.replace('=', '')}"))
         table = run_experiment(point, label=label)
+        print(f"sweep {label}: point {index}/{len(values)} done in "
+              f"{time.perf_counter() - started:.2f} s", file=sys.stderr)
         tables.append(table)
         rows.append({
             "axis": axis,

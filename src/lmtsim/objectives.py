@@ -2,10 +2,10 @@
 
 An oracle owns the local functions ``f_i`` of all agents and serves, for
 all agents at once, their exact and unbiased stochastic gradients, and
-values of the global objective.  Stochastic minibatches are sampled with
-replacement inside each agent's shard, so draws are i.i.d. across local
-steps; ``batch=None`` switches an oracle to deterministic full-batch mode
-(zero gradient noise).
+values and optimality gaps of the global objective.  Stochastic
+minibatches are sampled with replacement inside each agent's shard, so
+draws are i.i.d. across local steps; ``batch=None`` switches an oracle to
+deterministic full-batch mode (zero gradient noise).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .streams import TrialStreams, bounded_uint32
+from .streams import TrialStreams, bounded_uint32, standard_normal
 
 
 class DatasetError(ValueError):
@@ -230,6 +230,14 @@ class GradientOracle(abc.ABC):
         """Global objective evaluated at each row of ``X``: ``(..., n)`` for
         ``X`` of shape ``(..., n, p)``."""
 
+    def opt_gap(self, X: np.ndarray) -> np.ndarray:
+        """Optimality gap ``F(x) - f_star`` averaged over the rows of ``X``:
+        shape ``X.shape[:-2]`` for ``X`` of shape ``(..., rows, p)``.  This
+        default is a difference of two numbers near ``f_star``, with a floor
+        of about 1e-16 times ``f_star``; an oracle with a closed form
+        overrides it."""
+        return self.global_values_at_rows(X).mean(axis=-1) - self.f_star
+
 
 def logistic_loss_inplace(margins: np.ndarray) -> np.ndarray:
     """``log(1 + exp(-m))`` of every margin, as ``log1p(exp(-|m|)) - min(m, 0)``.
@@ -418,6 +426,7 @@ class QuadraticOracle(GradientOracle):
         rhs = np.einsum("ipq,iq->p", A, b) / self.n_agents
         self.x_star = np.linalg.solve(self._hessian, rhs)
         self.f_star = self.global_value(self.x_star)
+        self._hessian_root = np.linalg.cholesky(self._hessian)
         self._noise_scale = self.sigma / np.sqrt(self.dim)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
@@ -425,23 +434,22 @@ class QuadraticOracle(GradientOracle):
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's gradient noise, ``(Q, *streams.shape, n, p)``:
-        ``[step, slot, i]`` is drawn from ``streams.gradient(i, t, step,
-        slot)``, one generator per site.  ``[None] * Q`` when the oracle is
-        noiseless."""
+        ``[step, slot, i]`` is ``streams.gradient(i, t, step,
+        slot).normal(0.0, sigma / sqrt(p), size=p)``.  All sites of all
+        trials take numpy's ziggurat fast path on one array of Philox words;
+        a site where a draw leaves it is redrawn through its own generator.
+        ``[None] * Q`` when the oracle is noiseless."""
         if self.sigma == 0.0:
             return [None] * Q
         if streams is None:
             raise ValueError("noisy oracle needs random streams")
-        trials = len(streams.trials)
-        noise = np.empty((Q, trials, self.n_agents, self.dim))
-        # trial-major, so the streams switch keys once per trial
-        for slot in range(trials):
-            for step in range(Q):
-                for i in range(self.n_agents):
-                    streams.gradient(i, t, step, slot).standard_normal(out=noise[step, slot, i])
+        noise, rejected = standard_normal(streams.gradient_words(t, Q, self.n_agents, self.dim))
+        sites = noise.reshape(Q, -1, self.n_agents, self.dim)  # a view, one trial axis
+        for step, slot, i in zip(*np.nonzero(rejected.reshape(Q, -1, self.n_agents))):
+            streams.gradient(int(i), t, int(step), int(slot)).standard_normal(
+                out=sites[step, slot, i])
         # what Generator.normal(0.0, scale) returns from the same draws
-        noise = 0.0 + self._noise_scale * noise
-        return noise.reshape((Q,) + streams.shape + (self.n_agents, self.dim))
+        return 0.0 + self._noise_scale * noise
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
@@ -451,6 +459,15 @@ class QuadraticOracle(GradientOracle):
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
         d = X[..., :, None, :] - self.b              # (..., rows, n, p)
         return 0.5 * np.einsum("...rip,ipq,...riq->...r", d, self.A, d) / self.n_agents
+
+    def opt_gap(self, X: np.ndarray) -> np.ndarray:
+        """``0.5 (x - x_star)' H (x - x_star)`` averaged over the rows of
+        ``X``, as half the squared norm of ``(x - x_star) @ C`` for the
+        Cholesky factor ``H = C C'``: non-negative by construction and
+        accurate to relative precision near the optimum, where
+        ``F(x) - f_star`` is not."""
+        root = (X - self.x_star) @ self._hessian_root
+        return 0.5 * np.sum(root * root, axis=-1).mean(axis=-1)
 
     def global_value(self, x: np.ndarray) -> float:
         d = x[None, :] - self.b

@@ -10,12 +10,17 @@ A round's minibatch indices, for every trial of a batch, come from one
 vectorised evaluation of the Philox4x64-10 block function over the
 counters and keys of all its draw sites
 (:meth:`TrialStreams.gradient_words`) and numpy's Lemire rule for bounded
-integers (:func:`bounded_uint32`).  Both are bit-equal to ``np.random.Philox``
-and ``Generator.integers``, so these draws are the ones the per-site
+integers (:func:`bounded_uint32`); a round's Gaussian noise comes from the
+same words and the fast path of numpy's ziggurat (:func:`standard_normal`).
+All three are bit-equal to ``np.random.Philox``, ``Generator.integers`` and
+``Generator.standard_normal``, so these draws are the ones the per-site
 generators would make.
 """
 
 from __future__ import annotations
+
+import functools
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +39,12 @@ _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+
+#: Philox blocks per evaluation of :meth:`TrialStreams.gradient_words`.  A
+#: call's fixed cost is that of some 800 blocks (about 0.2 ms plus 0.25 us
+#: a block on an x86_64 VM), so the words of consecutive rounds are
+#: computed together up to this many blocks
+_CHUNK_BLOCKS = 4096
 
 
 def _key(master_seed: int, trial: int) -> np.ndarray:
@@ -93,6 +104,37 @@ def bounded_uint32(words: np.ndarray, bound: np.ndarray,
     return (m >> _SHIFT32).astype(np.int64), ((m & _LOW32) < threshold).any(axis=-1)
 
 
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables ``(ki, wi)``, read-only, as written by
+    ``tools/make_ziggurat_tables.py`` from numpy's own object code."""
+    tables = np.load(Path(__file__).with_name("ziggurat_tables.npy"))
+    tables.flags.writeable = False
+    return tables["ki"], tables["wi"]
+
+
+def standard_normal(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat fast path, one standard normal per 64-bit word.
+
+    ``words`` holds each stream's first 64-bit outputs along its last axis;
+    value j is what ``Generator.standard_normal`` returns from word j when
+    it takes the fast path: layer ``w & 0xff``, sign bit ``(w >> 8) & 1``,
+    magnitude ``rabs = (w >> 9) & (2**52 - 1)``, accepted when
+    ``rabs < ki[layer]``, value ``+-rabs * wi[layer]`` (Marsaglia and Tsang,
+    J. Stat. Softw. 5(8), 2000).  Returns ``(values, rejected)``:
+    ``rejected`` flags the streams where a draw leaves the fast path; numpy
+    then consumes more words, so their values are not numpy's and must be
+    redrawn.
+    """
+    ki, wi = _ziggurat_tables()
+    layer = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+    values = rabs.astype(np.float64) * wi[layer]
+    sign = ((words >> np.uint64(8)) & np.uint64(1)).astype(bool)
+    np.negative(values, out=values, where=sign)
+    return values, (rabs >= ki[layer]).any(axis=-1)
+
+
 class TrialStreams:
     """All random streams of one master seed and one trial, or of a batch
     of trials.
@@ -127,6 +169,8 @@ class TrialStreams:
         self._state = {**self._bg.state, "buffer": [0, 0, 0, 0],
                        "state": {"counter": self._counter, "key": self._key_words}}
         self._slot = 0
+        # (first round, layout, words) of the last gradient_words chunk
+        self._chunk = None
 
     def _reseat(self, agent: int, rnd: int, step: int, purpose: int,
                 slot: int) -> np.random.Generator:
@@ -150,15 +194,31 @@ class TrialStreams:
         """First ``words`` 64-bit outputs of the gradient streams of round
         ``rnd``, shape ``(steps, *shape, agents, words)``: entry
         ``[step, slot, i]`` equals
-        ``self.gradient(i, rnd, step, slot).bit_generator.random_raw(words)``."""
+        ``self.gradient(i, rnd, step, slot).bit_generator.random_raw(words)``.
+
+        The words of consecutive rounds from ``rnd`` on are computed in one
+        Philox call, up to ``_CHUNK_BLOCKS`` blocks, and later rounds of the
+        same layout are served from that chunk.  The result is a read-only
+        view into it.
+        """
+        layout = (steps, agents, words)
+        if self._chunk is not None:
+            first, chunk_layout, chunk = self._chunk
+            if chunk_layout == layout and first <= rnd < first + len(chunk):
+                return chunk[rnd - first]
         blocks = -(-words // 4)
-        counters = np.zeros((steps,) + self.shape + (agents, blocks, 4), dtype=np.uint64)
+        rounds = max(1, _CHUNK_BLOCKS // (steps * len(self.trials) * agents * blocks))
+        counters = np.zeros((rounds, steps) + self.shape + (agents, blocks, 4), dtype=np.uint64)
         counters[..., 0] = np.arange(1, blocks + 1, dtype=np.uint64)
         # the words _reseat packs for each (agent, rnd, step) site
         steps_word = np.arange(steps, dtype=np.uint64) | np.uint64(_PURPOSE_GRADIENT << 48)
-        counters[..., 1] = steps_word.reshape((steps,) + (1,) * (counters.ndim - 2))
-        counters[..., 2] = (np.arange(agents, dtype=np.uint64)
-                            | np.uint64(rnd << 32))[:, None]
+        counters[..., 1] = steps_word.reshape((1, steps) + (1,) * (counters.ndim - 3))
+        rounds_word = np.arange(rnd, rnd + rounds, dtype=np.uint64) << _SHIFT32
+        counters[..., 2] = (rounds_word.reshape((rounds,) + (1,) * (counters.ndim - 2))
+                            | np.arange(agents, dtype=np.uint64)[:, None])
         keys = self._keys.reshape(self.shape + (1, 1, 2))
         out = philox4x64(counters, keys)
-        return out.reshape(counters.shape[:-2] + (4 * blocks,))[..., :words]
+        chunk = out.reshape(counters.shape[:-2] + (4 * blocks,))[..., :words]
+        chunk.flags.writeable = False
+        self._chunk = (rnd, layout, chunk)
+        return chunk[0]

@@ -520,6 +520,19 @@ def test_sweep_q_preserves_eta_hat(tmp_path):
         assert int(fields["Q"]) == q
 
 
+def test_sweep_prints_one_progress_line_per_point(tmp_path, capsys):
+    cfg = quad_cfg(T=15, trials=1, outdir=str(tmp_path / "sweep"))
+    run_sweep(cfg, "method", ["lmt", "led", "kgt"])
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    for index, (line, label) in enumerate(zip(lines, ["lmt", "led", "kgt"]), start=1):
+        assert re.fullmatch(rf"sweep {label}: point {index}/3 done in \d+\.\d\d s", line), line
+    # the progress goes to stderr only: a point writes the trace of its run
+    run_experiment(dataclasses.replace(cfg, outdir=str(tmp_path / "run")))
+    assert ((tmp_path / "sweep" / "point_method_lmt" / "trace.csv").read_bytes()
+            == (tmp_path / "run" / "trace.csv").read_bytes())
+
+
 def test_sweep_method_axis():
     cfg = quad_cfg(T=15, trials=1)
     tables, summary = run_sweep(cfg, "method", ["lmt", "led", "scaffold"])

@@ -6,7 +6,7 @@ from scipy.special import log_expit
 
 from helpers import finite_difference_gradient, fresh_stream, local_reference
 from lmtsim import objectives as obj
-from lmtsim.streams import TrialStreams, bounded_uint32
+from lmtsim.streams import TrialStreams, bounded_uint32, standard_normal
 
 
 def two_class_dataset(m=40, p=6, seed=0):
@@ -320,18 +320,42 @@ def test_quadratic_round_noise_matches_per_agent_calls():
             assert np.allclose(G[i], gi, atol=1e-15)
 
 
+def _assert_noise_matches_streams(oracle, Q, seed=99, trials=(4, 0, 9), t=7):
+    """Noise of one trial, and of a batch of trials, equals the per-site
+    ``Generator.normal`` draws bit for bit."""
+    n, p = oracle.n_agents, oracle.dim
+    scale = oracle.sigma / np.sqrt(p)
+    alone = oracle.draw(TrialStreams(seed, trials[0]), t, Q)
+    batch = oracle.draw(TrialStreams(seed, list(trials)), t, Q)
+    assert alone.shape == (Q, n, p) and batch.shape == (Q, len(trials), n, p)
+    for step in range(Q):
+        for i in range(n):
+            for slot, trial in enumerate(trials):
+                expected = fresh_stream(seed, trial, i, t, step).normal(0.0, scale, size=p)
+                assert batch[step, slot, i].tobytes() == expected.tobytes(), (step, slot, i)
+            assert alone[step, i].tobytes() == batch[step, 0, i].tobytes()
+
+
 def test_quadratic_round_noise_of_a_batch_matches_each_trial():
     oracle = obj.quadratic_pl_oracle(n=3, p=4, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
-    trials = [4, 0, 9]
-    draws = oracle.draw(TrialStreams(99, trials), 7, 2)
-    assert draws.shape == (2, 3, 3, 4)
-    scale = 0.5 / np.sqrt(4)
-    for slot, trial in enumerate(trials):
-        assert draws[:, slot].tobytes() == oracle.draw(TrialStreams(99, trial), 7, 2).tobytes()
-        for step in range(2):
-            for i in range(3):
-                expected = fresh_stream(99, trial, i, 7, step).normal(0.0, scale, size=4)
-                assert draws[step, slot, i].tobytes() == expected.tobytes()
+    _assert_noise_matches_streams(oracle, 2)
+
+
+@pytest.mark.parametrize("Q", [1, 3, 8])
+@pytest.mark.parametrize("p", [1, 4, 5, 13])
+def test_quadratic_noise_equals_per_site_normals(p, Q):
+    oracle = obj.quadratic_pl_oracle(n=5, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
+    _assert_noise_matches_streams(oracle, Q)
+
+
+def test_quadratic_rejected_sites_are_redrawn_from_their_streams(monkeypatch):
+    def reject_all(words):
+        values, rejected = standard_normal(words)
+        return np.zeros_like(values), np.ones_like(rejected)
+
+    monkeypatch.setattr(obj, "standard_normal", reject_all)
+    oracle = obj.quadratic_pl_oracle(n=3, p=5, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
+    _assert_noise_matches_streams(oracle, 3)
 
 
 def test_draws_are_none_in_deterministic_mode():

@@ -162,7 +162,7 @@ def test_batched_round_equals_each_trials_round(mix, seed, trials, oracle_kind, 
 
 
 class DoubledOracle:
-    """``inner`` with its objective doubled: gradients, values, ``f_star``,
+    """``inner`` with its objective doubled: gradients, gaps, ``f_star``,
     ``mu`` and ``L`` are exactly twice the inner oracle's, from the same
     draws.  Nothing else is delegated, so any other use fails."""
 
@@ -185,11 +185,8 @@ class DoubledOracle:
     def global_gradient(self, x):
         return 2.0 * self._inner.global_gradient(x)
 
-    def global_values_at_rows(self, X):
-        return 2.0 * self._inner.global_values_at_rows(X)
-
-    def global_value(self, x):
-        return 2.0 * self._inner.global_value(x)
+    def opt_gap(self, X):
+        return 2.0 * self._inner.opt_gap(X)
 
 
 #: the factor of each metric when the objective doubles and ``eta_a`` halves

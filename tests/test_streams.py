@@ -1,8 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import fresh_stream
-from lmtsim.streams import _PURPOSE_INIT, TrialStreams, bounded_uint32, philox4x64
+from lmtsim.streams import (_CHUNK_BLOCKS, _PURPOSE_INIT, TrialStreams, _ziggurat_tables,
+                            bounded_uint32, philox4x64, standard_normal)
 
 _U64 = st.integers(0, 2**64 - 1)
 
@@ -123,3 +128,106 @@ def test_lemire_rejections_are_flagged_exactly():
                 assert rejected[step, i] == (_halves_consumed(gen) > b)
                 if not rejected[step, i]:
                     assert np.array_equal(values[step, i], expected)
+
+
+def test_gradient_words_are_served_from_read_only_chunks():
+    seed, trials = 2**64 - 1, [3, 0]
+    streams = TrialStreams(seed, trials)
+
+    def check(rnd, steps, agents, words):
+        got = streams.gradient_words(rnd, steps, agents, words)
+        assert got.shape == (steps, len(trials), agents, words)
+        assert not got.flags.writeable
+        for step in range(steps):
+            for slot, trial in enumerate(trials):
+                for i in range(agents):
+                    raw = fresh_stream(seed, trial, i, rnd, step).bit_generator.random_raw(words)
+                    assert np.array_equal(got[step, slot, i], raw), (rnd, step, slot, i)
+
+    # 2 steps x 2 trials x 5 agents x 3 blocks: 60 blocks a round
+    per_chunk = _CHUNK_BLOCKS // 60
+    for rnd in range(per_chunk + 2):  # across the first chunk boundary
+        check(rnd, 2, 5, 9)
+    check(3, 2, 5, 9)  # an earlier round
+    check(4, 2, 5, 3)  # another layout, then back
+    check(4, 2, 5, 9)
+    check(5, 8, 1, 1)
+
+
+def _untemper(y):
+    """Inverse of MT19937's output tempering on 32-bit values."""
+    y = y ^ (y >> np.uint64(18))
+    y = y ^ ((y << np.uint64(15)) & np.uint64(0xEFC60000))
+    r = y
+    for _ in range(4):
+        r = y ^ ((r << np.uint64(7)) & np.uint64(0x9D2C5680))
+    r &= np.uint64(0xFFFFFFFF)
+    z = r
+    for _ in range(2):
+        z = r ^ (z >> np.uint64(11))
+    return z
+
+
+def _generator_replaying(words):
+    """A numpy generator whose next 64-bit outputs are ``words``: an
+    MT19937 whose state holds their untempered 32-bit halves, high first."""
+    words = np.asarray(words, dtype=np.uint64)
+    halves = np.stack([words >> np.uint64(32), words & np.uint64(0xFFFFFFFF)], axis=-1)
+    key = np.zeros(624, dtype=np.uint64)
+    key[:2 * len(words)] = _untemper(halves.ravel())
+    bg = np.random.MT19937(0)
+    bg.state = {**bg.state, "state": {"key": key.astype(np.uint32), "pos": 0}}
+    return np.random.Generator(bg)
+
+
+def test_ziggurat_fast_path_matches_numpy_at_every_layer_boundary():
+    ki, _ = _ziggurat_tables()
+    layer = np.arange(256, dtype=np.uint64)
+    cases = []  # every layer: magnitudes 0, ki - 1 and ki, both signs
+    for rabs in (np.zeros(256, dtype=np.uint64), np.maximum(ki, 1) - np.uint64(1), ki):
+        for sign in (0, 1):
+            cases.append(layer | np.uint64(sign << 8) | (rabs << np.uint64(9)))
+    words = np.concatenate(cases)[:, None]
+    values, rejected = standard_normal(words)
+    filler = np.random.Philox(1).random_raw(200)
+    for w, value, flagged in zip(words[:, 0], values[:, 0], rejected):
+        gen = _generator_replaying(np.concatenate([[w], filler]))
+        expected = gen.standard_normal()
+        assert flagged == (gen.bit_generator.state["state"]["pos"] > 2), hex(w)
+        if not flagged:
+            assert np.float64(expected).tobytes() == value.tobytes(), hex(w)
+    assert 0 < rejected.sum() < len(rejected)
+
+
+@pytest.mark.parametrize("p", [1, 4, 5, 13])
+def test_ziggurat_draws_are_numpy_normals_or_flagged(p):
+    streams = TrialStreams(9, 0)
+    values, rejected = standard_normal(streams.gradient_words(0, 10, 8, p))
+    assert values.shape == (10, 8, p) and rejected.shape == (10, 8)
+    for step in range(10):
+        for i in range(8):
+            gen = fresh_stream(9, 0, i, 0, step)
+            expected = gen.standard_normal(p)
+            state = gen.bit_generator.state
+            words_used = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+            assert rejected[step, i] == (words_used > p)
+            if not rejected[step, i]:
+                assert values[step, i].tobytes() == expected.tobytes()
+
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "make_ziggurat_tables.py"
+
+
+def test_committed_ziggurat_tables_equal_numpys():
+    spec = importlib.util.spec_from_file_location("make_ziggurat_tables", _TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    if not tool.ARCHIVE.is_file():
+        pytest.skip(f"numpy ships no {tool.ARCHIVE.name} here")
+    extracted = tool.extract()
+    committed = np.load(tool.OUT)
+    assert committed.dtype == extracted.dtype == tool.DTYPE
+    assert committed.tobytes() == extracted.tobytes()
+    ki, wi = _ziggurat_tables()
+    assert np.array_equal(ki, committed["ki"]) and np.array_equal(wi, committed["wi"])
+    assert not ki.flags.writeable and not wi.flags.writeable
