@@ -32,6 +32,11 @@ def consensus_error(M: np.ndarray):
     return np.sum(centered * centered, axis=(-2, -1))
 
 
+def squared_norms(V: np.ndarray) -> np.ndarray:
+    """``v @ v`` of every vector along the last axis of ``V``."""
+    return (V[..., None, :] @ V[..., :, None])[..., 0, 0]
+
+
 def d_bar_sequence(x_bar_t: np.ndarray, x_bar_prev: np.ndarray | None,
                    beta: float) -> np.ndarray:
     """Momentum-compensated auxiliary point.
@@ -78,8 +83,9 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
     trial, and the carry ``(x_bar, d_bar, r_bar)`` the next call takes
     (None in round 0).  A metric is computed exactly when the arrays it
     needs exist: the tracking metrics need ``Z`` in the state, the gap and
-    the surrogate need ``oracle.f_star``.  Dot products and norms stay per
-    trial: their batched forms round differently.
+    the surrogate need ``oracle.f_star``.  Squared norms are stacked
+    ``v @ v`` products, bit-equal to one ``v @ v`` per trial: numpy hands
+    each stacked vector product to the same BLAS dot.
     """
     x_bar_prev, d_prev, r_bar_prev = carry or (None, None, None)
     X = state["X"]
@@ -87,7 +93,7 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
     grads_at_mean = oracle.full_gradients_at(x_bar)
     g_bar = grads_at_mean.mean(axis=-2)
     row = {"consensus_x": consensus_error(X),
-           "grad_norm_avg": np.array([g @ g for g in g_bar])}
+           "grad_norm_avg": squared_norms(g_bar)}
     if oracle.f_star is not None:
         row["opt_gap_mean"] = oracle.opt_gap(X)
     if "Z" not in state:
@@ -99,12 +105,12 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
         row["d_bar_drift"] = np.zeros(len(x_bar))
     else:
         resid = d_bar - (d_prev - hp.eta_hat * r_bar_prev)
-        row["d_bar_drift"] = np.array([np.linalg.norm(r) for r in resid])
+        row["d_bar_drift"] = np.sqrt(squared_norms(resid))
     row["consensus_y"] = consensus_error(new["Y"])
     if oracle.f_star is not None:
         row["lyapunov_surrogate"] = lyapunov_surrogate(
             gap=oracle.opt_gap(d_bar[..., None, :]),
-            z_bar_sq=np.array([z @ z for z in state["Z"].mean(axis=-2)]),
+            z_bar_sq=squared_norms(state["Z"].mean(axis=-2)),
             consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
             z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
     return row, (x_bar, d_bar, new["G_avg"].mean(axis=-2))

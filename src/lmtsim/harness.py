@@ -20,6 +20,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -219,13 +220,22 @@ def run_experiment(cfg: ExperimentConfig,
     """Run one experiment (all trials) and return the aggregated table.
 
     Writes ``trace.csv`` and ``meta.txt`` into ``cfg.outdir`` when set.
+    ``meta.txt`` lists the warnings the run raised; they still reach the
+    caller, each once, when the run ends.
     """
-    mix = build_mixing(cfg)
-    lca = tp.lca_params(mix.lam)
-    oracle = build_oracle(cfg, mix.n)
-    hp = resolve_hyperparams(cfg, oracle, mix)
-
-    per_trial, diverged = _run_trials(cfg, mix, lca, oracle, hp, list(range(cfg.trials)))
+    raised = []
+    try:
+        with warnings.catch_warnings(record=True) as raised:
+            mix = build_mixing(cfg)
+            lca = tp.lca_params(mix.lam)
+            oracle = build_oracle(cfg, mix.n)
+            hp = resolve_hyperparams(cfg, oracle, mix)
+            per_trial, diverged = _run_trials(cfg, mix, lca, oracle, hp,
+                                              list(range(cfg.trials)))
+    finally:
+        for w in raised:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
     diverged_at = min((t for t in diverged if t is not None), default=None)
 
     # mean and std of every metric are kept in memory; the trace CSV
@@ -246,14 +256,14 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.outdir:
         os.makedirs(cfg.outdir, exist_ok=True)
         table.to_csv(os.path.join(cfg.outdir, "trace.csv"))
-        _write_meta(cfg, mix, lca, oracle, hp, diverged_at,
+        _write_meta(cfg, mix, lca, oracle, hp, diverged_at, [str(w.message) for w in raised],
                     os.path.join(cfg.outdir, "meta.txt"))
     return table
 
 
 def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
-                diverged_at: int | None, path: str) -> None:
+                diverged_at: int | None, raised: list[str], path: str) -> None:
     lines = [
         f"fingerprint = {cfg.fingerprint()}",
         f"seed = {cfg.seed}",
@@ -276,6 +286,8 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
         f"diverged_at = {'none' if diverged_at is None else diverged_at}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
+        f"warnings = {len(raised)}",
+        *(f"warning_{k} = {message}" for k, message in enumerate(raised, 1)),
         *_library_lines(),
     ]
     with open(path, "w", encoding="utf-8") as fh:

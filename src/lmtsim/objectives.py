@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .streams import TrialStreams, bounded_uint32, standard_normal
+from .diagnostics import squared_norms
+from .streams import TrialStreams, bounded_uint32
 
 
 class DatasetError(ValueError):
@@ -310,11 +311,13 @@ class LogisticOracle(GradientOracle):
         self._global_weights = np.concatenate(
             [np.full(s, 1.0 / (self.n_agents * s)) for s in sizes])
 
-    def _reg_value(self, x: np.ndarray) -> float:
+    def _reg_values(self, X: np.ndarray) -> np.ndarray:
+        """The regularizer at each point along the last axis of ``X``; bit-equal
+        to one ``x @ x`` or ``np.sum`` per point."""
         if self.reg == "l2":
-            return 0.5 * self.coeff * float(x @ x)
-        xs = x * x
-        return 0.5 * self.coeff * float(np.sum(xs / (1.0 + xs)))
+            return 0.5 * self.coeff * squared_norms(X)
+        xs = X * X
+        return 0.5 * self.coeff * np.sum(xs / (1.0 + xs), axis=-1)
 
     def _reg_gradient(self, x: np.ndarray) -> np.ndarray:
         if self.reg == "l2":
@@ -344,7 +347,7 @@ class LogisticOracle(GradientOracle):
         # is log(1 + exp(-m)), bit-equal to logaddexp(0, -m); kept exact
         # here, as it sets f_star and the schedules' delta_f
         losses = np.concatenate([np.mean(-log_expit(S @ x), axis=-1) for _, S in self._runs])
-        return float(np.mean(losses + self._reg_value(x)))
+        return float(np.mean(losses + self._reg_values(x)))
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's minibatch rows, ``(Q, *streams.shape, n, batch)``
@@ -381,7 +384,7 @@ class LogisticOracle(GradientOracle):
         values = []
         for Xt in X.reshape(-1, X.shape[-2], self.dim):
             losses = self._global_weights @ logistic_loss_inplace(self._signed @ Xt.T)
-            values.append(losses + np.array([self._reg_value(x) for x in Xt]))
+            values.append(losses + self._reg_values(Xt))
         return np.array(values).reshape(X.shape[:-1])
 
 
@@ -435,21 +438,15 @@ class QuadraticOracle(GradientOracle):
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's gradient noise, ``(Q, *streams.shape, n, p)``:
         ``[step, slot, i]`` is ``streams.gradient(i, t, step,
-        slot).normal(0.0, sigma / sqrt(p), size=p)``.  All sites of all
-        trials take numpy's ziggurat fast path on one array of Philox words;
-        a site where a draw leaves it is redrawn through its own generator.
-        ``[None] * Q`` when the oracle is noiseless."""
+        slot).normal(0.0, sigma / sqrt(p), size=p)``, scaled from
+        :meth:`TrialStreams.gradient_normals`.  ``[None] * Q`` when the
+        oracle is noiseless."""
         if self.sigma == 0.0:
             return [None] * Q
         if streams is None:
             raise ValueError("noisy oracle needs random streams")
-        noise, rejected = standard_normal(streams.gradient_words(t, Q, self.n_agents, self.dim))
-        sites = noise.reshape(Q, -1, self.n_agents, self.dim)  # a view, one trial axis
-        for step, slot, i in zip(*np.nonzero(rejected.reshape(Q, -1, self.n_agents))):
-            streams.gradient(int(i), t, int(step), int(slot)).standard_normal(
-                out=sites[step, slot, i])
         # what Generator.normal(0.0, scale) returns from the same draws
-        return 0.0 + self._noise_scale * noise
+        return 0.0 + self._noise_scale * streams.gradient_normals(t, Q, self.n_agents, self.dim)
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:

@@ -20,6 +20,7 @@ generators would make.
 from __future__ import annotations
 
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -105,34 +106,105 @@ def bounded_uint32(words: np.ndarray, bound: np.ndarray,
 
 
 @functools.cache
-def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat tables ``(ki, wi)``, read-only, as written by
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables ``(ki, wi, fi)``, read-only, as written by
     ``tools/make_ziggurat_tables.py`` from numpy's own object code."""
     tables = np.load(Path(__file__).with_name("ziggurat_tables.npy"))
     tables.flags.writeable = False
-    return tables["ki"], tables["wi"]
+    return tables["ki"], tables["wi"], tables["fi"]
 
 
-def standard_normal(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat fast path, one standard normal per 64-bit word.
+# the tail of numpy's normal ziggurat starts at r (``ziggurat_nor_r``)
+_ZIGGURAT_R = 3.6541528853610087963519472518
+_ZIGGURAT_INV_R = 0.27366123732975827203338247596
+_SIGN_BIT = np.uint64(1 << 63)
 
-    ``words`` holds each stream's first 64-bit outputs along its last axis;
-    value j is what ``Generator.standard_normal`` returns from word j when
-    it takes the fast path: layer ``w & 0xff``, sign bit ``(w >> 8) & 1``,
-    magnitude ``rabs = (w >> 9) & (2**52 - 1)``, accepted when
-    ``rabs < ki[layer]``, value ``+-rabs * wi[layer]`` (Marsaglia and Tsang,
-    J. Stat. Softw. 5(8), 2000).  Returns ``(values, rejected)``:
-    ``rejected`` flags the streams where a draw leaves the fast path; numpy
-    then consumes more words, so their values are not numpy's and must be
-    redrawn.
+
+def _uniform(word) -> float:
+    """The double a Philox ``next_double`` makes of one 64-bit word."""
+    return (int(word) >> 11) * 2.0**-53
+
+
+def standard_normal(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat, ``count`` standard normals per stream of words.
+
+    ``words`` holds each stream's first 64-bit outputs along its last axis.
+    Draw j is what ``Generator.standard_normal`` returns as its j-th value
+    from that stream (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000).  A
+    word takes the fast path when ``rabs = (w >> 9) & (2**52 - 1)`` is below
+    ``ki[w & 0xff]``: its value is ``rabs * wi[w & 0xff]``, negated when bit
+    8 is set.  Its value depends on that word alone, so only streams with a
+    slow word among their draws are walked, one slow word per pass: the
+    wedge test spends the next word, the tail spends pairs of words.  Both
+    use the C library's ``exp`` and ``log1p``, as numpy does.  Returns
+    ``(values, short)``: ``short`` flags the streams whose words ran out
+    before their ``count`` draws; their values must be redrawn.
     """
-    ki, wi = _ziggurat_tables()
+    ki, wi, _ = _ziggurat_tables()
     layer = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
     values = rabs.astype(np.float64) * wi[layer]
-    sign = ((words >> np.uint64(8)) & np.uint64(1)).astype(bool)
-    np.negative(values, out=values, where=sign)
-    return values, (rabs >= ki[layer]).any(axis=-1)
+    # bit 8 of the word into the sign bit: the fast path's negation
+    values.view(np.uint64)[...] ^= (words << np.uint64(55)) & _SIGN_BIT
+    slow = rabs >= ki[layer]
+    width = words.shape[-1]
+    flat = (lambda a: a.reshape(-1, width))
+    rows = np.flatnonzero(slow[..., :count].any(axis=-1).ravel())
+    short = np.zeros(values.shape[:-1], dtype=bool)
+    if rows.size:
+        walked, short.ravel()[rows] = _slow_path(
+            flat(words)[rows], flat(values)[rows], flat(slow)[rows], flat(layer)[rows], count)
+        flat(values)[rows, :count] = walked
+    return values[..., :count], short
+
+
+def _slow_path(words, values, slow, layer, count):
+    """Draws ``(rows, count)`` of streams ``(rows, width)`` that have a slow
+    word, and the rows whose words ran out (see :func:`standard_normal`).
+
+    A slow word's test spends the words after it, and which words it spends
+    does not depend on where it stands in its stream.  So every slow word is
+    tested as if read, and the words read are then found by following which
+    words the read ones spend."""
+    rows, width = words.shape
+    fi = _ziggurat_tables()[2]
+    at = np.arange(width)
+    draws = ~slow  # words that make a draw if read
+    spends = np.where(slow, at + 1, at)  # the last word each word spends
+    # wedge: the value stands if (fi[l-1] - fi[l]) U + fi[l] < exp(-x^2/2)
+    r, c = np.nonzero(slow & (layer != 0) & (at < width - 1))
+    lay, x = layer[r, c], values[r, c]
+    u = (words[r, c + 1] >> np.uint64(11)) * 2.0**-53
+    bound = np.fromiter(map(math.exp, (-0.5 * x * x).tolist()), float, len(x))
+    draws[r, c] = (fi[lay - 1] - fi[lay]) * u + fi[lay] < bound
+    # tail: pairs of words until one is accepted
+    for r, c in zip(*np.nonzero(slow & (layer == 0))):
+        stream = words[r].tolist()
+        spends[r, c] = width  # unless a pair is accepted within the stream
+        for first in range(c + 1, width - 1, 2):
+            xx = -_ZIGGURAT_INV_R * math.log1p(-_uniform(stream[first]))
+            yy = -math.log1p(-_uniform(stream[first + 1]))
+            if yy + yy > xx * xx:
+                value = _ZIGGURAT_R + xx
+                values[r, c] = -value if stream[c] >> 17 & 1 else value
+                draws[r, c], spends[r, c] = True, first + 1
+                break
+    # a word is read unless a read word before it spends it; a word spent
+    # by an unread one shows up as read at the next pass
+    read = np.ones_like(slow)
+    while True:
+        reach = np.maximum.accumulate(np.where(read, spends, -1), axis=1)
+        now = np.ones_like(read)
+        now[:, 1:] = reach[:, :-1] < at[1:]
+        if (now == read).all():
+            break
+        read = now
+    draws &= read
+    made = np.cumsum(draws, axis=1)
+    short = made[:, -1] < count
+    pick = draws & (made <= count)
+    pick[short] = at < count
+    return np.take_along_axis(values, np.nonzero(pick)[1].reshape(rows, count), axis=1), short
 
 
 class TrialStreams:
@@ -169,7 +241,7 @@ class TrialStreams:
         self._state = {**self._bg.state, "buffer": [0, 0, 0, 0],
                        "state": {"counter": self._counter, "key": self._key_words}}
         self._slot = 0
-        # (first round, layout, words) of the last gradient_words chunk
+        # (first round, layout, chunk) of the last chunk served
         self._chunk = None
 
     def _reseat(self, agent: int, rnd: int, step: int, purpose: int,
@@ -201,12 +273,38 @@ class TrialStreams:
         same layout are served from that chunk.  The result is a read-only
         view into it.
         """
-        layout = (steps, agents, words)
+        return self._served(rnd, ("words", steps, agents, words), lambda first, raw: raw[..., :words])
+
+    def gradient_normals(self, rnd: int, steps: int, agents: int, count: int) -> np.ndarray:
+        """Standard normals of the gradient streams of round ``rnd``, shape
+        ``(steps, *shape, agents, count)``: entry ``[step, slot, i]`` equals
+        ``self.gradient(i, rnd, step, slot).standard_normal(count)``.
+
+        Chunked and served as :meth:`gradient_words`.  The normals come
+        from the words of whole Philox blocks by :func:`standard_normal`; a
+        site whose words run out is drawn through its own generator.
+        """
+        def normals(first, raw):
+            values, short = standard_normal(raw, count)
+            for site in zip(*np.nonzero(short)):
+                r, step, *slot, i = map(int, site)
+                self.gradient(i, first + r, step, *slot).standard_normal(out=values[site])
+            return values
+
+        return self._served(rnd, ("normals", steps, agents, count), normals)
+
+    def _served(self, rnd: int, layout: tuple, finish) -> np.ndarray:
+        """Round ``rnd`` of the chunk of ``layout = (kind, steps, agents,
+        per_site)``, computing the chunk from ``rnd`` on if it is not the
+        last one: ``finish(first_round, words)`` turns the words of whole
+        blocks, shape ``(rounds, steps, *shape, agents, 4 * blocks)``, into
+        the chunk."""
         if self._chunk is not None:
             first, chunk_layout, chunk = self._chunk
             if chunk_layout == layout and first <= rnd < first + len(chunk):
                 return chunk[rnd - first]
-        blocks = -(-words // 4)
+        _, steps, agents, per_site = layout
+        blocks = -(-per_site // 4)
         rounds = max(1, _CHUNK_BLOCKS // (steps * len(self.trials) * agents * blocks))
         counters = np.zeros((rounds, steps) + self.shape + (agents, blocks, 4), dtype=np.uint64)
         counters[..., 0] = np.arange(1, blocks + 1, dtype=np.uint64)
@@ -218,7 +316,7 @@ class TrialStreams:
                             | np.arange(agents, dtype=np.uint64)[:, None])
         keys = self._keys.reshape(self.shape + (1, 1, 2))
         out = philox4x64(counters, keys)
-        chunk = out.reshape(counters.shape[:-2] + (4 * blocks,))[..., :words]
+        chunk = finish(rnd, out.reshape(counters.shape[:-2] + (4 * blocks,)))
         chunk.flags.writeable = False
         self._chunk = (rnd, layout, chunk)
         return chunk[0]

@@ -16,6 +16,26 @@ def test_consensus_error_values():
     assert dg.consensus_error(np.array([[1.0], [0.0]])) == pytest.approx(0.5)
 
 
+def test_stacked_vector_products_equal_one_product_per_vector():
+    """The stacked ``v @ v`` of ``squared_norms`` and a row-wise ``np.sum``
+    are bit-equal to numpy's per-vector BLAS dot and pairwise sum, at every
+    length from 1 to 333 (pairwise summation splits past 8 and 128)."""
+    rng = np.random.default_rng(5)
+    for p in range(1, 334):
+        V = rng.normal(size=(3, 4, p)) * np.exp(rng.normal(size=(3, 4, 1)))
+        norms = dg.squared_norms(V)
+        assert norms.shape == (3, 4)
+        per_vector = np.array([[v @ v for v in block] for block in V])
+        assert norms.tobytes() == per_vector.tobytes(), p
+        lengths = np.array([[np.linalg.norm(v) for v in block] for block in V])
+        assert np.sqrt(norms).tobytes() == lengths.tobytes(), p
+        xs = V * V
+        ratios = xs / (1.0 + xs)
+        sums = np.array([[np.sum(r) for r in block] for block in ratios])
+        assert np.sum(ratios, axis=-1).tobytes() == sums.tobytes(), p
+    assert dg.squared_norms(np.array([3.0, 4.0])) == 25.0
+
+
 def test_consensus_error_shift_invariance():
     rng = np.random.default_rng(0)
     M = rng.normal(size=(6, 4))

@@ -225,6 +225,58 @@ def test_rerun_is_byte_identical(tmp_path):
     assert "fingerprint = " in meta and "lyapunov_note = surrogate" in meta
 
 
+# criterion 6's set-up: theorem1 with noise breaks the eta_s cap, and
+# beta = 0 lies below rho_w
+SPEEDUP_CFG = """
+topology.kind = ring
+topology.n = 10
+objective.kind = quadratic_pl
+objective.dim = 10
+objective.mu = 1.0
+objective.L = 1.0
+objective.sigma = 1.0
+objective.seed = 21
+objective.center = true
+method = lmt
+schedule = theorem1
+schedule.delta_f = 1.0
+hyper.Q = 2
+hyper.beta = 0.0
+run.T = 5
+run.trials = 2
+run.seed = 99
+"""
+
+
+def test_meta_records_each_warning_and_the_caller_still_gets_it_once(tmp_path):
+    cfg = dataclasses.replace(ExperimentConfig.from_mapping(parse_config_text(SPEEDUP_CFG)),
+                              outdir=str(tmp_path / "warned"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(cfg)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert "eta_s" in messages[0] and "momentum" in messages[1]
+    assert all(w.category is UserWarning for w in caught)
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "warned" / "meta.txt").read_text().splitlines())
+    assert meta["warnings"] == "2"
+    assert [meta["warning_1"], meta["warning_2"]] == messages
+    assert "warning_3" not in meta
+    # a quiet run records none, and recording changes no trace byte
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_experiment(dataclasses.replace(cfg, schedule="explicit", eta_a=0.05, eta_s=0.1,
+                                           beta=None, outdir=str(tmp_path / "quiet")))
+    quiet = (tmp_path / "quiet" / "meta.txt").read_text().splitlines()
+    assert "warnings = 0" in quiet and not any(l.startswith("warning_") for l in quiet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_experiment(dataclasses.replace(cfg, outdir=str(tmp_path / "again")))
+    assert ((tmp_path / "again" / "trace.csv").read_bytes()
+            == (tmp_path / "warned" / "trace.csv").read_bytes())
+
+
 def test_meta_records_library_versions_and_simd(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

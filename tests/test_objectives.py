@@ -6,6 +6,7 @@ from scipy.special import log_expit
 
 from helpers import finite_difference_gradient, fresh_stream, local_reference
 from lmtsim import objectives as obj
+from lmtsim import streams as streams_module
 from lmtsim.streams import TrialStreams, bounded_uint32, standard_normal
 
 
@@ -349,11 +350,11 @@ def test_quadratic_noise_equals_per_site_normals(p, Q):
 
 
 def test_quadratic_rejected_sites_are_redrawn_from_their_streams(monkeypatch):
-    def reject_all(words):
-        values, rejected = standard_normal(words)
-        return np.zeros_like(values), np.ones_like(rejected)
+    def short_everywhere(words, count):
+        values, short = standard_normal(words, count)
+        return np.zeros_like(values), np.ones_like(short)
 
-    monkeypatch.setattr(obj, "standard_normal", reject_all)
+    monkeypatch.setattr(streams_module, "standard_normal", short_everywhere)
     oracle = obj.quadratic_pl_oracle(n=3, p=5, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
     _assert_noise_matches_streams(oracle, 3)
 

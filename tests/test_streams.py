@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -181,38 +182,172 @@ def _generator_replaying(words):
 
 
 def test_ziggurat_fast_path_matches_numpy_at_every_layer_boundary():
-    ki, _ = _ziggurat_tables()
+    ki, _, _ = _ziggurat_tables()
     layer = np.arange(256, dtype=np.uint64)
     cases = []  # every layer: magnitudes 0, ki - 1 and ki, both signs
     for rabs in (np.zeros(256, dtype=np.uint64), np.maximum(ki, 1) - np.uint64(1), ki):
         for sign in (0, 1):
             cases.append(layer | np.uint64(sign << 8) | (rabs << np.uint64(9)))
     words = np.concatenate(cases)[:, None]
-    values, rejected = standard_normal(words)
+    # one word a stream: a slow word has no word left for its test
+    values, short = standard_normal(words, 1)
     filler = np.random.Philox(1).random_raw(200)
-    for w, value, flagged in zip(words[:, 0], values[:, 0], rejected):
+    for w, value, flagged in zip(words[:, 0], values[:, 0], short):
         gen = _generator_replaying(np.concatenate([[w], filler]))
         expected = gen.standard_normal()
         assert flagged == (gen.bit_generator.state["state"]["pos"] > 2), hex(w)
         if not flagged:
             assert np.float64(expected).tobytes() == value.tobytes(), hex(w)
-    assert 0 < rejected.sum() < len(rejected)
+    assert 0 < short.sum() < len(short)
+
+
+def _words_used(gen):
+    """64-bit outputs a fresh Philox-backed generator has handed out."""
+    state = gen.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
 
 
 @pytest.mark.parametrize("p", [1, 4, 5, 13])
-def test_ziggurat_draws_are_numpy_normals_or_flagged(p):
+def test_ziggurat_draws_are_numpy_normals_or_short(p):
     streams = TrialStreams(9, 0)
-    values, rejected = standard_normal(streams.gradient_words(0, 10, 8, p))
-    assert values.shape == (10, 8, p) and rejected.shape == (10, 8)
+    width = 4 * -(-p // 4)  # the words of whole Philox blocks
+    values, short = standard_normal(streams.gradient_words(0, 10, 8, width), p)
+    assert values.shape == (10, 8, p) and short.shape == (10, 8)
     for step in range(10):
         for i in range(8):
             gen = fresh_stream(9, 0, i, 0, step)
             expected = gen.standard_normal(p)
-            state = gen.bit_generator.state
-            words_used = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
-            assert rejected[step, i] == (words_used > p)
-            if not rejected[step, i]:
+            assert short[step, i] == (_words_used(gen) > width)
+            if not short[step, i]:
                 assert values[step, i].tobytes() == expected.tobytes()
+
+
+def test_slow_path_matches_numpy_on_real_philox_sites():
+    """Sites of real Philox streams whose first slow word is a wedge that
+    stands, a wedge that is rejected or a tail word, and sites whose words
+    run out, all against the generator of each site."""
+    seed, trials, steps, agents, count, width = 3, [0, 1], 40, 50, 10, 12
+    streams = TrialStreams(seed, trials)
+    words = streams.gradient_words(0, steps, agents, width)
+    values, short = standard_normal(words, count)
+    ki, wi, _ = _ziggurat_tables()
+    layer = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+    slow = rabs >= ki[layer]
+    first = np.where(slow.any(axis=-1), slow.argmax(axis=-1), width)
+    seen = dict.fromkeys(["fast", "wedge_stands", "wedge_rejected", "tail", "short"], 0)
+    for site in np.ndindex(short.shape):
+        step, slot, i = site
+        gen = fresh_stream(seed, trials[slot], i, 0, step)
+        expected = gen.standard_normal(count)
+        assert short[site] == (_words_used(gen) > width), site
+        s = first[site]
+        if short[site]:
+            seen["short"] += 1
+            continue
+        assert values[site].tobytes() == expected.tobytes(), site
+        if s >= count:
+            seen["fast"] += 1
+        elif layer[site][s] == 0:
+            seen["tail"] += 1
+        else:
+            fast_value = float(rabs[site][s]) * wi[layer[site][s]]
+            stands = abs(expected[s]) == fast_value
+            seen["wedge_stands" if stands else "wedge_rejected"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_U64, trials=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+       Q=st.integers(1, 8), agents=st.integers(1, 4), p=st.integers(1, 13),
+       start=st.integers(0, 300), batch=st.booleans())
+def test_gradient_normals_equal_each_sites_normals(seed, trials, Q, agents, p, start, batch):
+    streams = TrialStreams(seed, trials if batch else trials[0])
+    # a chunk starts at the first round asked for; ask across its end
+    per_chunk = max(1, _CHUNK_BLOCKS // (Q * len(streams.trials) * agents * -(-p // 4)))
+    for rnd in (start, start + per_chunk - 1, start + per_chunk):
+        got = streams.gradient_normals(rnd, Q, agents, p)
+        assert got.shape == (Q,) + streams.shape + (agents, p) and not got.flags.writeable
+        sites = got.reshape(Q, -1, agents, p)
+        for step in range(Q):
+            for slot, trial in enumerate(streams.trials):
+                for i in range(agents):
+                    expected = fresh_stream(seed, trial, i, rnd, step).standard_normal(p)
+                    assert sites[step, slot, i].tobytes() == expected.tobytes()
+
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64_MASK = 2**64 - 1
+
+
+def _philox_inverse(block, key):
+    """The counter whose Philox4x64-10 block is ``block``: the ten rounds
+    undone, each multiplier inverted modulo 2**64."""
+    x = [int(w) for w in block]
+    inverse = [pow(m, -1, 2**64) for m in _PHILOX_M]
+    for r in reversed(range(10)):
+        k0 = (int(key[0]) + r * _PHILOX_W[0]) & _U64_MASK
+        k1 = (int(key[1]) + r * _PHILOX_W[1]) & _U64_MASK
+        c0 = (x[3] * inverse[0]) & _U64_MASK
+        c2 = (x[1] * inverse[1]) & _U64_MASK
+        c1 = x[0] ^ ((c2 * _PHILOX_M[1]) >> 64) ^ k0
+        c3 = x[2] ^ ((c0 * _PHILOX_M[0]) >> 64) ^ k1
+        x = [c0, c1, c2, c3]
+    return x
+
+
+def _philox_replaying(block):
+    """A Philox generator whose first four words are ``block``."""
+    key = np.array([12345, 678], dtype=np.uint64)
+    counter = sum(c << (64 * j) for j, c in enumerate(_philox_inverse(block, key))) - 1
+    counter = [(counter >> (64 * j)) & _U64_MASK for j in range(4)]
+    return np.random.Generator(np.random.Philox(counter=np.array(counter, dtype=np.uint64),
+                                                key=key))
+
+
+def test_philox_replaying_hands_out_the_chosen_block():
+    block = [1, 2**64 - 1, 0xDEADBEEF, 7]
+    assert _philox_replaying(block).bit_generator.random_raw(4).tolist() == block
+
+
+def _wedge_near_ties():
+    """Wedge words whose test value lies between numpy's SIMD ``exp`` and
+    the C library's ``exp`` of ``-x^2/2``: (slow word, uniform word)."""
+    ki, wi, fi = _ziggurat_tables()
+    ties = {}
+    for lay in range(1, 255):
+        for rabs in range(int(ki[lay]), 2**52, 2**52 // 997):
+            x = rabs * wi[lay]
+            libm, simd = math.exp(-0.5 * x * x), float(np.exp(np.float64(-0.5 * x * x)))
+            if libm == simd or (simd > libm) in ties:
+                continue
+            # the 53-bit uniform m / 2**53 whose test value just reaches min(libm, simd)
+            step = fi[lay - 1] - fi[lay]
+            m = int((min(libm, simd) - fi[lay]) / step * 2.0**53)
+            while step * (m * 2.0**-53) + fi[lay] < min(libm, simd):
+                m += 1
+            while step * ((m - 1) * 2.0**-53) + fi[lay] >= min(libm, simd):
+                m -= 1
+            if not 0 <= m < 2**53 or step * (m * 2.0**-53) + fi[lay] >= max(libm, simd):
+                continue
+            ties[simd > libm] = (lay | (rabs << 9), m << 11)
+            if len(ties) == 2:
+                return list(ties.values())
+    raise AssertionError("numpy's exp equals the C library's on every probed wedge")
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_wedge_test_uses_the_c_library_exp_on_near_ties(case):
+    slow_word, uniform_word = _wedge_near_ties()[case]
+    fast_word = 5 | (12345 << 9)  # layer 5, far below ki[5]
+    block = [slow_word, uniform_word, fast_word, fast_word | 1 << 8]
+    gen = _philox_replaying(block)
+    words = gen.bit_generator.random_raw(8)
+    gen = _philox_replaying(block)
+    values, short = standard_normal(words[None], 3)
+    assert not short[0]
+    assert values[0].tobytes() == gen.standard_normal(3).tobytes()
 
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "make_ziggurat_tables.py"
@@ -228,6 +363,7 @@ def test_committed_ziggurat_tables_equal_numpys():
     committed = np.load(tool.OUT)
     assert committed.dtype == extracted.dtype == tool.DTYPE
     assert committed.tobytes() == extracted.tobytes()
-    ki, wi = _ziggurat_tables()
-    assert np.array_equal(ki, committed["ki"]) and np.array_equal(wi, committed["wi"])
-    assert not ki.flags.writeable and not wi.flags.writeable
+    tables = _ziggurat_tables()
+    for name, table in zip(("ki", "wi", "fi"), tables):
+        assert np.array_equal(table, committed[name]), name
+        assert not table.flags.writeable

@@ -4,13 +4,14 @@
 
 numpy's ``Generator.standard_normal`` is the Marsaglia-Tsang ziggurat
 (J. Stat. Softw. 5(8), 2000) over the 256-entry tables ``ki_double``
-(uint64 acceptance thresholds) and ``wi_double`` (float64 layer widths).
+(uint64 acceptance thresholds), ``wi_double`` (float64 layer widths) and
+``fi_double`` (float64 density at each layer's edge, for the wedge test).
 They are not exported from Python, but numpy ships them in its static
 library ``numpy/random/lib/libnpyrandom.a``, member
 ``src_distributions_distributions.c.o``, as local symbols.  This script
-reads the ar archive and the ELF64 object in pure Python, looks both
+reads the ar archive and the ELF64 object in pure Python, looks the
 symbols up by name in the symbol table, and writes them to
-``src/lmtsim/ziggurat_tables.npy``, one record ``(ki, wi)`` per layer.
+``src/lmtsim/ziggurat_tables.npy``, one record ``(ki, wi, fi)`` per layer.
 ``tests/test_streams.py`` re-extracts them and compares.
 """
 
@@ -26,7 +27,7 @@ OUT = Path(__file__).resolve().parents[1] / "src" / "lmtsim" / "ziggurat_tables.
 ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 MEMBER = "src_distributions_distributions.c.o"
 LAYERS = 256
-DTYPE = np.dtype([("ki", "<u8"), ("wi", "<f8")])
+DTYPE = np.dtype([("ki", "<u8"), ("wi", "<f8"), ("fi", "<f8")])
 
 _AR_MAGIC = b"!<arch>\n"
 _AR_HEADER = 60
@@ -94,14 +95,17 @@ def elf_symbols(obj: bytes, names: tuple[str, ...]) -> dict[str, bytes]:
 
 
 def extract(archive: Path = ARCHIVE) -> np.ndarray:
-    """numpy's ``ki_double`` and ``wi_double`` as one record per layer."""
-    symbols = elf_symbols(ar_member(archive.read_bytes(), MEMBER), ("ki_double", "wi_double"))
+    """numpy's ``ki_double``, ``wi_double`` and ``fi_double`` as one record
+    per layer."""
+    symbols = elf_symbols(ar_member(archive.read_bytes(), MEMBER),
+                          ("ki_double", "wi_double", "fi_double"))
     for name, data in symbols.items():
         if len(data) != 8 * LAYERS:
             raise TableError(f"{name}: {len(data)} bytes, expected {8 * LAYERS}")
     tables = np.empty(LAYERS, dtype=DTYPE)
     tables["ki"] = np.frombuffer(symbols["ki_double"], dtype="<u8")
     tables["wi"] = np.frombuffer(symbols["wi_double"], dtype="<f8")
+    tables["fi"] = np.frombuffer(symbols["fi_double"], dtype="<f8")
     return tables
 
 
