@@ -11,8 +11,9 @@ vectorised evaluation of the Philox4x64-10 block function over the
 counters and keys of all its draw sites
 (:meth:`TrialStreams.gradient_words`) and numpy's Lemire rule for bounded
 integers (:func:`bounded_uint32`); a round's Gaussian noise comes from the
-same words and the fast path of numpy's ziggurat (:func:`standard_normal`).
-All three are bit-equal to ``np.random.Philox``, ``Generator.integers`` and
+same words and numpy's ziggurat, fast path, wedge and tail
+(:meth:`TrialStreams.gradient_normals`, :func:`standard_normal`).  All
+three are bit-equal to ``np.random.Philox``, ``Generator.integers`` and
 ``Generator.standard_normal``, so these draws are the ones the per-site
 generators would make.
 """
@@ -41,11 +42,13 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
 
-#: Philox blocks per evaluation of :meth:`TrialStreams.gradient_words`.  A
-#: call's fixed cost is that of some 800 blocks (about 0.2 ms plus 0.25 us
-#: a block on an x86_64 VM), so the words of consecutive rounds are
-#: computed together up to this many blocks
-_CHUNK_BLOCKS = 4096
+#: Philox blocks per chunk of :meth:`TrialStreams.gradient_words` and
+#: :meth:`TrialStreams.gradient_normals`.  A Philox call's fixed cost is
+#: that of some 1,400 blocks (about 0.33 ms plus 0.23 us a block on a
+#: 2-core x86_64 VM), so the words of consecutive rounds are computed
+#: together; past about 8,192 blocks the cost per block nearly doubles, as
+#: the working set outgrows the cache
+_CHUNK_BLOCKS = 8192
 
 
 def _key(master_seed: int, trial: int) -> np.ndarray:
@@ -128,15 +131,14 @@ def _uniform(word) -> float:
 def standard_normal(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's ziggurat, ``count`` standard normals per stream of words.
 
-    ``words`` holds each stream's first 64-bit outputs along its last axis.
-    Draw j is what ``Generator.standard_normal`` returns as its j-th value
-    from that stream (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000).  A
-    word takes the fast path when ``rabs = (w >> 9) & (2**52 - 1)`` is below
-    ``ki[w & 0xff]``: its value is ``rabs * wi[w & 0xff]``, negated when bit
-    8 is set.  Its value depends on that word alone, so only streams with a
-    slow word among their draws are walked, one slow word per pass: the
-    wedge test spends the next word, the tail spends pairs of words.  Both
-    use the C library's ``exp`` and ``log1p``, as numpy does.  Returns
+    ``words`` holds each stream's first 64-bit outputs along its last axis,
+    at least ``count`` of them.  Draw j is the j-th value
+    ``Generator.standard_normal`` returns from that stream (Marsaglia and
+    Tsang, J. Stat. Softw. 5(8), 2000).  A word takes the fast path when
+    ``rabs = (w >> 9) & (2**52 - 1)`` is below ``ki[w & 0xff]``: its value
+    is ``rabs * wi[w & 0xff]``, negated when bit 8 is set.  That value
+    depends on the word alone, so only the streams with a slow word among
+    their first ``count`` words are walked (:func:`_slow_path`).  Returns
     ``(values, short)``: ``short`` flags the streams whose words ran out
     before their ``count`` draws; their values must be redrawn.
     """
@@ -144,17 +146,16 @@ def standard_normal(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarr
     layer = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
     values = rabs.astype(np.float64) * wi[layer]
-    # bit 8 of the word into the sign bit: the fast path's negation
+    # bit 8 of each word into the sign bit: the fast path's negation
     values.view(np.uint64)[...] ^= (words << np.uint64(55)) & _SIGN_BIT
     slow = rabs >= ki[layer]
-    width = words.shape[-1]
-    flat = (lambda a: a.reshape(-1, width))
-    rows = np.flatnonzero(slow[..., :count].any(axis=-1).ravel())
     short = np.zeros(values.shape[:-1], dtype=bool)
+    rows = np.flatnonzero(slow[..., :count].any(axis=-1))
     if rows.size:
-        walked, short.ravel()[rows] = _slow_path(
-            flat(words)[rows], flat(values)[rows], flat(slow)[rows], flat(layer)[rows], count)
-        flat(values)[rows, :count] = walked
+        width = words.shape[-1]
+        walked = [a.reshape(-1, width)[rows] for a in (words, values, slow, layer)]
+        drawn, short.ravel()[rows] = _slow_path(*walked, count)
+        values.reshape(-1, width)[rows, :count] = drawn
     return values[..., :count], short
 
 
@@ -162,22 +163,29 @@ def _slow_path(words, values, slow, layer, count):
     """Draws ``(rows, count)`` of streams ``(rows, width)`` that have a slow
     word, and the rows whose words ran out (see :func:`standard_normal`).
 
-    A slow word's test spends the words after it, and which words it spends
-    does not depend on where it stands in its stream.  So every slow word is
-    tested as if read, and the words read are then found by following which
-    words the read ones spend."""
+    numpy tests a slow word of layer ``l > 0`` against the wedge with the
+    next word as a uniform ``U``: the fast-path value stands if
+    ``(fi[l-1] - fi[l]) U + fi[l] < exp(-x^2/2)``, else the draw starts
+    over.  A slow word of layer 0 goes to the tail, which spends pairs of
+    words until one is accepted.  Both use the C library's ``exp`` and
+    ``log1p``, as numpy does.  Which words a slow word spends does not
+    depend on where it stands in its stream, so every slow word is tested
+    as if read, and the words read are then found from what the read ones
+    spend."""
     rows, width = words.shape
     fi = _ziggurat_tables()[2]
     at = np.arange(width)
     draws = ~slow  # words that make a draw if read
-    spends = np.where(slow, at + 1, at)  # the last word each word spends
-    # wedge: the value stands if (fi[l-1] - fi[l]) U + fi[l] < exp(-x^2/2)
-    r, c = np.nonzero(slow & (layer != 0) & (at < width - 1))
-    lay, x = layer[r, c], values[r, c]
-    u = (words[r, c + 1] >> np.uint64(11)) * 2.0**-53
-    bound = np.fromiter(map(math.exp, (-0.5 * x * x).tolist()), float, len(x))
-    draws[r, c] = (fi[lay - 1] - fi[lay]) * u + fi[lay] < bound
-    # tail: pairs of words until one is accepted
+    spends = at + slow  # the last word each word spends
+    # wedge
+    f = np.flatnonzero(slow & (layer != 0))
+    lay, x = layer.take(f), values.take(f)
+    u = (words.take(f + 1, mode="clip") >> np.uint64(11)) * 2.0**-53
+    bound = np.fromiter(map(math.exp, (-0.5 * x * x).tolist()), float, len(f))
+    draws.ravel()[f] = (fi[lay - 1] - fi[lay]) * u + fi[lay] < bound
+    draws[:, -1] = ~slow[:, -1]  # a slow last word has no word left for its test
+    # tail: xx = -log1p(-U1) / r and yy = -log1p(-U2) until 2 yy > xx^2; the
+    # value r + xx takes the sign of bit 8 of rabs, bit 17 of the word
     for r, c in zip(*np.nonzero(slow & (layer == 0))):
         stream = words[r].tolist()
         spends[r, c] = width  # unless a pair is accepted within the stream
@@ -189,22 +197,23 @@ def _slow_path(words, values, slow, layer, count):
                 values[r, c] = -value if stream[c] >> 17 & 1 else value
                 draws[r, c], spends[r, c] = True, first + 1
                 break
-    # a word is read unless a read word before it spends it; a word spent
-    # by an unread one shows up as read at the next pass
-    read = np.ones_like(slow)
+    # a word is read unless a read word before it spends it: count the
+    # spends of every slow word, then of the slow words found read, until
+    # those are the ones counted
+    counted = slow
     while True:
-        reach = np.maximum.accumulate(np.where(read, spends, -1), axis=1)
-        now = np.ones_like(read)
-        now[:, 1:] = reach[:, :-1] < at[1:]
-        if (now == read).all():
+        reach = np.maximum.accumulate(np.where(counted, spends, -1), axis=1)
+        read = np.ones_like(slow)
+        read[:, 1:] = reach[:, :-1] < at[1:]
+        if np.array_equal(read & slow, counted):
             break
-        read = now
+        counted = read & slow
     draws &= read
     made = np.cumsum(draws, axis=1)
     short = made[:, -1] < count
     pick = draws & (made <= count)
     pick[short] = at < count
-    return np.take_along_axis(values, np.nonzero(pick)[1].reshape(rows, count), axis=1), short
+    return values[pick].reshape(rows, count), short
 
 
 class TrialStreams:
@@ -273,7 +282,8 @@ class TrialStreams:
         same layout are served from that chunk.  The result is a read-only
         view into it.
         """
-        return self._served(rnd, ("words", steps, agents, words), lambda first, raw: raw[..., :words])
+        return self._served(rnd, ("words", steps, agents, words),
+                            lambda first, raw: raw[..., :words])
 
     def gradient_normals(self, rnd: int, steps: int, agents: int, count: int) -> np.ndarray:
         """Standard normals of the gradient streams of round ``rnd``, shape
