@@ -123,9 +123,9 @@ _ZIGGURAT_INV_R = 0.27366123732975827203338247596
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def _uniform(word) -> float:
+def _uniform(word: int) -> float:
     """The double a Philox ``next_double`` makes of one 64-bit word."""
-    return (int(word) >> 11) * 2.0**-53
+    return (word >> 11) * 2.0**-53
 
 
 def standard_normal(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -208,7 +208,7 @@ def _words_used(gen):
 
 
 @pytest.mark.parametrize("p", [1, 4, 5, 13])
-def test_ziggurat_draws_are_numpy_normals_or_short(p):
+def test_ziggurat_draws_are_numpy_normals_or_flagged(p):
     streams = TrialStreams(9, 0)
     width = 4 * -(-p // 4)  # the words of whole Philox blocks
     values, short = standard_normal(streams.gradient_words(0, 10, 8, width), p)
