@@ -26,9 +26,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 
 
-def _key(key: str, default):
-    """A config field read from the dotted ``key``."""
-    return field(default=default, metadata={"key": key})
+def _key(key: str, default, **check):
+    """A config field read from the dotted ``key`` with its range: ``choices``,
+    ``least`` (``>=``), ``above`` (``>``), under objective ``only`` if given."""
+    return field(default=default, metadata={"key": key, **check})
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -56,38 +57,39 @@ class ExperimentConfig:
     """Validated experiment description (all paths resolved)."""
 
     # topology
-    topology_kind: str = _key("topology.kind", "ring")
+    topology_kind: str = _key("topology.kind", "ring", choices=TOPOLOGY_CHOICES)
     n: int = _key("topology.n", 0)
     topology_path: str | None = _key("topology.path", None)
     # objective
-    objective_kind: str = _key("objective.kind", "quadratic_pl")
+    objective_kind: str = _key("objective.kind", "quadratic_pl", choices=OBJECTIVE_CHOICES)
     data_source: str | None = _key("objective.data", None)  # "synthetic" or a path
-    data_format: str | None = _key("objective.format", None)  # None = by extension
-    synthetic_samples: int = _key("objective.synthetic.samples", 1000)
-    synthetic_features: int = _key("objective.synthetic.features", 20)
+    # None: by the data file's extension
+    data_format: str | None = _key("objective.format", None, choices=FORMAT_CHOICES)
+    synthetic_samples: int = _key("objective.synthetic.samples", 1000, least=2)
+    synthetic_features: int = _key("objective.synthetic.features", 20, least=1)
     synthetic_seed: int = _key("objective.synthetic.seed", 0)
-    rho: float = _key("objective.rho", 0.2)
-    omega: float = _key("objective.omega", 0.05)
-    batch: int | None = _key("objective.batch", 1)  # None = deterministic full batch
-    quad_dim: int = _key("objective.dim", 10)
-    quad_mu: float = _key("objective.mu", 0.1)
+    rho: float = _key("objective.rho", 0.2, least=0, only="logistic_l2")
+    omega: float = _key("objective.omega", 0.05, least=0, only="logistic_nonconvex")
+    batch: int | None = _key("objective.batch", 1, least=1)  # None = deterministic full batch
+    quad_dim: int = _key("objective.dim", 10, least=1)
+    quad_mu: float = _key("objective.mu", 0.1, above=0, only="quadratic_pl")
     quad_l: float = _key("objective.L", 1.0)
-    quad_sigma: float = _key("objective.sigma", 0.0)
+    quad_sigma: float = _key("objective.sigma", 0.0, least=0, only="quadratic_pl")
     quad_seed: int = _key("objective.seed", 0)
     quad_center: bool = _key("objective.center", False)
     # method and schedule
-    method: str = _key("method", "lmt")
-    schedule: str = _key("schedule", "explicit")
-    Q: int = _key("hyper.Q", 1)
-    eta_a: float | None = _key("hyper.eta_a", None)
-    eta_s: float | None = _key("hyper.eta_s", None)
+    method: str = _key("method", "lmt", choices=METHOD_CHOICES)
+    schedule: str = _key("schedule", "explicit", choices=SCHEDULE_CHOICES)
+    Q: int = _key("hyper.Q", 1, least=1)
+    eta_a: float | None = _key("hyper.eta_a", None, above=0)
+    eta_s: float | None = _key("hyper.eta_s", None, above=0)
     beta: float | None = _key("hyper.beta", None)  # None = consensus rate rho_w
-    delta_f: float | None = _key("schedule.delta_f", None)  # theorem1 input
+    delta_f: float | None = _key("schedule.delta_f", None, above=0)  # theorem1 input
     # run
-    T: int = _key("run.T", 100)
-    trials: int = _key("run.trials", 10)
+    T: int = _key("run.T", 100, least=1)
+    trials: int = _key("run.trials", 10, least=1)
     seed: int = _key("run.seed", 0)
-    init: str = _key("run.init", "zeros")
+    init: str = _key("run.init", "zeros", choices=INIT_CHOICES)
     init_scale: float = _key("run.init_scale", 1.0)
     outdir: str | None = _key("output.dir", None)
 
@@ -120,9 +122,17 @@ class ExperimentConfig:
         return replace(self, **updates) if updates else self
 
     def validate(self) -> None:
-        if self.topology_kind not in TOPOLOGY_CHOICES:
-            raise ConfigError(f"topology.kind: expected one of {TOPOLOGY_CHOICES}, "
-                              f"got {self.topology_kind!r}")
+        for f in fields(self):
+            value, check = getattr(self, f.name), f.metadata
+            if value is None or check.get("only", self.objective_kind) != self.objective_kind:
+                continue
+            key = check["key"]
+            if "choices" in check and value not in check["choices"]:
+                raise ConfigError(f"{key}: expected one of {check['choices']}, got {value!r}")
+            if "least" in check and value < check["least"]:
+                raise ConfigError(f"{key}: must be >= {check['least']}, got {value}")
+            if "above" in check and value <= check["above"]:
+                raise ConfigError(f"{key}: must be > {check['above']}, got {value}")
         if self.topology_kind == "file":
             if not self.topology_path:
                 raise ConfigError("topology.path: required for topology.kind = file")
@@ -134,9 +144,6 @@ class ExperimentConfig:
         elif self.n < (least := 3 if self.topology_kind == "ring" else 1):
             raise ConfigError(f"topology.n: a {self.topology_kind} topology needs "
                               f"at least {least} agents, got {self.n}")
-        if self.objective_kind not in OBJECTIVE_CHOICES:
-            raise ConfigError(f"objective.kind: expected one of {OBJECTIVE_CHOICES}, "
-                              f"got {self.objective_kind!r}")
         if self.objective_kind.startswith("logistic"):
             if not self.data_source:
                 raise ConfigError("objective.data: required for logistic objectives "
@@ -146,43 +153,17 @@ class ExperimentConfig:
             if self.data_source == "synthetic" and self.synthetic_samples < self.n:
                 raise ConfigError(f"objective.synthetic.samples: cannot split "
                                   f"{self.synthetic_samples} samples among {self.n} agents")
-        if self.quad_dim < 1:
-            raise ConfigError(f"objective.dim: must be >= 1, got {self.quad_dim}")
-        if self.objective_kind == "quadratic_pl":
-            if self.quad_mu <= 0:
-                raise ConfigError(f"objective.mu: must be > 0, got {self.quad_mu}")
-            if self.quad_l < self.quad_mu:
-                raise ConfigError(f"objective.L: must be >= objective.mu = {self.quad_mu}, "
-                                  f"got {self.quad_l}")
-            if self.quad_sigma < 0:
-                raise ConfigError(f"objective.sigma: must be >= 0, got {self.quad_sigma}")
-        if self.objective_kind == "logistic_l2" and self.rho < 0:
-            raise ConfigError(f"objective.rho: must be >= 0, got {self.rho}")
-        if self.objective_kind == "logistic_nonconvex" and self.omega < 0:
-            raise ConfigError(f"objective.omega: must be >= 0, got {self.omega}")
-        if self.data_format is not None and self.data_format not in FORMAT_CHOICES:
-            raise ConfigError(f"objective.format: expected one of {FORMAT_CHOICES}, "
-                              f"got {self.data_format!r}")
-        if self.method not in METHOD_CHOICES:
-            raise ConfigError(f"method: expected one of {METHOD_CHOICES}, "
-                              f"got {self.method!r}")
-        if self.schedule not in SCHEDULE_CHOICES:
-            raise ConfigError(f"schedule: expected one of {SCHEDULE_CHOICES}, "
-                              f"got {self.schedule!r}")
+            # partition_heterogeneous's smallest shard; files are sized at run time
+            if (self.data_source == "synthetic" and self.n and self.batch is not None
+                    and self.batch > (shard := self.synthetic_samples // self.n)):
+                raise ConfigError(f"objective.batch: must be <= the smallest shard, "
+                                  f"{shard} samples, got {self.batch}")
+        if self.objective_kind == "quadratic_pl" and self.quad_l < self.quad_mu:
+            raise ConfigError(f"objective.L: must be >= objective.mu = {self.quad_mu}, "
+                              f"got {self.quad_l}")
         if self.schedule == "explicit" and (self.eta_a is None or self.eta_s is None):
             raise ConfigError("hyper.eta_a / hyper.eta_s: required for "
                               "schedule = explicit")
-        for key, eta in (("hyper.eta_a", self.eta_a), ("hyper.eta_s", self.eta_s)):
-            if eta is not None and eta <= 0:
-                raise ConfigError(f"{key}: must be > 0, got {eta}")
-        if self.init not in INIT_CHOICES:
-            raise ConfigError(f"run.init: expected one of {INIT_CHOICES}, got {self.init!r}")
-        if self.Q < 1:
-            raise ConfigError(f"hyper.Q: must be >= 1, got {self.Q}")
-        if self.T < 1:
-            raise ConfigError(f"run.T: must be >= 1, got {self.T}")
-        if self.trials < 1:
-            raise ConfigError(f"run.trials: must be >= 1, got {self.trials}")
         if self.beta is not None and not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"hyper.beta: must lie in [0, 1), got {self.beta}")
 
@@ -204,7 +185,7 @@ def parse_value(attr: str, raw: str):
     spec = ExperimentConfig.__dataclass_fields__[attr]
     try:
         if attr == "batch":
-            return None if raw.lower() == "full" else _positive_int(raw)
+            return None if raw.lower() == "full" else int(raw)
         if attr == "quad_center":
             if raw.lower() in ("true", "yes", "1"):
                 return True
@@ -222,9 +203,3 @@ def parse_value(attr: str, raw: str):
     except ValueError as exc:
         raise ConfigError(f"{spec.metadata['key']}: {exc}")
 
-
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return value

@@ -28,8 +28,14 @@ def consensus_error(M: np.ndarray):
     """Squared Frobenius distance of the rows of ``M`` from their mean; one
     value per trial when ``M`` of shape ``(..., n, p)`` has leading axes."""
     M = np.asarray(M, dtype=float)
-    centered = M - M.mean(axis=-2, keepdims=True)
+    centered = M - axis_mean(M, -2, keepdims=True)
     return np.sum(centered * centered, axis=(-2, -1))
+
+
+def axis_mean(M: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """``M.mean(axis, keepdims=keepdims)`` bit for bit, without the Python
+    wrapper that costs a few microseconds a call on small per-round arrays."""
+    return np.add.reduce(M, axis, keepdims=keepdims) / M.shape[axis]
 
 
 def squared_norms(V: np.ndarray) -> np.ndarray:
@@ -44,10 +50,9 @@ def d_bar_sequence(x_bar_t: np.ndarray, x_bar_prev: np.ndarray | None,
     Equals the averaged iterate in round 0 (``x_bar_prev`` None);
     afterwards ``x_bar_t / (1 - beta) - beta x_bar_{t-1} / (1 - beta)``,
     which removes the momentum lag so the sequence moves like plain SGD on
-    the averaged gradients.
+    the averaged gradients.  Needs ``beta < 1``, as :class:`HyperParams`
+    guarantees.
     """
-    if beta >= 1.0:
-        raise ValueError(f"beta must be < 1, got {beta}")
     if x_bar_prev is None:
         return np.asarray(x_bar_t, dtype=float).copy()
     return (np.asarray(x_bar_t) - beta * np.asarray(x_bar_prev)) / (1.0 - beta)
@@ -89,9 +94,9 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
     """
     x_bar_prev, d_prev, r_bar_prev = carry or (None, None, None)
     X = state["X"]
-    x_bar = X.mean(axis=-2)
+    x_bar = axis_mean(X, -2)
     grads_at_mean = oracle.full_gradients_at(x_bar)
-    g_bar = grads_at_mean.mean(axis=-2)
+    g_bar = axis_mean(grads_at_mean, -2)
     row = {"consensus_x": consensus_error(X),
            "grad_norm_avg": squared_norms(g_bar)}
     if oracle.f_star is not None:
@@ -110,10 +115,10 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
     if oracle.f_star is not None:
         row["lyapunov_surrogate"] = lyapunov_surrogate(
             gap=oracle.opt_gap(d_bar[..., None, :]),
-            z_bar_sq=squared_norms(state["Z"].mean(axis=-2)),
+            z_bar_sq=squared_norms(axis_mean(state["Z"], -2)),
             consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
             z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
-    return row, (x_bar, d_bar, new["G_avg"].mean(axis=-2))
+    return row, (x_bar, d_bar, axis_mean(new["G_avg"], -2))
 
 
 #: gradient-norm target and iteration budget of :func:`solve_f_star`

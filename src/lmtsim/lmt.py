@@ -228,8 +228,6 @@ def theorem1_stepsizes(L: float, sigma: float, n: int, Q: int, T: int,
     """
     if L <= 0 or delta_f <= 0:
         raise ValueError(f"need L > 0 and delta_f > 0, got L={L}, delta_f={delta_f}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     if n < 1 or Q < 1 or T < 1:
         raise ValueError(f"need n, Q, T >= 1, got n={n}, Q={Q}, T={T}")
     if not 0.0 <= beta < 1.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .diagnostics import squared_norms
+from .diagnostics import axis_mean, squared_norms
 from .streams import TrialStreams, bounded_uint32
 
 
@@ -227,17 +227,9 @@ class GradientOracle(abc.ABC):
         """
 
     @abc.abstractmethod
-    def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
-        """Global objective evaluated at each row of ``X``: ``(..., n)`` for
-        ``X`` of shape ``(..., n, p)``."""
-
     def opt_gap(self, X: np.ndarray) -> np.ndarray:
         """Optimality gap ``F(x) - f_star`` averaged over the rows of ``X``:
-        shape ``X.shape[:-2]`` for ``X`` of shape ``(..., rows, p)``.  This
-        default is a difference of two numbers near ``f_star``, with a floor
-        of about 1e-16 times ``f_star``; an oracle with a closed form
-        overrides it."""
-        return self.global_values_at_rows(X).mean(axis=-1) - self.f_star
+        shape ``X.shape[:-2]`` for ``X`` of shape ``(..., rows, p)``."""
 
 
 def logistic_loss_inplace(margins: np.ndarray) -> np.ndarray:
@@ -379,6 +371,8 @@ class LogisticOracle(GradientOracle):
         return -np.einsum("...ab,...abp->...ap", slope, S) / self.batch + self._reg_gradient(X)
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
+        """Global objective evaluated at each row of ``X``: ``(..., n)`` for
+        ``X`` of shape ``(..., n, p)``."""
         # one product per trial: a single product over the rows of all
         # trials rounds differently
         values = []
@@ -386,6 +380,11 @@ class LogisticOracle(GradientOracle):
             losses = self._global_weights @ logistic_loss_inplace(self._signed @ Xt.T)
             values.append(losses + self._reg_values(Xt))
         return np.array(values).reshape(X.shape[:-1])
+
+    def opt_gap(self, X: np.ndarray) -> np.ndarray:
+        """The difference ``F(x) - f_star`` of two numbers near ``f_star``,
+        with a floor of about 1e-16 times ``f_star``."""
+        return axis_mean(self.global_values_at_rows(X), -1) - self.f_star
 
 
 def logistic_l2_oracle(data: PartitionedDataset, rho: float = 0.2,
@@ -453,10 +452,6 @@ class QuadraticOracle(GradientOracle):
         G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)
         return G if draws_step is None else G + draws_step
 
-    def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
-        d = X[..., :, None, :] - self.b              # (..., rows, n, p)
-        return 0.5 * np.einsum("...rip,ipq,...riq->...r", d, self.A, d) / self.n_agents
-
     def opt_gap(self, X: np.ndarray) -> np.ndarray:
         """``0.5 (x - x_star)' H (x - x_star)`` averaged over the rows of
         ``X``, as half the squared norm of ``(x - x_star) @ C`` for the
@@ -464,7 +459,7 @@ class QuadraticOracle(GradientOracle):
         accurate to relative precision near the optimum, where
         ``F(x) - f_star`` is not."""
         root = (X - self.x_star) @ self._hessian_root
-        return 0.5 * np.sum(root * root, axis=-1).mean(axis=-1)
+        return 0.5 * axis_mean(np.sum(root * root, axis=-1), -1)
 
     def global_value(self, x: np.ndarray) -> float:
         d = x[None, :] - self.b
@@ -485,8 +480,6 @@ def quadratic_pl_oracle(n: int, p: int, mu_min: float, L: float, sigma: float,
     """
     if not 0 < mu_min <= L:
         raise ValueError(f"need 0 < mu_min <= L, got mu_min={mu_min}, L={L}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(rng_seed)
     basis, _ = np.linalg.qr(rng.normal(size=(p, p)))
     spectrum = np.linspace(mu_min, L, p) if p > 1 else np.array([mu_min])

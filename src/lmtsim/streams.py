@@ -290,9 +290,9 @@ class TrialStreams:
         ``(steps, *shape, agents, count)``: entry ``[step, slot, i]`` equals
         ``self.gradient(i, rnd, step, slot).standard_normal(count)``.
 
-        Chunked and served as :meth:`gradient_words`.  The normals come
-        from the words of whole Philox blocks by :func:`standard_normal`; a
-        site whose words run out is drawn through its own generator.
+        Chunked and served as :meth:`gradient_words`, from whole Philox blocks
+        with a word to spare a site, by :func:`standard_normal`; a site
+        whose words run out is drawn through its own generator.
         """
         def normals(first, raw):
             values, short = standard_normal(raw, count)
@@ -313,8 +313,9 @@ class TrialStreams:
             first, chunk_layout, chunk = self._chunk
             if chunk_layout == layout and first <= rnd < first + len(chunk):
                 return chunk[rnd - first]
-        _, steps, agents, per_site = layout
-        blocks = -(-per_site // 4)
+        kind, steps, agents, per_site = layout
+        # a spare word a site for the extra draws of a slow normal
+        blocks = per_site // 4 + 1 if kind == "normals" else -(-per_site // 4)
         rounds = max(1, _CHUNK_BLOCKS // (steps * len(self.trials) * agents * blocks))
         counters = np.zeros((rounds, steps) + self.shape + (agents, blocks, 4), dtype=np.uint64)
         counters[..., 0] = np.arange(1, blocks + 1, dtype=np.uint64)

@@ -84,6 +84,13 @@ class QuadraticReference:
         return g + rng.normal(0.0, self.sigma / np.sqrt(x.size), size=x.size)
 
 
+def quadratic_values_at_rows(oracle, X):
+    """Global objective of the quadratic ``oracle`` at each row of ``X``:
+    ``(..., rows)`` for ``X`` of shape ``(..., rows, p)``."""
+    d = X[..., :, None, :] - oracle.b              # (..., rows, n, p)
+    return 0.5 * np.einsum("...rip,ipq,...riq->...r", d, oracle.A, d) / oracle.n_agents
+
+
 def local_reference(oracle, parts=None):
     """The per-agent reference of ``oracle``: a quadratic one, or a
     logistic one over the shards ``parts`` it was built from."""

@@ -201,11 +201,11 @@ def test_all_baselines_reduce_objective_on_smooth_problem():
     oracle = quad(n, p, seed=10)
     hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=0.5, eta_w=0.0)
     X0 = np.zeros((n, p))
-    gap0 = float(np.mean(oracle.global_values_at_rows(X0))) - oracle.f_star
+    gap0 = float(oracle.opt_gap(X0))
     for method in BASELINES:
         spec = bl.BaselineSpec(method=method, hp=hp)
         state = lmt.init_state(method, X0)
         for _ in range(150):
             state = bl.baseline_round(spec, state, oracle, mix)
-        gap = float(np.mean(oracle.global_values_at_rows(state["X"]))) - oracle.f_star
+        gap = float(oracle.opt_gap(state["X"]))
         assert np.isfinite(gap) and gap < 0.5 * gap0, method

