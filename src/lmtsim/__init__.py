@@ -11,15 +11,12 @@ step-size schedules (:mod:`lmtsim.lmt`), comparison baselines
 
 __version__ = "0.1.0"
 
-from .topology import (C0, LcaParams, MixingMatrix, MixingMatrixError,
-                       build_complete_mixing, build_ring_mixing, lca_mix,
-                       lca_params, load_mixing_csv, save_mixing_csv,
-                       spectral_quantities)
+from .topology import (C0, MixingMatrix, MixingMatrixError,
+                       build_complete_mixing, build_ring_mixing, from_weights,
+                       lca_mix, load_mixing_csv, save_mixing_csv)
 from .objectives import (Dataset, DatasetError, GradientOracle,
                          LogisticOracle, PartitionedDataset, QuadraticOracle,
-                         load_csv, load_libsvm, logistic_l2_oracle,
-                         logistic_nonconvex_oracle,
-                         make_synthetic_classification,
+                         load_csv, load_libsvm, make_synthetic_classification,
                          partition_heterogeneous, quadratic_pl_oracle)
 from .lmt import (HyperParams, accelerated_consensus, init_state, lmt_round,
                   local_steps, local_update_phase, naive_local_momentum_round,

@@ -21,7 +21,7 @@ from dataclasses import replace
 from . import harness, plotting
 from .config import SWEEP_AXES, TOPOLOGY_CHOICES, ConfigError, ExperimentConfig
 from .objectives import DatasetError
-from .topology import MixingMatrixError, lca_params
+from .topology import MixingMatrixError
 
 _CONFIG_ERRORS = (ConfigError, DatasetError, MixingMatrixError,
                   FileNotFoundError, ValueError)
@@ -100,16 +100,12 @@ def _cmd_spectra(args) -> int:
     mix = harness.build_mixing(ExperimentConfig(
         topology_kind=args.kind, n=0 if file else int(args.arg),
         topology_path=args.arg if file else None))
-    lca = lca_params(mix.lam) if mix.lam < 1.0 else None
     print(f"n = {mix.n}")
     print(f"lambda = {mix.lam!r}")
     print(f"spectral_gap = {mix.spectral_gap!r}")
-    if lca is None:
-        print("eta_w = undefined (graph not connected)")
-        print("rho_w = undefined (graph not connected)")
-    else:
-        print(f"eta_w = {lca.eta_w!r}")
-        print(f"rho_w = {lca.rho_w!r}")
+    for name in ("eta_w", "rho_w"):
+        print(f"{name} = undefined (graph not connected)" if mix.lam >= 1.0
+              else f"{name} = {getattr(mix, name)!r}")
     return 0
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .lmt import HyperParams
-from .topology import C0, LcaParams
+from .topology import C0, MixingMatrix
 
 #: CSV column order shared by writers and readers
 TRACE_COLUMNS = ("t", "consensus_x", "consensus_y",
@@ -60,17 +60,18 @@ def d_bar_sequence(x_bar_t: np.ndarray, x_bar_prev: np.ndarray | None,
 
 def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
                        consensus_y: float, z_dev: float, hp: HyperParams, L: float,
-                       lca: LcaParams, n: int) -> float:
+                       rho_w: float, n: int) -> float:
     """Single-trajectory evaluation of the descent Lyapunov function at the
     optimality gap ``gap = F(d_bar) - f_star`` of the auxiliary point.
 
     Consensus terms use the realized ``|Pi x|^2`` and ``|Pi y|^2`` of this
-    trajectory in place of their expectation-level upper bounds.  The
-    trajectory terms may be arrays, one entry per trial.
+    trajectory in place of their expectation-level upper bounds.  ``rho_w``
+    is the graph's consensus contraction rate and ``n`` its agent count.
+    The trajectory terms may be arrays, one entry per trial.
     """
     eta_hat = hp.eta_hat
     one_minus_beta = 1.0 - hp.beta
-    one_minus_rho = 1.0 - lca.rho_w
+    one_minus_rho = 1.0 - rho_w
     aq2 = hp.eta_a ** 2 * hp.Q ** 2
     return (
         gap
@@ -82,7 +83,7 @@ def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
     )
 
 
-def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dict,
+def round_metrics(oracle, hp: HyperParams, mix: MixingMatrix, state: dict, new: dict,
                   carry: tuple | None) -> tuple[dict, tuple]:
     """Metrics of the round that took ``state`` to ``new``, one value per
     trial, and the carry ``(x_bar, d_bar, r_bar)`` the next call takes
@@ -117,7 +118,7 @@ def round_metrics(oracle, hp: HyperParams, lca: LcaParams, state: dict, new: dic
             gap=oracle.opt_gap(d_bar[..., None, :]),
             z_bar_sq=squared_norms(axis_mean(state["Z"], -2)),
             consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
-            z_dev=row["z_dev"], hp=hp, L=oracle.L, lca=lca, n=oracle.n_agents)
+            z_dev=row["z_dev"], hp=hp, L=oracle.L, rho_w=mix.rho_w, n=oracle.n_agents)
     return row, (x_bar, d_bar, axis_mean(new["G_avg"], -2))
 
 

@@ -106,8 +106,8 @@ def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
         data = loader(cfg.data_source)
     shards = obj.partition_heterogeneous(data, n)
     if cfg.objective_kind == "logistic_nonconvex":
-        return obj.logistic_nonconvex_oracle(shards, omega=cfg.omega, batch=cfg.batch)
-    oracle = obj.logistic_l2_oracle(shards, rho=cfg.rho, batch=cfg.batch)
+        return obj.LogisticOracle(shards, "nonconvex", cfg.omega, cfg.batch)
+    oracle = obj.LogisticOracle(shards, "l2", cfg.rho, cfg.batch)
     if cfg.rho > 0:
         oracle.f_star = dg.solve_f_star(oracle)
     return oracle
@@ -116,14 +116,16 @@ def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
 def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
                         mix: tp.MixingMatrix) -> lmt.HyperParams:
     """Turn a schedule tag into concrete round hyperparameters."""
-    lca = tp.lca_params(mix.lam)
-    beta = cfg.beta if cfg.beta is not None else lca.rho_w
+    if mix.lam >= 1.0:
+        raise ConfigError("topology.path: graph not connected (lambda = 1), so "
+                          "consensus and its accelerated step are undefined")
+    beta = cfg.beta if cfg.beta is not None else mix.rho_w
     if cfg.schedule == "explicit":
         hp = lmt.HyperParams(Q=cfg.Q, eta_a=cfg.eta_a, eta_s=cfg.eta_s,
-                             beta=beta, eta_w=lca.eta_w)
+                             beta=beta, eta_w=mix.eta_w)
     elif cfg.schedule == "figure1":
         hp = lmt.HyperParams(Q=cfg.Q, eta_a=0.25 / cfg.Q, eta_s=0.1,
-                             beta=beta, eta_w=lca.eta_w)
+                             beta=beta, eta_w=mix.eta_w)
     elif cfg.schedule == "theorem1":
         delta_f = cfg.delta_f
         if delta_f is None:
@@ -135,14 +137,14 @@ def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
                 delta_f = 1.0
         hp = lmt.theorem1_stepsizes(L=oracle.L, sigma=oracle.sigma, n=oracle.n_agents,
                                     Q=cfg.Q, T=cfg.T, delta_f=delta_f, beta=beta,
-                                    eta_w=lca.eta_w)
+                                    eta_w=mix.eta_w)
     else:  # theorem2
         if not oracle.mu or oracle.mu <= 0:
             raise ConfigError("schedule: theorem2 needs an oracle with a positive "
                               "strong convexity / PL modulus")
-        hp = lmt.theorem2_stepsizes(mu=oracle.mu, Q=cfg.Q, T=cfg.T, lam=mix.lam)
+        hp = lmt.theorem2_stepsizes(mu=oracle.mu, Q=cfg.Q, T=cfg.T, mix=mix)
     if cfg.method in ("lmt", "naive_lmt", "pdsgdm"):
-        lmt.check_momentum(hp.beta, lca.rho_w)
+        lmt.check_momentum(hp.beta, mix.rho_w)
     return hp
 
 
@@ -165,7 +167,7 @@ _METRICS = tuple(name for name in dg.TRACE_COLUMNS
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
+def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
                 trials: list[int]) -> tuple[dict[str, np.ndarray], list[int | None]]:
     """Per-round metrics of ``trials``, run as one batch on a leading array
@@ -197,7 +199,7 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
             new = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
         else:
             new = bl.baseline_round(spec, state, oracle, mix, streams)
-        row, carry = dg.round_metrics(oracle, hp, lca, state, new, carry)
+        row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry)
         state = new
         # ``row`` holds exactly the metrics the method defines
         for name, values in row.items():
@@ -227,11 +229,9 @@ def run_experiment(cfg: ExperimentConfig,
     try:
         with warnings.catch_warnings(record=True) as raised:
             mix = build_mixing(cfg)
-            lca = tp.lca_params(mix.lam)
             oracle = build_oracle(cfg, mix.n)
             hp = resolve_hyperparams(cfg, oracle, mix)
-            per_trial, diverged = _run_trials(cfg, mix, lca, oracle, hp,
-                                              list(range(cfg.trials)))
+            per_trial, diverged = _run_trials(cfg, mix, oracle, hp, list(range(cfg.trials)))
     finally:
         for w in raised:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
@@ -256,12 +256,12 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.outdir:
         os.makedirs(cfg.outdir, exist_ok=True)
         table.to_csv(os.path.join(cfg.outdir, "trace.csv"))
-        _write_meta(cfg, mix, lca, oracle, hp, diverged_at, [str(w.message) for w in raised],
+        _write_meta(cfg, mix, oracle, hp, diverged_at, [str(w.message) for w in raised],
                     os.path.join(cfg.outdir, "meta.txt"))
     return table
 
 
-def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
+def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
                 diverged_at: int | None, raised: list[str], path: str) -> None:
     lines = [
@@ -273,8 +273,8 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix, lca: tp.LcaParams,
         f"n = {mix.n}",
         f"lambda = {mix.lam!r}",
         f"spectral_gap = {mix.spectral_gap!r}",
-        f"eta_w = {lca.eta_w!r}",
-        f"rho_w = {lca.rho_w!r}",
+        f"eta_w = {mix.eta_w!r}",
+        f"rho_w = {mix.rho_w!r}",
         f"Q = {hp.Q}",
         f"eta_a = {hp.eta_a!r}",
         f"eta_s = {hp.eta_s!r}",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import C0, MixingMatrix, lca_mix, lca_params
+from .topology import C0, MixingMatrix, lca_mix
 from .streams import TrialStreams
 
 
@@ -246,8 +246,8 @@ def theorem1_stepsizes(L: float, sigma: float, n: int, Q: int, T: int,
     return HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=beta, eta_w=eta_w)
 
 
-def theorem2_stepsizes(mu: float, Q: int, T: int, lam: float) -> HyperParams:
-    """Horizon-aware schedule for the PL regime.
+def theorem2_stepsizes(mu: float, Q: int, T: int, mix: MixingMatrix) -> HyperParams:
+    """Horizon-aware schedule for the PL regime on the graph of ``mix``.
 
     ``eta_a = 1/(Q mu T)``, ``eta_s = (1 - rho_w)/sqrt(15 c0)``, momentum
     pinned to the consensus contraction rate ``rho_w``.
@@ -256,11 +256,10 @@ def theorem2_stepsizes(mu: float, Q: int, T: int, lam: float) -> HyperParams:
         raise ValueError(f"mu must be positive, got {mu}")
     if Q < 1 or T < 1:
         raise ValueError(f"need Q, T >= 1, got Q={Q}, T={T}")
-    lca = lca_params(lam)
     eta_a = 1.0 / (Q * mu * T)
-    eta_s = (1.0 - lca.rho_w) / math.sqrt(15.0 * C0)
-    return HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=lca.rho_w,
-                       eta_w=lca.eta_w)
+    eta_s = (1.0 - mix.rho_w) / math.sqrt(15.0 * C0)
+    return HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=mix.rho_w,
+                       eta_w=mix.eta_w)
 
 
 def q_star(lam: float, sigma: float, n: int, epsilon: float) -> int:

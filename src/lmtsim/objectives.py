@@ -250,7 +250,9 @@ def logistic_loss_inplace(margins: np.ndarray) -> np.ndarray:
 
 class LogisticOracle(GradientOracle):
     """Binary logistic loss over per-agent shards with a configurable
-    regularizer: ridge (``l2``) or a bounded nonconvex penalty.
+    regularizer: ridge ``coeff/2 ||x||^2`` (``l2``, strongly convex for
+    ``coeff > 0``) or the bounded nonconvex penalty
+    ``coeff/2 sum_q x_q^2 / (1 + x_q^2)`` (``nonconvex``).
 
     Data term of f_i: mean over the shard of log(1 + exp(-v u.x)).
     """
@@ -385,20 +387,6 @@ class LogisticOracle(GradientOracle):
         """The difference ``F(x) - f_star`` of two numbers near ``f_star``,
         with a floor of about 1e-16 times ``f_star``."""
         return axis_mean(self.global_values_at_rows(X), -1) - self.f_star
-
-
-def logistic_l2_oracle(data: PartitionedDataset, rho: float = 0.2,
-                       batch: int | None = 1) -> LogisticOracle:
-    """Logistic loss with ridge penalty ``rho/2 ||x||^2`` (strongly convex
-    for rho > 0)."""
-    return LogisticOracle(data, reg="l2", coeff=rho, batch=batch)
-
-
-def logistic_nonconvex_oracle(data: PartitionedDataset, omega: float = 0.05,
-                              batch: int | None = 1) -> LogisticOracle:
-    """Logistic loss with the bounded nonconvex penalty
-    ``omega/2 sum_q x_q^2 / (1 + x_q^2)``."""
-    return LogisticOracle(data, reg="nonconvex", coeff=omega, batch=batch)
 
 
 class QuadraticOracle(GradientOracle):

@@ -39,38 +39,39 @@ class MixingMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """A validated gossip weight matrix together with its spectral data.
+    """A validated gossip weight matrix together with its spectral data and
+    the constants of its accelerated consensus step.
 
     Attributes:
         n: number of agents.
         weights: ``(n, n)`` symmetric doubly-stochastic PSD matrix,
             marked read-only.
-        lam: spectral norm of ``weights - ones/n``, in ``[0, 1]``.
+        lam: spectral norm of ``weights - ones/n``, in ``[0, 1]``; exactly
+            1 for a disconnected graph.
         spectral_gap: ``1 - lam``.
+        eta_w: LCA weight ``1/(1 + sqrt(1 - lam^2))``.
+        rho_w: LCA contraction rate ``sqrt(eta_w)``.
     """
 
     n: int
     weights: np.ndarray = field(repr=False)
     lam: float
     spectral_gap: float
-
-
-@dataclass(frozen=True)
-class LcaParams:
-    """Constants of the accelerated consensus step derived from ``lam``."""
-
     eta_w: float
     rho_w: float
 
 
-def validate_weights(weights: np.ndarray) -> np.ndarray:
-    """Check all mixing-matrix invariants, returning the matrix as float64.
+def from_weights(weights: np.ndarray) -> MixingMatrix:
+    """Validate an arbitrary weight matrix and wrap it as a MixingMatrix.
 
     Raises :class:`MixingMatrixError` naming the first violated invariant:
-    squareness, symmetry, entry nonnegativity, row sums, or positive
-    semidefiniteness.
+    squareness, finiteness, symmetry, entry nonnegativity, row sums, or
+    positive semidefiniteness.  ``lam`` is the largest eigenvalue
+    magnitude of ``weights - ones/n``, computed by dense symmetric
+    eigendecomposition.  A disconnected graph yields ``lam = 1`` and a
+    warning rather than an error.
     """
-    W = np.asarray(weights, dtype=float)
+    W = np.array(weights, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise MixingMatrixError(f"weights must be square, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -86,17 +87,6 @@ def validate_weights(weights: np.ndarray) -> np.ndarray:
     if eigvals[0] < PSD_TOL:
         raise MixingMatrixError(
             f"weights not positive semidefinite (min eigenvalue {eigvals[0]:.3e})")
-    return W
-
-
-def spectral_quantities(weights: np.ndarray) -> tuple[float, float]:
-    """Return ``(lam, spectral_gap)`` of a validated weight matrix.
-
-    ``lam`` is the largest eigenvalue magnitude of ``weights - ones/n``,
-    computed by dense symmetric eigendecomposition.  A disconnected graph
-    yields ``lam = 1`` and a warning rather than an error.
-    """
-    W = validate_weights(weights)
     n = W.shape[0]
     deviation = W - np.ones((n, n)) / n
     eigvals = np.linalg.eigvalsh(0.5 * (deviation + deviation.T))
@@ -104,16 +94,11 @@ def spectral_quantities(weights: np.ndarray) -> tuple[float, float]:
     if lam >= 1.0 - CONNECTED_TOL:
         warnings.warn("graph not connected: second eigenvalue magnitude is 1",
                       stacklevel=2)
-        lam = min(lam, 1.0)
-    return lam, 1.0 - lam
-
-
-def from_weights(weights: np.ndarray) -> MixingMatrix:
-    """Validate an arbitrary weight matrix and wrap it as a MixingMatrix."""
-    lam, gap = spectral_quantities(weights)
-    W = np.array(weights, dtype=float)
+        lam = 1.0
+    eta_w = 1.0 / (1.0 + math.sqrt(1.0 - lam * lam))
     W.setflags(write=False)
-    return MixingMatrix(n=W.shape[0], weights=W, lam=lam, spectral_gap=gap)
+    return MixingMatrix(n=n, weights=W, lam=lam, spectral_gap=1.0 - lam,
+                        eta_w=eta_w, rho_w=math.sqrt(eta_w))
 
 
 def build_ring_mixing(n: int) -> MixingMatrix:
@@ -138,14 +123,6 @@ def build_complete_mixing(n: int) -> MixingMatrix:
     if n < 1:
         raise MixingMatrixError(f"complete topology needs n >= 1 agents, got {n}")
     return from_weights(np.full((n, n), 1.0 / n))
-
-
-def lca_params(lam: float) -> LcaParams:
-    """Accelerated-consensus constants for a graph with eigenvalue ``lam``."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    eta_w = 1.0 / (1.0 + math.sqrt(1.0 - lam * lam))
-    return LcaParams(eta_w=eta_w, rho_w=math.sqrt(eta_w))
 
 
 def lca_mix(W: MixingMatrix, eta_w: float, top: np.ndarray,

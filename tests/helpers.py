@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, log_expit
 
-from lmtsim import lca_params
 from lmtsim.streams import _PURPOSE_GRADIENT, TrialStreams, _key
 
 
@@ -110,7 +109,6 @@ def dsmt_reference(X0, mix, hp, oracle, master_seed, trial, rounds):
     """
     reference = local_reference(oracle)
     streams = TrialStreams(master_seed, trial)
-    lca = lca_params(mix.lam)
     n, p = X0.shape
     X, X_mem = X0.copy(), X0.copy()
     Z = np.zeros((n, p))
@@ -124,12 +122,12 @@ def dsmt_reference(X0, mix, hp, oracle, master_seed, trial, rounds):
             Y, Y_mem = Z_new.copy(), Z_new.copy()
         else:
             diff = Z_new - Z
-            Y, Y_mem = ((1.0 + lca.eta_w) * (mix.weights @ Y)
-                        - lca.eta_w * Y_mem + diff,
+            Y, Y_mem = ((1.0 + mix.eta_w) * (mix.weights @ Y)
+                        - mix.eta_w * Y_mem + diff,
                         Y + diff)
         D = X - eta_hat * Y
         D_mem = X_mem - eta_hat * Y
-        X, X_mem = (1.0 + lca.eta_w) * (mix.weights @ D) - lca.eta_w * D_mem, D
+        X, X_mem = (1.0 + mix.eta_w) * (mix.weights @ D) - mix.eta_w * D_mem, D
         Z = Z_new
     return X
 

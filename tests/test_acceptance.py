@@ -62,14 +62,13 @@ def test_criterion_02_lca_contraction_property():
         n = int(rng.integers(3, 21))
         p = int(rng.integers(1, 6))
         mix = tp.build_ring_mixing(n) if case % 5 else tp.build_complete_mixing(n)
-        lca = tp.lca_params(mix.lam)
         A = rng.normal(size=(n, p))
         proj = np.eye(n) - np.ones((n, n)) / n
         pa = proj @ A
         bound0 = float(np.sum(pa * pa))
         big = np.zeros((2 * n, 2 * n))
-        big[:n, :n] = (1.0 + lca.eta_w) * mix.weights
-        big[:n, n:] = -lca.eta_w * np.eye(n)
+        big[:n, :n] = (1.0 + mix.eta_w) * mix.weights
+        big[:n, n:] = -mix.eta_w * np.eye(n)
         big[n:, :n] = np.eye(n)
         proj2 = np.zeros((2 * n, 2 * n))
         proj2[:n, :n] = proj
@@ -78,7 +77,7 @@ def test_criterion_02_lca_contraction_property():
         for k in range(51):
             projected = proj2 @ vec
             norm2 = float(np.sum(projected * projected))
-            limit = 14.0 * lca.rho_w ** (2 * k) * bound0
+            limit = 14.0 * mix.rho_w ** (2 * k) * bound0
             if norm2 > limit * (1.0 + 1e-9):
                 violations += 1
             if limit > 0:
@@ -96,12 +95,10 @@ def test_criterion_02_lca_contraction_property():
 def test_criterion_03_round_identities_stochastic_run():
     n, p, Q, T = 20, 8, 5, 200
     data = obj.make_synthetic_classification(400, p, seed=33)
-    oracle = obj.logistic_l2_oracle(obj.partition_heterogeneous(data, n),
-                                    rho=0.2, batch=1)
+    oracle = obj.LogisticOracle(obj.partition_heterogeneous(data, n), "l2", 0.2, 1)
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
-    hp = lmt.HyperParams(Q=Q, eta_a=0.25 / Q, eta_s=0.1, beta=lca.rho_w,
-                         eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.25 / Q, eta_s=0.1, beta=mix.rho_w,
+                         eta_w=mix.eta_w)
     streams = TrialStreams(314, 0)
     st = lmt.init_state("lmt", np.zeros((n, p)))
 
@@ -144,11 +141,10 @@ def test_criterion_03_round_identities_stochastic_run():
 def test_criterion_04_q1_reduction_to_single_step_tracking():
     n, p, T = 12, 6, 100
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.3, L=1.0, sigma=1.0,
                                      rng_seed=5)
-    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=lca.rho_w,
-                         eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=mix.rho_w,
+                         eta_w=mix.eta_w)
     streams = TrialStreams(271828, 0)
     st = lmt.init_state("lmt", np.zeros((n, p)))
     for _ in range(T):
@@ -181,7 +177,7 @@ def test_criterion_05_deterministic_pl_convergence():
     mix = lmtsim.build_ring_mixing(n)
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.1, L=1.0, sigma=0.0,
                                      rng_seed=42)
-    hp = lmt.theorem2_stepsizes(mu=0.1, Q=5, T=T, lam=mix.lam)
+    hp = lmt.theorem2_stepsizes(mu=0.1, Q=5, T=T, mix=mix)
     st = lmt.init_state("lmt", np.zeros((n, p)))
 
     gaps = [float(oracle.opt_gap(st["X"]))]
@@ -285,9 +281,8 @@ def test_criterion_08_gradient_correctness():
     data = obj.make_synthetic_classification(120, 6, seed=12)
     parts = obj.partition_heterogeneous(data, 6)
     oracles = {
-        "logistic_l2": obj.logistic_l2_oracle(parts, rho=0.2, batch=None),
-        "logistic_nonconvex": obj.logistic_nonconvex_oracle(parts, omega=0.05,
-                                                            batch=None),
+        "logistic_l2": obj.LogisticOracle(parts, "l2", 0.2, None),
+        "logistic_nonconvex": obj.LogisticOracle(parts, "nonconvex", 0.05, None),
         "quadratic_pl": obj.quadratic_pl_oracle(n=6, p=6, mu_min=0.2, L=1.0,
                                                 sigma=0.0, rng_seed=9),
     }
@@ -313,12 +308,11 @@ def test_criterion_08_gradient_correctness():
 def test_criterion_09_effective_stepsize_parity():
     n, p = 6, 5
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.2, L=1.0, sigma=0.0,
                                      rng_seed=55)
     x0 = np.random.default_rng(56).normal(size=p)
     X0 = np.tile(x0, (n, 1))
-    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0, eta_w=mix.eta_w)
     expected = x0 - hp.eta_hat * oracle.global_gradient(x0)
 
     errors = {}

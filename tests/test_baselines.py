@@ -66,10 +66,9 @@ def all_method_first_round_means(oracle, mix, hp, X0):
 def test_first_round_parity_q1():
     n, p = 6, 5
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     oracle = quad(n, p)
     x0, X0 = consensus_start(n, p)
-    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0, eta_w=mix.eta_w)
     expected = x0 - hp.eta_hat * oracle.global_gradient(x0)
     for method, mean in all_method_first_round_means(oracle, mix, hp, X0).items():
         assert np.abs(mean - expected).max() <= 1e-12, method
@@ -81,9 +80,8 @@ def test_first_round_parity_multi_step_paths():
     # actually evaluated
     n, p, Q = 5, 4, 4
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     x0, X0 = consensus_start(n, p, seed=3)
-    hp = lmt.HyperParams(Q=Q, eta_a=0.06, eta_s=0.3, beta=0.0, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.06, eta_s=0.3, beta=0.0, eta_w=mix.eta_w)
 
     def averaged_after_one_round(method):
         oracle = RecordingOracle(quad(n, p))

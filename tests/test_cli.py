@@ -100,6 +100,34 @@ run.trials = 1
 """
 
 
+# two blocks of two agents each: a graph that is not connected
+TWO_BLOCKS = "0.5,0.5,0,0\n0.5,0.5,0,0\n0,0,0.5,0.5\n0,0,0.5,0.5\n"
+
+
+def test_spectra_of_a_disconnected_graph_prints_undefined(tmp_path, capsys):
+    path = tmp_path / "W.csv"
+    path.write_text(TWO_BLOCKS)
+    with pytest.warns(UserWarning, match="not connected"):
+        assert cli.main(["spectra", "file", str(path)]) == 0
+    fields = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert fields["lambda"] == "1.0"
+    assert fields["spectral_gap"] == "0.0"
+    assert fields["eta_w"] == fields["rho_w"] == "undefined (graph not connected)"
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--axis", "Q", "--values", "1,2"],
+    ["sweep", "--axis", "method", "--values", "lmt,led"]], ids=["run", "sweep-Q", "sweep-method"])
+def test_a_disconnected_graph_exits_2_before_any_round_runs(tmp_path, capsys, command):
+    (tmp_path / "W.csv").write_text(TWO_BLOCKS)
+    cfg = write_cfg(tmp_path, FILE_TOPOLOGY_CFG)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="not connected"):
+        assert cli.main([command[0], cfg, *command[1:], "--out", str(out)]) == 2
+    assert "error: topology.path:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis, values, field, text", [
     pytest.param(*row, id="-".join(row[:3])) for row in [
         ("Q", "1,0", "hyper.Q", QUICK_CFG), ("Q", "1,2.5", "hyper.Q", QUICK_CFG),

@@ -72,18 +72,16 @@ def make_hp(beta, eta_a=0.1, eta_s=0.1, Q=2):
 
 
 def test_lyapunov_zero_at_perfect_state():
-    lca = lmtsim.lca_params(0.5)
     val = dg.lyapunov_surrogate(gap=0.0, z_bar_sq=0.0,
                                 consensus_x=0.0, consensus_y=0.0, z_dev=0.0,
-                                hp=make_hp(0.5), L=1.0, lca=lca, n=4)
+                                hp=make_hp(0.5), L=1.0, rho_w=0.7, n=4)
     assert val == 0.0
 
 
 def test_lyapunov_momentum_coefficient_cubic():
     # only the momentum term active: doubling (1 - beta) scales it by 1/8
-    lca = lmtsim.lca_params(0.5)
     kwargs = dict(gap=0.0, z_bar_sq=1.0, consensus_x=0.0,
-                  consensus_y=0.0, z_dev=0.0, L=1.0, lca=lca, n=4)
+                  consensus_y=0.0, z_dev=0.0, L=1.0, rho_w=0.7, n=4)
     hi = dg.lyapunov_surrogate(hp=make_hp(beta=0.5), **kwargs)   # 1-beta = 0.5
     lo = dg.lyapunov_surrogate(hp=make_hp(beta=0.75), **kwargs)  # 1-beta = 0.25
     assert lo / hi == pytest.approx(8.0, rel=1e-12)
@@ -99,7 +97,7 @@ def test_solve_f_star_quadratic_matches_closed_form():
 def test_solve_f_star_logistic_against_bfgs():
     data = obj.make_synthetic_classification(60, 5, seed=2)
     parts = obj.partition_heterogeneous(data, 4)
-    oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=None)
+    oracle = obj.LogisticOracle(parts, "l2", 0.2, None)
     solved = dg.solve_f_star(oracle)
     res = scipy.optimize.minimize(oracle.global_value, np.zeros(5),
                                   jac=oracle.global_gradient, method="BFGS",
@@ -116,11 +114,10 @@ def test_lyapunov_surrogate_monotone_on_deterministic_run():
     # after the first rounds
     n, p = 5, 6
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.3, L=1.0, sigma=0.0,
                                      rng_seed=8)
     hp = lmt.theorem1_stepsizes(L=oracle.L, sigma=0.0, n=n, Q=3, T=100,
-                                delta_f=1.0, beta=lca.rho_w, eta_w=lca.eta_w)
+                                delta_f=1.0, beta=mix.rho_w, eta_w=mix.eta_w)
     st = lmt.init_state("lmt", np.zeros((n, p)))
     xbar_prev = None
     values = []
@@ -135,7 +132,7 @@ def test_lyapunov_surrogate_monotone_on_deterministic_run():
             gap=oracle.global_value(d_bar) - oracle.f_star,
             z_bar_sq=float(zbar @ zbar), consensus_x=cons_x,
             consensus_y=dg.consensus_error(st["Y"]),
-            z_dev=float(np.sum(dev * dev)), hp=hp, L=oracle.L, lca=lca, n=n))
+            z_dev=float(np.sum(dev * dev)), hp=hp, L=oracle.L, rho_w=mix.rho_w, n=n))
         xbar_prev = xbar
     values = np.array(values)
     diffs = np.diff(values[3:])

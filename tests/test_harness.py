@@ -195,11 +195,10 @@ def test_figure1_schedule_values():
     mix = build_mixing(cfg)
     oracle = build_oracle(cfg, mix.n)
     hp = resolve_hyperparams(cfg, oracle, mix)
-    lca = lmtsim.lca_params(mix.lam)
     assert hp.eta_a == pytest.approx(0.025, abs=1e-15)
     assert hp.eta_s == pytest.approx(0.1, abs=1e-15)
-    assert hp.beta == pytest.approx(lca.rho_w, abs=1e-15)
-    assert hp.eta_w == pytest.approx(lca.eta_w, abs=1e-15)
+    assert hp.beta == pytest.approx(mix.rho_w, abs=1e-15)
+    assert hp.eta_w == pytest.approx(mix.eta_w, abs=1e-15)
 
 
 def test_theorem_schedules_resolve():
@@ -220,14 +219,13 @@ def test_theorem_schedules_resolve():
     ridge = quad_cfg(objective_kind="logistic_l2", data_source="synthetic",
                      synthetic_samples=60, synthetic_features=3, schedule="theorem1")
     oracle3 = build_oracle(ridge, mix.n)
-    lca = tp.lca_params(mix.lam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         hp3 = resolve_hyperparams(ridge, oracle3, mix)
         expected = lmt.theorem1_stepsizes(
             L=oracle3.L, sigma=oracle3.sigma, n=mix.n, Q=ridge.Q, T=ridge.T,
             delta_f=oracle3.global_value(np.zeros(oracle3.dim)) - oracle3.f_star,
-            beta=lca.rho_w, eta_w=lca.eta_w)
+            beta=mix.rho_w, eta_w=mix.eta_w)
     assert hp3 == expected
 
     # theorem2 takes the modulus from the oracle only, never from objective.mu
@@ -463,7 +461,7 @@ def run_trials(cfg, trials):
     mix = build_mixing(cfg)
     oracle = build_oracle(cfg, mix.n)
     hp = resolve_hyperparams(cfg, oracle, mix)
-    return harness._run_trials(cfg, mix, tp.lca_params(mix.lam), oracle, hp, trials)
+    return harness._run_trials(cfg, mix, oracle, hp, trials)
 
 
 def assert_batch_matches_each_trial_alone(cfg, trials):

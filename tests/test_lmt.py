@@ -25,7 +25,7 @@ def stochastic_quadratic(n, p, seed, sigma=1.0):
 def logistic_setup(n=20, m=200, p=8, seed=0, batch=1):
     data = obj.make_synthetic_classification(m, p, seed)
     parts = obj.partition_heterogeneous(data, n)
-    return obj.logistic_l2_oracle(parts, rho=0.2, batch=batch)
+    return obj.LogisticOracle(parts, "l2", 0.2, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +170,14 @@ def test_consensus_fixed_point_and_plain_mixing():
 
 def test_consensus_equals_augmented_operator():
     mix = lmtsim.build_ring_mixing(7)
-    lca = lmtsim.lca_params(mix.lam)
     rng = np.random.default_rng(8)
     st = {**lmt.init_state("lmt", rng.normal(size=(7, 3))),
           "X_l": rng.normal(size=(7, 3))}
     Y = rng.normal(size=(7, 3))
-    hp = lmt.HyperParams(Q=3, eta_a=0.05, eta_s=0.2, beta=0.5, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=3, eta_a=0.05, eta_s=0.2, beta=0.5, eta_w=mix.eta_w)
     X_next, X_l_next = lmt.accelerated_consensus(st, Y, hp, mix)
     top = st["X"] - hp.eta_hat * Y
-    new_top = lmtsim.lca_mix(mix, lca.eta_w, top, st["X_l"] - hp.eta_hat * Y)
+    new_top = lmtsim.lca_mix(mix, mix.eta_w, top, st["X_l"] - hp.eta_hat * Y)
     assert np.abs(X_next - new_top).max() <= 1e-13
     assert np.abs(X_l_next - top).max() <= 1e-13
 
@@ -204,8 +203,7 @@ def test_round_consensus_start_homogeneous_objective():
     b = np.tile(np.linspace(1, p, p), (n, 1))
     oracle = obj.QuadraticOracle(A=A, b=b, sigma=0.0)
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
-    hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.5, beta=lca.rho_w, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.5, beta=mix.rho_w, eta_w=mix.eta_w)
     st = lmt.init_state("lmt", np.tile(np.ones(p), (n, 1)))
     for _ in range(20):
         st = lmt.lmt_round(st, oracle, mix, hp)
@@ -215,8 +213,7 @@ def test_round_consensus_start_homogeneous_objective():
 def test_round_identities_on_stochastic_run():
     oracle = logistic_setup(n=10, m=120, p=6, seed=1, batch=1)
     mix = lmtsim.build_ring_mixing(10)
-    lca = lmtsim.lca_params(mix.lam)
-    hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=lca.rho_w, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=mix.rho_w, eta_w=mix.eta_w)
     streams = TrialStreams(31, 0)
     st = lmt.init_state("lmt", np.zeros((10, 6)))
     for t in range(60):
@@ -241,8 +238,7 @@ def test_round_identities_on_stochastic_run():
 def test_auxiliary_sequence_identities():
     oracle = logistic_setup(n=8, m=96, p=5, seed=3, batch=1)
     mix = lmtsim.build_ring_mixing(8)
-    lca = lmtsim.lca_params(mix.lam)
-    hp = lmt.HyperParams(Q=3, eta_a=0.04, eta_s=0.2, beta=lca.rho_w, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=3, eta_a=0.04, eta_s=0.2, beta=mix.rho_w, eta_w=mix.eta_w)
     streams = TrialStreams(13, 0)
     st = lmt.init_state("lmt", np.zeros((8, 5)))
     x_bars = [st["X"].mean(axis=0)]
@@ -270,9 +266,8 @@ def test_auxiliary_sequence_identities():
 def test_q1_reduction_bitmatch():
     n, p = 8, 4
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     oracle = stochastic_quadratic(n, p, seed=3, sigma=1.0)
-    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=lca.rho_w, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=mix.rho_w, eta_w=mix.eta_w)
     streams = TrialStreams(77, 0)
     st = lmt.init_state("lmt", np.zeros((n, p)))
     for _ in range(100):
@@ -300,9 +295,8 @@ def test_single_agent_recovers_gradient_descent():
 def test_naive_matches_lmt_at_q1():
     n, p = 6, 3
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     oracle = stochastic_quadratic(n, p, seed=4, sigma=1.0)
-    hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=lca.rho_w, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=mix.rho_w, eta_w=mix.eta_w)
     st_a = lmt.init_state("lmt", np.zeros((n, p)))
     st_b = lmt.init_state("naive_lmt", np.zeros((n, p)))
     sa, sb = TrialStreams(5, 0), TrialStreams(5, 0)
@@ -316,9 +310,8 @@ def test_naive_matches_lmt_at_q1():
 def test_naive_matches_lmt_at_beta_zero():
     n, p = 5, 3
     mix = lmtsim.build_ring_mixing(n)
-    lca = lmtsim.lca_params(mix.lam)
     oracle = stochastic_quadratic(n, p, seed=6, sigma=1.0)
-    hp = lmt.HyperParams(Q=4, eta_a=0.03, eta_s=0.2, beta=0.0, eta_w=lca.eta_w)
+    hp = lmt.HyperParams(Q=4, eta_a=0.03, eta_s=0.2, beta=0.0, eta_w=mix.eta_w)
     st_a = lmt.init_state("lmt", np.zeros((n, p)))
     st_b = lmt.init_state("naive_lmt", np.zeros((n, p)))
     sa, sb = TrialStreams(6, 0), TrialStreams(6, 0)
@@ -382,17 +375,18 @@ def test_theorem1_rejects_bad_inputs():
 
 
 def test_theorem2_values():
-    hp = lmt.theorem2_stepsizes(mu=1.0, Q=1, T=100, lam=0.0)
+    single = lmtsim.build_complete_mixing(1)  # lam = 0
+    hp = lmt.theorem2_stepsizes(mu=1.0, Q=1, T=100, mix=single)
     assert hp.eta_a == pytest.approx(0.01, abs=1e-15)
     assert hp.beta == pytest.approx(math.sqrt(0.5), abs=1e-14)
     assert hp.eta_s == pytest.approx((1.0 - math.sqrt(0.5)) / math.sqrt(210.0),
                                      rel=1e-12)
-    longer = lmt.theorem2_stepsizes(mu=1.0, Q=1, T=1000, lam=0.0)
+    longer = lmt.theorem2_stepsizes(mu=1.0, Q=1, T=1000, mix=single)
     assert longer.eta_a < hp.eta_a
     with pytest.raises(ValueError):
-        lmt.theorem2_stepsizes(mu=0.0, Q=1, T=10, lam=0.0)
+        lmt.theorem2_stepsizes(mu=0.0, Q=1, T=10, mix=single)
     with pytest.raises(ValueError):
-        lmt.theorem2_stepsizes(mu=1.0, Q=0, T=10, lam=0.0)
+        lmt.theorem2_stepsizes(mu=1.0, Q=0, T=10, mix=single)
 
 
 def test_q_star_values():

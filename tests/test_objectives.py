@@ -100,7 +100,7 @@ def test_synthetic_dataset_deterministic():
 
 def test_logistic_single_sample_hand_values():
     data = obj.PartitionedDataset(shards=((np.array([[1.0]]), np.array([1.0])),))
-    oracle = obj.logistic_l2_oracle(data, rho=0.0, batch=None)
+    oracle = obj.LogisticOracle(data, "l2", 0.0, None)
     assert oracle.global_value(np.zeros(1)) == pytest.approx(math.log(2.0), abs=1e-12)
     assert oracle.full_gradients_at(np.zeros(1))[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
@@ -150,7 +150,7 @@ def test_logistic_values_equal_the_logaddexp_form_bit_for_bit():
     # global_value is bit-equal to the logaddexp form; the rows form of
     # the opt-gap diagnostic is within 4 ulp of it
     parts = obj.partition_heterogeneous(two_class_dataset(60, 5, seed=3), 4)
-    oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=1)
+    oracle = obj.LogisticOracle(parts, "l2", 0.2, 1)
     X = np.random.default_rng(6).normal(scale=20.0, size=(3, 4, 5))
     U = np.concatenate([f for f, _ in parts.shards])
     v = np.concatenate([l for _, l in parts.shards])
@@ -168,7 +168,7 @@ def test_logistic_values_equal_the_logaddexp_form_bit_for_bit():
 def test_logistic_gradient_at_origin_closed_form():
     data = two_class_dataset(24, 5, seed=1)
     parts = obj.partition_heterogeneous(data, 4)
-    oracle = obj.logistic_l2_oracle(parts, rho=0.3, batch=None)
+    oracle = obj.LogisticOracle(parts, "l2", 0.3, None)
     G = oracle.full_gradients_at(np.zeros(5))
     for i in range(4):
         U, v = parts.shards[i]
@@ -178,7 +178,7 @@ def test_logistic_gradient_at_origin_closed_form():
 
 def test_nonconvex_regularizer_hand_values():
     data = obj.PartitionedDataset(shards=((np.array([[1.0, 0.0]]), np.array([1.0])),))
-    oracle = obj.logistic_nonconvex_oracle(data, omega=0.05, batch=None)
+    oracle = obj.LogisticOracle(data, "nonconvex", 0.05, None)
     x = np.array([1.0, 1.0])
     # each coordinate contributes 0.05 * (1/2) / 2 to the value
     data_term = math.log(1.0 + math.exp(-1.0))
@@ -193,8 +193,8 @@ def test_nonconvex_regularizer_hand_values():
 
 def test_nonconvex_omega_zero_matches_ridge_rho_zero():
     parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=2), 3)
-    a = obj.logistic_l2_oracle(parts, rho=0.0, batch=None)
-    b = obj.logistic_nonconvex_oracle(parts, omega=0.0, batch=None)
+    a = obj.LogisticOracle(parts, "l2", 0.0, None)
+    b = obj.LogisticOracle(parts, "nonconvex", 0.0, None)
     x = np.linspace(-1, 1, 4)
     assert a.global_value(x) == pytest.approx(b.global_value(x), abs=1e-14)
     assert np.allclose(a.full_gradients_at(x), b.full_gradients_at(x), atol=1e-14)
@@ -202,7 +202,7 @@ def test_nonconvex_omega_zero_matches_ridge_rho_zero():
 
 def test_full_batch_mode_equals_full_gradient():
     parts = obj.partition_heterogeneous(two_class_dataset(20, 4, seed=3), 2)
-    oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=None)
+    oracle = obj.LogisticOracle(parts, "l2", 0.2, None)
     x = np.array([0.1, -0.4, 0.2, 0.0])
     assert oracle.sigma == 0.0
     (draws_step,) = oracle.draw(None, 0, 1)
@@ -222,7 +222,7 @@ def _agent_samples(oracle, x, agent, samples, seed, Q=100):
 
 def test_minibatch_unbiased_and_variance_bounded():
     parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=4), 3)
-    oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=2)
+    oracle = obj.LogisticOracle(parts, "l2", 0.2, 2)
     x = np.random.default_rng(77).normal(size=4) * 0.5
     full = oracle.full_gradients_at(x)[1]
     draws = _agent_samples(oracle, x, 1, 10_000, seed=77)
@@ -235,7 +235,7 @@ def test_minibatch_unbiased_and_variance_bounded():
 
 def test_logistic_smoothness_bound_honored():
     parts = obj.partition_heterogeneous(two_class_dataset(40, 6, seed=5), 4)
-    oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=1)
+    oracle = obj.LogisticOracle(parts, "l2", 0.2, 1)
     bound = max(np.mean(np.sum(f * f, axis=1)) for f, _ in parts.shards) / 4.0 + 0.2
     assert oracle.L <= bound + 1e-12
 
@@ -243,17 +243,17 @@ def test_logistic_smoothness_bound_honored():
 def test_logistic_configuration_errors():
     parts = obj.partition_heterogeneous(two_class_dataset(20, 4, seed=6), 2)
     with pytest.raises(ValueError, match="batch"):
-        obj.logistic_l2_oracle(parts, rho=0.2, batch=100)
+        obj.LogisticOracle(parts, "l2", 0.2, 100)
     with pytest.raises(ValueError):
-        obj.logistic_l2_oracle(parts, rho=-0.1, batch=1)
+        obj.LogisticOracle(parts, "l2", -0.1, 1)
     empty = obj.PartitionedDataset(shards=((np.zeros((0, 2)), np.zeros(0)),))
     with pytest.raises(obj.DatasetError, match="nonempty"):
-        obj.logistic_l2_oracle(empty, rho=0.2, batch=1)
+        obj.LogisticOracle(empty, "l2", 0.2, 1)
 
 
 def test_stochastic_gradient_matrix_matches_per_agent_calls():
     parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=8), 3)
-    oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=2)
+    oracle = obj.LogisticOracle(parts, "l2", 0.2, 2)
     X = np.random.default_rng(5).normal(size=(3, 4))
     streams = TrialStreams(99, 0)
     G = oracle.stochastic_gradient_matrix(X, oracle.draw(streams, 7, 2)[1])
@@ -288,13 +288,13 @@ def _assert_round_rows_match_streams(oracle, sizes, b, seed=13, trials=(2, 7, 0)
 @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 17])
 def test_logistic_round_draws_match_per_site_streams(b):
     sizes = (17, 23, 40, 18, 31)
-    oracle = obj.logistic_l2_oracle(_uneven_partition(sizes), rho=0.2, batch=b)
+    oracle = obj.LogisticOracle(_uneven_partition(sizes), "l2", 0.2, b)
     _assert_round_rows_match_streams(oracle, sizes, b)
 
 
 def test_logistic_round_draws_with_single_row_shard():
     sizes = (1, 5, 2)
-    oracle = obj.logistic_l2_oracle(_uneven_partition(sizes), rho=0.2, batch=1)
+    oracle = obj.LogisticOracle(_uneven_partition(sizes), "l2", 0.2, 1)
     _assert_round_rows_match_streams(oracle, sizes, 1)
 
 
@@ -305,7 +305,7 @@ def test_logistic_rejected_sites_are_redrawn_from_their_streams(monkeypatch):
 
     monkeypatch.setattr(obj, "bounded_uint32", reject_all)
     sizes = (17, 23, 40)
-    oracle = obj.logistic_l2_oracle(_uneven_partition(sizes), rho=0.2, batch=9)
+    oracle = obj.LogisticOracle(_uneven_partition(sizes), "l2", 0.2, 9)
     _assert_round_rows_match_streams(oracle, sizes, 9)
 
 
@@ -362,11 +362,11 @@ def test_quadratic_rejected_sites_are_redrawn_from_their_streams(monkeypatch):
 
 def test_draws_are_none_in_deterministic_mode():
     parts = obj.partition_heterogeneous(two_class_dataset(20, 4, seed=6), 2)
-    assert obj.logistic_l2_oracle(parts, rho=0.2, batch=None).draw(None, 0, 3) == [None] * 3
+    assert obj.LogisticOracle(parts, "l2", 0.2, None).draw(None, 0, 3) == [None] * 3
     quad = obj.QuadraticOracle(A=np.eye(2)[None], b=np.zeros((1, 2)), sigma=0.0)
     assert quad.draw(None, 0, 3) == [None] * 3
     with pytest.raises(ValueError, match="streams"):
-        obj.logistic_l2_oracle(parts, rho=0.2, batch=1).draw(None, 0, 3)
+        obj.LogisticOracle(parts, "l2", 0.2, 1).draw(None, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def test_global_values_at_rows_consistency():
     assert np.allclose(quadratic_values_at_rows(oracle, X), direct, atol=1e-12)
 
     parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=2), 5)
-    logistic = obj.logistic_l2_oracle(parts, rho=0.2, batch=1)
+    logistic = obj.LogisticOracle(parts, "l2", 0.2, 1)
     direct = np.array([logistic.global_value(x) for x in X])
     assert np.allclose(logistic.global_values_at_rows(X), direct, rtol=1e-15, atol=0)
 
@@ -504,9 +504,9 @@ def test_finite_difference_gradients(factory):
     else:
         parts = obj.partition_heterogeneous(two_class_dataset(28, 5, seed=7), 4)
         if factory == "l2":
-            oracle = obj.logistic_l2_oracle(parts, rho=0.2, batch=None)
+            oracle = obj.LogisticOracle(parts, "l2", 0.2, None)
         else:
-            oracle = obj.logistic_nonconvex_oracle(parts, omega=0.05, batch=None)
+            oracle = obj.LogisticOracle(parts, "nonconvex", 0.05, None)
     reference = local_reference(oracle, parts)
     for _ in range(10):
         i = int(rng.integers(0, oracle.n_agents))

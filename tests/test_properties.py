@@ -9,6 +9,7 @@ one trial ``(n, p)`` or a batch of trials ``(k, n, p)``.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ def lazy_metropolis_mixing(draw):
     return tp.from_weights(0.5 * (np.eye(n) + W))
 
 
+@_EXAMPLES
+@given(mix=lazy_metropolis_mixing())
+def test_mixing_matrix_carries_its_lca_constants(mix):
+    assert 0.0 <= mix.lam < 1.0
+    assert mix.eta_w == 1.0 / (1.0 + math.sqrt(1.0 - mix.lam ** 2))
+    assert mix.rho_w ** 2 == pytest.approx(mix.eta_w, abs=1e-14)
+
+
 def quad(n, seed, sigma):
     return obj.quadratic_pl_oracle(n=n, p=3, mu_min=0.2, L=1.0, sigma=sigma,
                                    rng_seed=seed)
@@ -62,7 +71,7 @@ def test_first_round_parity_from_consensus_start(mix, seed, eta_a, eta_s):
     x0 = np.random.default_rng(seed).normal(size=3)
     X0 = np.tile(x0, (mix.n, 1))
     hp = lmt.HyperParams(Q=1, eta_a=eta_a, eta_s=eta_s, beta=0.0,
-                         eta_w=tp.lca_params(mix.lam).eta_w)
+                         eta_w=mix.eta_w)
     expected = x0 - hp.eta_hat * oracle.global_gradient(x0)
     for method in METHOD_CHOICES:
         mean = one_round(method, lmt.init_state(method, X0), oracle, mix, hp)["X"].mean(axis=0)
@@ -76,7 +85,7 @@ def test_corrections_mean_zero_and_tracking_mean(mix, seed, Q, beta):
     oracle = quad(mix.n, seed, sigma=0.5)
     X0 = np.random.default_rng(seed).normal(size=(mix.n, 3))
     hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
-                         eta_w=tp.lca_params(mix.lam).eta_w)
+                         eta_w=mix.eta_w)
     for method in ("lmt", "naive_lmt", "kgt", "scaffold"):
         key = "C" if method in ("lmt", "naive_lmt") else "c"
         state = lmt.init_state(method, X0)
@@ -99,7 +108,7 @@ def test_naive_lmt_equals_lmt_at_q1(mix, seed, beta):
     oracle = quad(mix.n, seed, sigma=1.0)
     X0 = np.random.default_rng(seed).normal(size=(mix.n, 3))
     hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=beta,
-                         eta_w=tp.lca_params(mix.lam).eta_w)
+                         eta_w=mix.eta_w)
     a, b = lmt.init_state("lmt", X0), lmt.init_state("naive_lmt", X0)
     sa, sb = TrialStreams(seed, 0), TrialStreams(seed, 0)
     for _ in range(10):
@@ -114,7 +123,7 @@ def test_round_leaves_its_input_state_unchanged(method):
     mix = tp.build_ring_mixing(5)
     oracle = quad(5, seed=1, sigma=0.5)
     hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.5,
-                         eta_w=tp.lca_params(mix.lam).eta_w)
+                         eta_w=mix.eta_w)
     streams = TrialStreams(9, 0)
     X0 = np.random.default_rng(2).normal(size=(5, 3))
     # one round first, so every array of the input is non-trivial
@@ -128,7 +137,7 @@ def test_round_leaves_its_input_state_unchanged(method):
 
 def logistic(n, seed, batch):
     data = obj.make_synthetic_classification(8 * n, 3, seed)
-    return obj.logistic_l2_oracle(obj.partition_heterogeneous(data, n), batch=batch)
+    return obj.LogisticOracle(obj.partition_heterogeneous(data, n), "l2", 0.2, batch)
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,7 +152,7 @@ def test_batched_round_equals_each_trials_round(mix, seed, trials, oracle_kind, 
               "logistic_minibatch": lambda: logistic(mix.n, seed, batch=3),
               "logistic_full": lambda: logistic(mix.n, seed, batch=None)}[oracle_kind]()
     hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
-                         eta_w=tp.lca_params(mix.lam).eta_w)
+                         eta_w=mix.eta_w)
     X0 = np.random.default_rng(seed).normal(size=(len(trials), mix.n, 3))
     batch_streams = TrialStreams(seed, trials)
     for method in METHOD_CHOICES:
@@ -209,15 +218,14 @@ def test_doubled_objective_at_half_the_local_step_scales_every_metric_exactly(ob
                            trials=3, seed=4, init="gauss", **objective)
     cfg.validate()
     mix = harness.build_mixing(cfg)
-    lca = tp.lca_params(mix.lam)
     oracle = harness.build_oracle(cfg, mix.n)
     hp = harness.resolve_hyperparams(cfg, oracle, mix)
     half = dataclasses.replace(hp, eta_a=hp.eta_a / 2)
     for method in METHOD_CHOICES:
         run = dataclasses.replace(cfg, method=method)
-        plain, plain_at = harness._run_trials(run, mix, lca, oracle, hp, [0, 1, 2])
-        doubled, doubled_at = harness._run_trials(run, mix, lca, DoubledOracle(oracle),
-                                                  half, [0, 1, 2])
+        plain, plain_at = harness._run_trials(run, mix, oracle, hp, [0, 1, 2])
+        doubled, doubled_at = harness._run_trials(run, mix, DoubledOracle(oracle), half,
+                                                  [0, 1, 2])
         assert plain_at == doubled_at == [None] * 3, method
         assert plain.keys() == doubled.keys() == _RESCALED.keys()
         for name, factor in _RESCALED.items():
@@ -238,8 +246,8 @@ def relabelled_oracles(kind, n, seed, perm):
     parts = obj.partition_heterogeneous(
         obj.make_synthetic_classification(8 * n + n // 2, 3, seed), n)
     shuffled = obj.PartitionedDataset(tuple(parts.shards[j] for j in perm))
-    return (obj.logistic_l2_oracle(parts, batch=None),
-            obj.logistic_l2_oracle(shuffled, batch=None))
+    return (obj.LogisticOracle(parts, "l2", 0.2, None),
+            obj.LogisticOracle(shuffled, "l2", 0.2, None))
 
 
 @settings(max_examples=20, deadline=None)
@@ -255,7 +263,7 @@ def test_relabelling_the_agents_permutes_the_trajectory(mix, seed, kind, Q, beta
     oracle, oracle_p = relabelled_oracles(kind, mix.n, seed, perm)
     mix_p = tp.from_weights(mix.weights[np.ix_(perm, perm)])
     hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
-                         eta_w=tp.lca_params(mix.lam).eta_w)
+                         eta_w=mix.eta_w)
     X0 = rng.normal(size=(mix.n, 3))
     for method in METHOD_CHOICES:
         state, state_p = lmt.init_state(method, X0), lmt.init_state(method, X0[perm])

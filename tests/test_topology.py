@@ -65,11 +65,11 @@ def test_spectral_quantities_validation_errors():
     asym = good.copy()
     asym[0, 1] += 1e-6
     with pytest.raises(tp.MixingMatrixError, match="symmetric"):
-        tp.spectral_quantities(asym)
+        tp.from_weights(asym)
 
     nonstoch = good * 0.9
     with pytest.raises(tp.MixingMatrixError, match="sum"):
-        tp.spectral_quantities(nonstoch)
+        tp.from_weights(nonstoch)
 
     # symmetric doubly stochastic but indefinite: rapid-mixing ring without
     # the lazy half step
@@ -79,7 +79,7 @@ def test_spectral_quantities_validation_errors():
     W0[idx, (idx + 1) % n] = 0.5
     W0[idx, (idx - 1) % n] = 0.5
     with pytest.raises(tp.MixingMatrixError, match="semidefinite"):
-        tp.spectral_quantities(W0)
+        tp.from_weights(W0)
 
     neg = good.copy()
     neg[0, 0] -= 1e-6
@@ -89,7 +89,7 @@ def test_spectral_quantities_validation_errors():
     # keep it symmetric/stochastic but push an entry negative
     neg[0, 2] -= 2e-6 + neg[0, 2]
     with pytest.raises(tp.MixingMatrixError):
-        tp.spectral_quantities(neg)
+        tp.from_weights(neg)
 
 
 def test_disconnected_graph_warns_not_raises():
@@ -98,33 +98,35 @@ def test_disconnected_graph_warns_not_raises():
     W[:3, :3] = block
     W[3:, 3:] = block
     with pytest.warns(UserWarning, match="not connected"):
-        lam, gap = tp.spectral_quantities(W)
-    assert lam == pytest.approx(1.0, abs=1e-12)
-    assert gap == pytest.approx(0.0, abs=1e-12)
+        mix = tp.from_weights(W)
+    assert mix.lam == 1.0
+    assert mix.spectral_gap == 0.0
 
 
 def test_lca_params_formula():
-    p0 = tp.lca_params(0.0)
-    assert p0.eta_w == pytest.approx(0.5, abs=1e-15)
-    assert p0.rho_w == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    single = tp.build_complete_mixing(1)
+    assert single.lam == 0.0
+    assert single.eta_w == 0.5
+    assert single.rho_w == math.sqrt(0.5)
     assert tp.C0 == 14.0
 
-    for lam, eta_ref, rho_ref in [
-        (0.997372, 0.93244, 0.96563),     # ring n=50
-        (0.9993425, 0.96501, 0.98235),    # ring n=100
-    ]:
-        p = tp.lca_params(lam)
-        direct = 1.0 / (1.0 + math.sqrt(1.0 - lam * lam))
-        assert p.eta_w == pytest.approx(direct, abs=1e-14)
-        assert p.eta_w == pytest.approx(eta_ref, abs=1e-5)
-        assert p.rho_w == pytest.approx(rho_ref, abs=1e-5)
-        assert p.rho_w ** 2 == pytest.approx(p.eta_w, abs=1e-14)
+    for n, eta_ref, rho_ref in [(50, 0.93244, 0.96563), (100, 0.96501, 0.98235)]:
+        mix = tp.build_ring_mixing(n)
+        direct = 1.0 / (1.0 + math.sqrt(1.0 - mix.lam * mix.lam))
+        assert mix.eta_w == pytest.approx(direct, abs=1e-14)
+        assert mix.eta_w == pytest.approx(eta_ref, abs=1e-5)
+        assert mix.rho_w == pytest.approx(rho_ref, abs=1e-5)
+        assert mix.rho_w ** 2 == pytest.approx(mix.eta_w, abs=1e-14)
 
 
 def test_lca_params_domain():
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            tp.lca_params(bad)
+    # lam spans [0, 1]: a complete graph mixes in one round, and a
+    # disconnected one has lam = 1 exactly, where the constants reach 1
+    assert tp.build_complete_mixing(4).eta_w == pytest.approx(0.5, abs=1e-15)
+    two_blocks = np.kron(np.eye(2), np.full((2, 2), 0.5))
+    with pytest.warns(UserWarning, match="not connected"):
+        mix = tp.from_weights(two_blocks)
+    assert (mix.lam, mix.eta_w, mix.rho_w) == (1.0, 1.0, 1.0)
 
 
 def test_lca_mix_consensus_fixed_point():
@@ -171,15 +173,14 @@ def test_lca_contraction_short_suite():
         n = int(rng.integers(3, 21))
         p = int(rng.integers(1, 6))
         mix = tp.build_ring_mixing(n) if case % 4 else tp.build_complete_mixing(n)
-        lca = tp.lca_params(mix.lam)
         A = rng.normal(size=(n, p))
         proj = np.eye(n) - np.ones((n, n)) / n
         pa = proj @ A
         bound0 = float(np.sum(pa * pa))
 
         big = np.zeros((2 * n, 2 * n))
-        big[:n, :n] = (1.0 + lca.eta_w) * mix.weights
-        big[:n, n:] = -lca.eta_w * np.eye(n)
+        big[:n, :n] = (1.0 + mix.eta_w) * mix.weights
+        big[:n, n:] = -mix.eta_w * np.eye(n)
         big[n:, :n] = np.eye(n)
         proj2 = np.zeros((2 * n, 2 * n))
         proj2[:n, :n] = proj
@@ -192,8 +193,8 @@ def test_lca_contraction_short_suite():
             assert np.abs(stacked - vec).max() <= 1e-10 * (1 + np.abs(vec).max())
             projected = proj2 @ stacked
             norm2 = float(np.sum(projected * projected))
-            assert norm2 <= 14.0 * lca.rho_w ** (2 * k) * bound0 * (1 + 1e-9)
-            top, bottom = tp.lca_mix(mix, lca.eta_w, top, bottom), top
+            assert norm2 <= 14.0 * mix.rho_w ** (2 * k) * bound0 * (1 + 1e-9)
+            top, bottom = tp.lca_mix(mix, mix.eta_w, top, bottom), top
             vec = big @ vec
 
 
