@@ -161,7 +161,7 @@ def _initial_iterates(cfg: ExperimentConfig, n: int, p: int,
     return X0
 
 
-#: the per-round metrics, each averaged across trials with its std
+#: the per-round metrics, each averaged across trials
 _METRICS = tuple(name for name in dg.TRACE_COLUMNS
                  if name != "t" and not name.endswith("_std"))
 
@@ -238,8 +238,8 @@ def run_experiment(cfg: ExperimentConfig,
                                    source=w.source)
     diverged_at = min((t for t in diverged if t is not None), default=None)
 
-    # mean and std of every metric are kept in memory; the trace CSV
-    # schema carries std columns only for the two headline metrics
+    # the mean of every metric, and the std of those the trace schema
+    # carries, so a table holds the same columns in memory as on disk
     columns: dict[str, np.ndarray] = {"t": np.arange(cfg.T, dtype=float)}
     for name in _METRICS:
         stacked = per_trial[name]
@@ -250,7 +250,8 @@ def run_experiment(cfg: ExperimentConfig,
         scale = np.ldexp(1.0, np.where(exp > 256, exp - 1, 0))
         scaled = stacked / scale
         columns[name] = scaled.mean(axis=0) * scale
-        columns[name + "_std"] = scaled.std(axis=0) * scale
+        if name + "_std" in dg.TRACE_COLUMNS:
+            columns[name + "_std"] = scaled.std(axis=0) * scale
 
     table = ResultTable(label=label or cfg.method, columns=columns, diverged_at=diverged_at)
     if cfg.outdir:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lmtsim.harness import ResultTable
+from lmtsim.config import ExperimentConfig, parse_config_text
+from lmtsim.diagnostics import TRACE_COLUMNS
+from lmtsim.harness import ResultTable, run_sweep
 from lmtsim.plotting import emit_plot
 
 
@@ -63,3 +65,28 @@ def test_deterministic_bytes(tmp_path):
     lines = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
     pts = [ln.split('points="')[1].split('"')[0] for ln in lines]
     assert pts[0] == pts[1]
+
+
+def test_a_run_plots_the_same_from_memory_and_from_its_trace(tmp_path):
+    cfg = ExperimentConfig.from_mapping(parse_config_text(f"""
+        topology.kind = ring
+        topology.n = 4
+        objective.kind = quadratic_pl
+        objective.dim = 3
+        objective.sigma = 0.2
+        schedule = figure1
+        hyper.Q = 2
+        run.T = 10
+        run.trials = 2
+        output.dir = {tmp_path / "sweep"}
+    """))
+    tables, _ = run_sweep(cfg, "method", ["lmt", "naive_lmt"])
+    read = [ResultTable.from_csv(str(tmp_path / "sweep" / f"point_method_{t.label}" /
+                                     "trace.csv"), label=t.label) for t in tables]
+    memory_svg, read_svg = tmp_path / "memory.svg", tmp_path / "read.svg"
+    for metric in TRACE_COLUMNS:
+        if metric == "t" or metric.endswith("_std"):
+            continue
+        emit_plot(tables, metric, str(memory_svg))
+        emit_plot(read, metric, str(read_svg))
+        assert memory_svg.read_bytes() == read_svg.read_bytes(), metric
