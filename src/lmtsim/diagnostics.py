@@ -65,9 +65,8 @@ def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
     optimality gap ``gap = F(d_bar) - f_star`` of the auxiliary point.
 
     Consensus terms use the realized ``|Pi x|^2`` and ``|Pi y|^2`` of this
-    trajectory in place of their expectation-level upper bounds.  ``rho_w``
-    is the graph's consensus contraction rate and ``n`` its agent count.
-    The trajectory terms may be arrays, one entry per trial.
+    trajectory in place of their expectation-level upper bounds.  The
+    trajectory terms may be arrays, one entry per trial.
     """
     eta_hat = hp.eta_hat
     one_minus_beta = 1.0 - hp.beta

@@ -66,6 +66,8 @@ class ResultTable:
 
     @staticmethod
     def from_csv(path: str, label: str | None = None) -> "ResultTable":
+        """The table of a ``trace.csv``, labelled ``label`` or else by the name
+        of its directory, the run's (such as a sweep point's ``point_Q_Q1``)."""
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip().split(",")
             if tuple(header) != dg.TRACE_COLUMNS:
@@ -75,7 +77,8 @@ class ResultTable:
             raise ValueError(f"{path}: empty trace")
         data = np.array([[float(c) for c in row] for row in rows])
         columns = {name: data[:, j] for j, name in enumerate(dg.TRACE_COLUMNS)}
-        return ResultTable(label=label or os.path.basename(path), columns=columns)
+        default = os.path.basename(os.path.dirname(os.path.abspath(path)))
+        return ResultTable(label=label or default, columns=columns)
 
 
 def build_mixing(cfg: ExperimentConfig) -> tp.MixingMatrix:
@@ -117,8 +120,8 @@ def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
                         mix: tp.MixingMatrix) -> lmt.HyperParams:
     """Turn a schedule tag into concrete round hyperparameters."""
     if mix.lam >= 1.0:
-        raise ConfigError("topology.path: graph not connected (lambda = 1), so "
-                          "consensus and its accelerated step are undefined")
+        raise ConfigError("topology.path: graph not connected (lambda = 1), "
+                          "so its agents never reach consensus")
     beta = cfg.beta if cfg.beta is not None else mix.rho_w
     if cfg.schedule == "explicit":
         hp = lmt.HyperParams(Q=cfg.Q, eta_a=cfg.eta_a, eta_s=cfg.eta_s,

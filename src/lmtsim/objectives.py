@@ -250,9 +250,8 @@ def logistic_loss_inplace(margins: np.ndarray) -> np.ndarray:
 
 class LogisticOracle(GradientOracle):
     """Binary logistic loss over per-agent shards with a configurable
-    regularizer: ridge ``coeff/2 ||x||^2`` (``l2``, strongly convex for
-    ``coeff > 0``) or the bounded nonconvex penalty
-    ``coeff/2 sum_q x_q^2 / (1 + x_q^2)`` (``nonconvex``).
+    regularizer: ridge ``coeff/2 ||x||^2`` (``l2``) or the bounded nonconvex
+    penalty ``coeff/2 sum_q x_q^2 / (1 + x_q^2)`` (``nonconvex``).
 
     Data term of f_i: mean over the shard of log(1 + exp(-v u.x)).
     """

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -79,6 +80,18 @@ def test_sweep_command(tmp_path, capsys):
     assert (out / "summary.csv").exists()
     stdout = capsys.readouterr().out
     assert "loglog slope" in stdout
+
+
+def test_plot_legend_names_each_sweep_point(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", write_cfg(tmp_path), "--axis", "Q", "--values", "1,2",
+                     "--out", str(out)]) == 0
+    svg = tmp_path / "q.svg"
+    assert cli.main(["plot", str(out / "point_Q_Q1" / "trace.csv"),
+                     str(out / "point_Q_Q2" / "trace.csv"), "--out", str(svg)]) == 0
+    legend = re.findall(r'<text x="[^"]*" y="[^"]*" font-size="11">([^<]*)</text>',
+                        svg.read_text())
+    assert legend == ["point_Q_Q1", "point_Q_Q2"]
 
 
 # a graph read from a file fixes the agent count
