@@ -12,8 +12,8 @@ step-size schedules (:mod:`lmtsim.lmt`), comparison baselines
 __version__ = "0.1.0"
 
 from .topology import (C0, MixingMatrix, MixingMatrixError,
-                       build_complete_mixing, build_ring_mixing, from_weights,
-                       lca_mix, load_mixing_csv, save_mixing_csv)
+                       build_complete_mixing, build_ring_mixing, lca_mix,
+                       load_mixing_csv, save_mixing_csv)
 from .objectives import (Dataset, DatasetError, GradientOracle,
                          LogisticOracle, PartitionedDataset, QuadraticOracle,
                          load_csv, load_libsvm, make_synthetic_classification,

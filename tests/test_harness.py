@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-import lmtsim
 from lmtsim import baselines, harness, lmt
 from lmtsim import diagnostics as dg
-from lmtsim import topology as tp
 from lmtsim.config import KEYS, METHOD_CHOICES, ConfigError, ExperimentConfig, \
     parse_config_text
 from lmtsim.harness import ResultTable, build_oracle, resolve_hyperparams, \
