@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import baselines as bl
@@ -301,6 +300,7 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
 def _library_lines() -> list[str]:
     """The libraries a run's numbers depend on: the logistic opt gap's last
     ulp follows numpy's SIMD dispatch, every product the BLAS."""
+    import scipy  # only for its version; quadratic runs need no scipy otherwise
     build = np.show_config(mode="dicts")
     blas = build.get("Build Dependencies", {}).get("blas", {})
     return [

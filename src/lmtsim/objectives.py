@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from .diagnostics import axis_mean, squared_norms
 from .streams import TrialStreams, bounded_uint32
@@ -271,6 +270,11 @@ class LogisticOracle(GradientOracle):
             if batch > min(sizes):
                 raise ValueError(
                     f"batch {batch} exceeds smallest shard size {min(sizes)}")
+        # scipy.special takes about 24 MiB and 0.2 s to import, so only a
+        # process that builds a logistic oracle loads it
+        from scipy.special import expit, log_expit
+        self._expit = expit
+        self._log_expit = log_expit
         self.reg = reg
         self.coeff = float(coeff)
         self.batch = batch
@@ -327,7 +331,7 @@ class LogisticOracle(GradientOracle):
         """
         G = np.empty(X.shape)
         for agents, S in self._runs:
-            slope = expit(-(S @ X[..., agents, :, None]))  # = 1 / (1 + exp(margin))
+            slope = self._expit(-(S @ X[..., agents, :, None]))  # = 1 / (1 + exp(margin))
             G[..., agents, :] = -(S.swapaxes(-1, -2) @ slope)[..., 0] / S.shape[1]
         return G + self._reg_gradient(X)
 
@@ -339,7 +343,8 @@ class LogisticOracle(GradientOracle):
         # each agent's mean loss, then the mean over agents; -log_expit(m)
         # is log(1 + exp(-m)), bit-equal to logaddexp(0, -m); kept exact
         # here, as it sets f_star and the schedules' delta_f
-        losses = np.concatenate([np.mean(-log_expit(S @ x), axis=-1) for _, S in self._runs])
+        losses = np.concatenate(
+            [np.mean(-self._log_expit(S @ x), axis=-1) for _, S in self._runs])
         return float(np.mean(losses + self._reg_values(x)))
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
@@ -368,7 +373,7 @@ class LogisticOracle(GradientOracle):
         if draws_step is None:
             return self._exact_gradients(X)
         S = self._signed[draws_step]
-        slope = expit(-np.einsum("...abp,...ap->...ab", S, X))
+        slope = self._expit(-np.einsum("...abp,...ap->...ab", S, X))
         return -np.einsum("...ab,...abp->...ap", slope, S) / self.batch + self._reg_gradient(X)
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
@@ -417,9 +422,10 @@ class QuadraticOracle(GradientOracle):
         self.f_star = self.global_value(self.x_star)
         self._hessian_root = np.linalg.cholesky(self._hessian)
         self._noise_scale = self.sigma / np.sqrt(self.dim)
+        self._Ab = np.einsum("ipq,iq->ip", A, b)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ipq,...q->...ip", self.A, x) - np.einsum("ipq,iq->ip", self.A, self.b)
+        return np.einsum("ipq,...q->...ip", self.A, x) - self._Ab
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's gradient noise, ``(Q, *streams.shape, n, p)``:

@@ -291,3 +291,30 @@ def test_module_entrypoint_subprocess():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0
     assert "spectral_gap" in proc.stdout
+
+
+GUARD_SCRIPT = """
+import os, sys
+from lmtsim import cli, objectives
+tmp, cfg = sys.argv[1], sys.argv[2]
+assert cli.main(["spectra", "ring", "10"]) == 0
+scipy_modules = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not scipy_modules, scipy_modules
+out = os.path.join(tmp, "out")
+assert cli.main(["run", cfg, "--out", out]) == 0
+assert cli.main(["plot", os.path.join(out, "trace.csv"), "--metric", "grad_norm_avg",
+                 "--out", os.path.join(tmp, "fig.svg")]) == 0
+assert "scipy.special" not in sys.modules
+data = objectives.make_synthetic_classification(8, 2, seed=0)
+objectives.LogisticOracle(objectives.partition_heterogeneous(data, 2), "l2", 0.1, None)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_logistic_oracles_import_scipy_special(tmp_path):
+    cfg = write_cfg(tmp_path, QUICK_CFG.replace("run.T = 10", "run.T = 3"))
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD_SCRIPT, str(tmp_path), str(cfg)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
