@@ -82,40 +82,61 @@ def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
     )
 
 
-def round_metrics(oracle, hp: HyperParams, mix: MixingMatrix, state: dict, new: dict,
-                  carry: tuple | None) -> tuple[dict, tuple]:
-    """Metrics of the round that took ``state`` to ``new``, one value per
-    trial, and the carry ``(x_bar, d_bar, r_bar)`` the next call takes
-    (None in round 0).  A metric is computed exactly when the arrays it
-    needs exist: the tracking metrics need ``Z`` in the state, the gap and
-    the surrogate need ``oracle.f_star``.  Squared norms are stacked
-    ``v @ v`` products, bit-equal to one ``v @ v`` per trial: numpy hands
-    each stacked vector product to the same BLAS dot.
+# numpy's error state is context-local, and a worker thread that runs this
+# starts from the default: overflow of a diverging trial stays in its slice
+@np.errstate(over="ignore", invalid="ignore")
+def input_metrics(oracle, hp: HyperParams, state: dict, carry: tuple | None) -> tuple:
+    """The part of :func:`round_metrics` that reads only the round's input
+    ``state`` and ``carry``: the mean iterate ``x_bar``, the auxiliary point
+    ``d_bar`` (None without ``Z``), and the gaps at the rows of ``X`` and at
+    ``d_bar`` (None without ``f_star``, the second also without ``d_bar``).
+    It writes nothing, so it may run while the round computes the next state.
     """
-    x_bar_prev, d_prev, r_bar_prev = carry or (None, None, None)
     X = state["X"]
     x_bar = axis_mean(X, -2)
+    d_bar = gap = d_bar_gap = None
+    if "Z" in state:
+        d_bar = d_bar_sequence(x_bar, carry[0] if carry else None, hp.beta)
+    if oracle.f_star is not None:
+        gap = oracle.opt_gap(X)
+        if d_bar is not None:
+            d_bar_gap = oracle.opt_gap(d_bar[..., None, :])
+    return x_bar, d_bar, gap, d_bar_gap
+
+
+def round_metrics(oracle, hp: HyperParams, mix: MixingMatrix, state: dict, new: dict,
+                  carry: tuple | None, inputs: tuple) -> tuple[dict, tuple]:
+    """Metrics of the round that took ``state`` to ``new``, one value per
+    trial, and the carry ``(x_bar, d_bar, r_bar)`` the next call takes
+    (None in round 0); ``inputs`` is :func:`input_metrics` of ``state`` and
+    ``carry``.  A metric is computed exactly when the arrays it needs
+    exist: the tracking metrics need ``Z`` in the state, the gap and the
+    surrogate need ``oracle.f_star``.  Squared norms are stacked ``v @ v``
+    products, bit-equal to one ``v @ v`` per trial: numpy hands each
+    stacked vector product to the same BLAS dot.
+    """
+    x_bar, d_bar, gap, d_bar_gap = inputs
+    X = state["X"]
     grads_at_mean = oracle.full_gradients_at(x_bar)
     g_bar = axis_mean(grads_at_mean, -2)
     row = {"consensus_x": consensus_error(X),
            "grad_norm_avg": squared_norms(g_bar)}
-    if oracle.f_star is not None:
-        row["opt_gap_mean"] = oracle.opt_gap(X)
-    if "Z" not in state:
+    if gap is not None:
+        row["opt_gap_mean"] = gap
+    if d_bar is None:
         return row, (x_bar, None, None)
     dev = state["Z"] - grads_at_mean
     row["z_dev"] = np.sum(dev * dev, axis=(-2, -1))
-    d_bar = d_bar_sequence(x_bar, x_bar_prev, hp.beta)
-    if x_bar_prev is None:
+    if carry is None:
         row["d_bar_drift"] = np.zeros(len(x_bar))
     else:
+        _, d_prev, r_bar_prev = carry
         resid = d_bar - (d_prev - hp.eta_hat * r_bar_prev)
         row["d_bar_drift"] = np.sqrt(squared_norms(resid))
     row["consensus_y"] = consensus_error(new["Y"])
-    if oracle.f_star is not None:
+    if d_bar_gap is not None:
         row["lyapunov_surrogate"] = lyapunov_surrogate(
-            gap=oracle.opt_gap(d_bar[..., None, :]),
-            z_bar_sq=squared_norms(axis_mean(state["Z"], -2)),
+            gap=d_bar_gap, z_bar_sq=squared_norms(axis_mean(state["Z"], -2)),
             consensus_x=row["consensus_x"], consensus_y=row["consensus_y"],
             z_dev=row["z_dev"], hp=hp, L=oracle.L, rho_w=mix.rho_w, n=oracle.n_agents)
     return row, (x_bar, d_bar, axis_mean(new["G_avg"], -2))

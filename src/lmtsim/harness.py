@@ -168,6 +168,21 @@ _METRICS = tuple(name for name in dg.TRACE_COLUMNS
                  if name != "t" and not name.endswith("_std"))
 
 
+def _gap_worker(oracle: obj.GradientOracle):
+    """A one-thread executor for :func:`diagnostics.input_metrics`, which
+    reads only a round's input and so may run beside the round, or None:
+    a gap that is no pass over the data costs more to hand over than it
+    saves, and on one CPU the two threads only take turns."""
+    if oracle.f_star is None or not getattr(oracle, "gap_is_data_pass", False):
+        return None
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
@@ -192,24 +207,33 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
     state = lmt.init_state(cfg.method, X0)
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
     carry = None
-    for t in range(cfg.T):
-        # looked up at each call, so wrappers put on the module attributes
-        # (such as the benchmark's layer timers) see every round
-        if cfg.method == "lmt":
-            new = lmt.lmt_round(state, oracle, mix, hp, streams)
-        elif cfg.method == "naive_lmt":
-            new = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
-        else:
-            new = bl.baseline_round(spec, state, oracle, mix, streams)
-        row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry)
-        state = new
-        # ``row`` holds exactly the metrics the method defines
-        for name, values in row.items():
-            out[name][:, t] = values
-        bad = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
-        at[bad & (at > cfg.T)] = t
-        if (at <= t).all():
-            break
+    worker = _gap_worker(oracle)
+    try:
+        for t in range(cfg.T):
+            if worker:
+                pending = worker.submit(dg.input_metrics, oracle, hp, state, carry)
+            # looked up at each call, so wrappers put on the module attributes
+            # (such as the benchmark's layer timers) see every round
+            if cfg.method == "lmt":
+                new = lmt.lmt_round(state, oracle, mix, hp, streams)
+            elif cfg.method == "naive_lmt":
+                new = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
+            else:
+                new = bl.baseline_round(spec, state, oracle, mix, streams)
+            inputs = (pending.result() if worker
+                      else dg.input_metrics(oracle, hp, state, carry))
+            row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
+            state = new
+            # ``row`` holds exactly the metrics the method defines
+            for name, values in row.items():
+                out[name][:, t] = values
+            bad = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
+            at[bad & (at > cfg.T)] = t
+            if (at <= t).all():
+                break
+    finally:
+        if worker:
+            worker.shutdown()
 
     # non-finite iterates make the next round's ``consensus_x`` non-finite,
     # so only those the last round returned need a check of their own

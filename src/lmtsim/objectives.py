@@ -187,6 +187,8 @@ class GradientOracle(abc.ABC):
         L: smoothness constant of the local functions.
         mu: strong-convexity / PL modulus of the global function, if known.
         f_star: global minimum value, if known.
+        gap_is_data_pass: whether :meth:`opt_gap` passes over every sample,
+            so that it pays to run it on a second core beside the round.
     """
 
     n_agents: int
@@ -195,6 +197,7 @@ class GradientOracle(abc.ABC):
     L: float
     mu: float | None = None
     f_star: float | None = None
+    gap_is_data_pass: bool = False
 
     @abc.abstractmethod
     def global_value(self, x: np.ndarray) -> float:
@@ -254,6 +257,8 @@ class LogisticOracle(GradientOracle):
 
     Data term of f_i: mean over the shard of log(1 + exp(-v u.x)).
     """
+
+    gap_is_data_pass = True
 
     def __init__(self, data: PartitionedDataset, reg: str, coeff: float,
                  batch: int | None):

@@ -248,6 +248,43 @@ def test_overflowing_metrics_stop_the_run_and_exit_3(tmp_path, capsys):
     assert np.isfinite(rows[:at, 1]).all()
 
 
+# a ridge-logistic step so long that the iterates overflow within a few
+# rounds; without momentum there is no surrogate to overflow first, so the
+# round in which it diverges squares iterates beyond float64 in its gap too
+DIVERGING_LOGISTIC_CFG = """
+topology.kind = ring
+topology.n = 5
+objective.kind = logistic_l2
+objective.data = synthetic
+objective.synthetic.samples = 60
+objective.synthetic.features = 6
+objective.batch = 1
+method = local_dsgd
+schedule = explicit
+hyper.eta_a = 1e10
+hyper.eta_s = 1
+hyper.Q = 2
+run.T = 40
+run.trials = 2
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_logistic_run_stops_records_and_exits_3(tmp_path, capsys):
+    # its gap may run on a second thread, which must also ignore overflow
+    cfg = write_cfg(tmp_path, DIVERGING_LOGISTIC_CFG)
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 3
+    assert "diverged" in capsys.readouterr().err
+    meta = dict(line.split(" = ", 1) for line in
+                (out / "meta.txt").read_text().splitlines())
+    at = int(meta["diverged_at"])
+    assert 0 < at < 40
+    rows = np.genfromtxt(out / "trace.csv", delimiter=",", skip_header=1)
+    assert np.isnan(rows[at:, 1:]).all()
+    assert np.isfinite(rows[:at, 1]).all()
+
+
 # ten trials whose values stay finite up to divergence, while from round 60
 # on their sums or squares lie beyond float64
 AVERAGING_CFG = """

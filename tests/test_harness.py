@@ -3,6 +3,7 @@ import math
 import os
 import platform
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -574,6 +575,79 @@ def test_iterates_that_turn_non_finite_diverge_at_the_next_round(bad_round, T, m
     for name in ("consensus_x", "grad_norm_avg", "opt_gap_mean"):
         assert np.isfinite(table.columns[name][:at]).all(), name
         assert np.isnan(table.columns[name][at:]).all(), name
+
+
+# ---------------------------------------------------------------------------
+# the worker thread of the logistic opt gap
+
+def logistic_cfg():
+    return ExperimentConfig.from_mapping(parse_config_text(LOGISTIC_CFG.format(batch=1)))
+
+
+@pytest.mark.parametrize("objective, cpus, workers", [
+    ("logistic", None, 1), ("logistic", {0}, 0), ("quadratic", None, 0)])
+def test_only_a_logistic_gap_with_a_second_cpu_gets_a_worker(objective, cpus, workers,
+                                                            monkeypatch):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    elif (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count()) < 2:
+        workers = 0
+    threads = []
+    lmt_round = lmt.lmt_round
+
+    def watched(*args):
+        threads.append(threading.active_count())
+        return lmt_round(*args)
+
+    monkeypatch.setattr(lmt, "lmt_round", watched)
+    before = threading.enumerate()
+    run_experiment(logistic_cfg() if objective == "logistic" else quad_cfg())
+    assert threading.enumerate() == before
+    assert set(threads) == {len(before) + workers}
+
+
+class _RaisesInRound2(Exception):
+    pass
+
+
+class _GapRaisesAtRound2:
+    """Delegates to ``oracle``, but its gap at the iterates of round 2 raises."""
+
+    def __init__(self, oracle):
+        self._oracle, self._calls = oracle, 0
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+    def opt_gap(self, X):
+        # two gaps a round: at the iterates, then at the auxiliary point
+        self._calls += 1
+        if self._calls == 5:
+            raise _RaisesInRound2
+        return self._oracle.opt_gap(X)
+
+
+@pytest.mark.parametrize("where", ["round", "gap"])
+def test_an_exception_in_round_2_reaches_the_caller_and_no_thread_outlives_the_run(
+        where, monkeypatch):
+    lmt_round = lmt.lmt_round
+
+    def raising(state, *args):
+        if state["t"] == 2:
+            raise _RaisesInRound2
+        return lmt_round(state, *args)
+
+    if where == "round":
+        monkeypatch.setattr(lmt, "lmt_round", raising)
+    else:
+        build = harness.build_oracle
+        monkeypatch.setattr(harness, "build_oracle",
+                            lambda cfg, n: _GapRaisesAtRound2(build(cfg, n)))
+    before = threading.enumerate()
+    with pytest.raises(_RaisesInRound2):
+        run_experiment(logistic_cfg())
+    assert threading.enumerate() == before
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,21 @@ def test_round_leaves_its_input_state_unchanged(method):
         assert np.asarray(state[key]).tobytes() == value.tobytes(), (method, key)
 
 
+@pytest.mark.parametrize("method", METHOD_CHOICES)
+def test_round_writes_into_no_array_of_its_input(method):
+    # the harness may compute a round's input metrics on a second thread
+    # while the round runs, so any write into the input must raise here
+    mix = tp.build_ring_mixing(5)
+    oracle = logistic(5, seed=4, batch=1)
+    hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.5, eta_w=mix.eta_w)
+    X0 = np.random.default_rng(2).normal(size=(2, 5, 3))
+    state = lmt.init_state(method, X0)
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    one_round(method, state, oracle, mix, hp, TrialStreams(9, [0, 1]))
+
+
 def logistic(n, seed, batch):
     data = obj.make_synthetic_classification(8 * n, 3, seed)
     return obj.LogisticOracle(obj.partition_heterogeneous(data, n), "l2", 0.2, batch)
