@@ -82,8 +82,8 @@ def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
     )
 
 
-# numpy's error state is context-local, and a worker thread that runs this
-# starts from the default: overflow of a diverging trial stays in its slice
+# numpy's error state is context-local and a worker thread starts from the
+# default, so this enters the round loop's own for a diverging trial
 @np.errstate(over="ignore", invalid="ignore")
 def input_metrics(oracle, hp: HyperParams, state: dict, carry: tuple | None) -> tuple:
     """The part of :func:`round_metrics` that reads only the round's input

@@ -3,6 +3,7 @@ import math
 import os
 import platform
 import re
+import sys
 import threading
 import warnings
 
@@ -605,6 +606,20 @@ def test_only_a_logistic_gap_with_a_second_cpu_gets_a_worker(objective, cpus, wo
     run_experiment(logistic_cfg() if objective == "logistic" else quad_cfg())
     assert threading.enumerate() == before
     assert set(threads) == {len(before) + workers}
+
+
+def test_the_worker_gives_the_bits_of_the_inline_path(monkeypatch):
+    # a short switch interval interleaves the two threads as finely as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        offloaded = run_experiment(logistic_cfg())
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    inline = run_experiment(logistic_cfg())
+    for name in dg.TRACE_COLUMNS:
+        assert offloaded.columns[name].tobytes() == inline.columns[name].tobytes(), name
 
 
 class _RaisesInRound2(Exception):
