@@ -67,7 +67,7 @@ class ExperimentConfig:
     data_format: str | None = _key("objective.format", None, choices=FORMAT_CHOICES)
     synthetic_samples: int = _key("objective.synthetic.samples", 1000, least=2)
     synthetic_features: int = _key("objective.synthetic.features", 20, least=1)
-    synthetic_seed: int = _key("objective.synthetic.seed", 0)
+    synthetic_seed: int = _key("objective.synthetic.seed", 0, least=0)
     rho: float = _key("objective.rho", 0.2, least=0, only="logistic_l2")
     omega: float = _key("objective.omega", 0.05, least=0, only="logistic_nonconvex")
     batch: int | None = _key("objective.batch", 1, least=1)  # None = deterministic full batch
@@ -75,7 +75,7 @@ class ExperimentConfig:
     quad_mu: float = _key("objective.mu", 0.1, above=0, only="quadratic_pl")
     quad_l: float = _key("objective.L", 1.0)
     quad_sigma: float = _key("objective.sigma", 0.0, least=0, only="quadratic_pl")
-    quad_seed: int = _key("objective.seed", 0)
+    quad_seed: int = _key("objective.seed", 0, least=0)
     quad_center: bool = _key("objective.center", False)
     # method and schedule
     method: str = _key("method", "lmt", choices=METHOD_CHOICES)

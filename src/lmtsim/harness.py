@@ -168,19 +168,16 @@ _METRICS = tuple(name for name in dg.TRACE_COLUMNS
                  if name != "t" and not name.endswith("_std"))
 
 
-def _gap_worker(oracle: obj.GradientOracle):
-    """A one-thread executor for :func:`diagnostics.input_metrics`, which
-    reads only a round's input and so may run beside the round, or None:
-    a gap that is no pass over the data costs more to hand over than it
-    saves, and on one CPU the two threads only take turns."""
+def _gap_on_worker(oracle: obj.GradientOracle) -> bool:
+    """Whether :func:`diagnostics.input_metrics` runs on a worker thread,
+    queued a round ahead of the round loop: only for a gap that passes over
+    the data, which costs more than the hand-over, and on two or more CPUs,
+    since on one the two threads only take turns."""
     if oracle.f_star is None or not getattr(oracle, "gap_is_data_pass", False):
-        return None
+        return False
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus < 2:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1)
+    return cpus >= 2
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -197,6 +194,13 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
     Every kernel acts on each trial's slice exactly as on that trial alone,
     so a trial's metrics do not depend on the batch it runs in, and a
     diverged trial's inf and NaN values stay in its own slice.
+
+    Where :func:`_gap_on_worker` says so, :func:`diagnostics.input_metrics`
+    runs on one worker thread, submitted as soon as the round before has
+    returned its input, so round t + 1's gap is queued while round t's
+    still runs.  Round t's metrics, its finiteness check and the stop still
+    come before round t + 1 runs, and the worker makes the inline path's
+    calls on the same arrays.
     """
     k = len(trials)
     out = {name: np.full((k, cfg.T), np.nan) for name in _METRICS}
@@ -206,12 +210,13 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     state = lmt.init_state(cfg.method, X0)
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
-    carry = None
-    worker = _gap_worker(oracle)
+    carry = x_bar_prev = worker = None
+    if _gap_on_worker(oracle):
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(max_workers=1)
+        pending = worker.submit(dg.input_metrics, oracle, hp, state, None)
     try:
         for t in range(cfg.T):
-            if worker:
-                pending = worker.submit(dg.input_metrics, oracle, hp, state, carry)
             # looked up at each call, so wrappers put on the module attributes
             # (such as the benchmark's layer timers) see every round
             if cfg.method == "lmt":
@@ -220,10 +225,18 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                 new = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
             else:
                 new = bl.baseline_round(spec, state, oracle, mix, streams)
-            inputs = (pending.result() if worker
-                      else dg.input_metrics(oracle, hp, state, carry))
+            if worker:
+                # round t + 1's gap reads only ``new`` and this round's mean
+                # iterate, so it is queued behind round t's before that is
+                # collected, and the worker goes from one gap to the next
+                queued = (worker.submit(dg.input_metrics, oracle, hp, new,
+                                        dg.axis_mean(state["X"], -2))
+                          if t + 1 < cfg.T else None)
+                inputs, pending = pending.result(), queued
+            else:
+                inputs = dg.input_metrics(oracle, hp, state, x_bar_prev)
             row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
-            state = new
+            x_bar_prev, state = inputs[0], new
             # ``row`` holds exactly the metrics the method defines
             for name, values in row.items():
                 out[name][:, t] = values
@@ -232,8 +245,10 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
             if (at <= t).all():
                 break
     finally:
+        # a gap queued for a round that never runs belongs to no row, so it
+        # is dropped unread, with any exception it raised
         if worker:
-            worker.shutdown()
+            worker.shutdown(cancel_futures=True)
 
     # non-finite iterates make the next round's ``consensus_x`` non-finite,
     # so only those the last round returned need a check of their own
@@ -311,6 +326,7 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
         f"trials = {cfg.trials}",
         f"f_star = {'unknown' if oracle.f_star is None else repr(oracle.f_star)}",
         f"diverged_at = {'none' if diverged_at is None else diverged_at}",
+        f"gap_thread = {'worker' if _gap_on_worker(oracle) else 'inline'}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
         f"warnings = {len(raised)}",

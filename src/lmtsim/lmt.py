@@ -262,21 +262,6 @@ def theorem2_stepsizes(mu: float, Q: int, T: int, mix: MixingMatrix) -> HyperPar
                        eta_w=mix.eta_w)
 
 
-def q_star(lam: float, sigma: float, n: int, epsilon: float) -> int:
-    """Smallest number of local steps that saturates the communication
-    budget: ``ceil(sqrt(1 - lam) sigma^2 / (n epsilon^2))``, at least 1."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    raw = math.sqrt(1.0 - lam) * sigma * sigma / (n * epsilon * epsilon)
-    return max(1, math.ceil(raw))
-
-
 def check_momentum(beta: float, rho_w: float) -> None:
     """Warn when the momentum coefficient is below the consensus rate;
     the convergence guarantees assume ``beta >= rho_w``."""

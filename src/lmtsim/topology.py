@@ -135,16 +135,8 @@ def lca_mix(W: MixingMatrix, eta_w: float, top: np.ndarray,
     return (1.0 + eta_w) * (W.weights @ top) - eta_w * bottom
 
 
-def save_mixing_csv(matrix: MixingMatrix, path: str) -> None:
-    """Write the weight matrix as dense CSV, one row per line, full precision."""
-    with open(path, "w", encoding="ascii") as fh:
-        for row in matrix.weights:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
 def load_mixing_csv(path: str) -> MixingMatrix:
-    """Load and validate a dense CSV weight matrix written by :func:`save_mixing_csv`."""
+    """Load and validate a dense CSV weight matrix, one row per line."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -7,6 +7,8 @@ independent code paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import expit, log_expit
 
@@ -157,3 +159,27 @@ def finite_difference_gradient(func, x, scale=1e-6):
         e[q] = h
         grad[q] = (func(x + e) - func(x - e)) / (2.0 * h)
     return grad
+
+
+def q_star(lam, sigma, n, epsilon):
+    """Smallest number of local steps that saturates the communication
+    budget: ``ceil(sqrt(1 - lam) sigma^2 / (n epsilon^2))``, at least 1."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"lam must lie in [0, 1), got {lam}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    raw = math.sqrt(1.0 - lam) * sigma * sigma / (n * epsilon * epsilon)
+    return max(1, math.ceil(raw))
+
+
+def save_mixing_csv(matrix, path):
+    """Write the weights of ``matrix`` as dense CSV, one row per line, at
+    full precision: the format ``topology.load_mixing_csv`` reads."""
+    with open(path, "w", encoding="ascii") as fh:
+        for row in matrix.weights:
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write("\n")

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import save_mixing_csv
 from lmtsim import cli, harness
-from lmtsim.topology import build_ring_mixing, save_mixing_csv
+from lmtsim.topology import build_ring_mixing
 
 QUICK_CFG = """
 topology.kind = ring
@@ -167,7 +168,10 @@ def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, 
          QUICK_CFG.replace("schedule = figure1", "schedule = theorem1\nschedule.delta_f = -1")),
         ("objective.synthetic.features",
          SIX_SAMPLES_CFG.replace("features = 2", "features = 0")),
-        ("objective.batch", SIX_SAMPLES_CFG + "objective.batch = 3\n")]])
+        ("objective.batch", SIX_SAMPLES_CFG + "objective.batch = 3\n"),
+        # numpy's generators take no negative seed, while a negative run.seed runs
+        ("objective.seed", QUICK_CFG + "objective.seed = -1\n"),
+        ("objective.synthetic.seed", SIX_SAMPLES_CFG + "objective.synthetic.seed = -1\n")]])
 def test_out_of_range_keys_exit_2_before_any_round_runs(tmp_path, monkeypatch, capsys,
                                                         field, text):
     runs = []

@@ -608,18 +608,59 @@ def test_only_a_logistic_gap_with_a_second_cpu_gets_a_worker(objective, cpus, wo
     assert set(threads) == {len(before) + workers}
 
 
-def test_the_worker_gives_the_bits_of_the_inline_path(monkeypatch):
+def assert_the_worker_gives_the_bits_of_the_inline_path(cfg, rounds, monkeypatch):
+    calls = []
+    lmt_round = lmt.lmt_round
+
+    def counted(*args):
+        calls.append(args)
+        return lmt_round(*args)
+
+    monkeypatch.setattr(lmt, "lmt_round", counted)
     # a short switch interval interleaves the two threads as finely as it can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        offloaded = run_experiment(logistic_cfg())
+        offloaded = run_experiment(cfg)
     finally:
         sys.setswitchinterval(interval)
+    assert len(calls) == rounds
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    inline = run_experiment(logistic_cfg())
+    inline = run_experiment(cfg)
+    assert offloaded.diverged_at == inline.diverged_at
     for name in dg.TRACE_COLUMNS:
         assert offloaded.columns[name].tobytes() == inline.columns[name].tobytes(), name
+
+
+def test_the_worker_gives_the_bits_of_the_inline_path(monkeypatch):
+    assert_the_worker_gives_the_bits_of_the_inline_path(logistic_cfg(), 12, monkeypatch)
+
+
+def test_a_run_that_stops_early_drops_its_queued_gap_and_gives_the_inline_bits(
+        monkeypatch):
+    # a step so long that all three trials diverge in round 38 of 60, so the
+    # run stops with the gap of round 39 queued on the worker
+    cfg = dataclasses.replace(logistic_cfg(), schedule="explicit", eta_a=1e3,
+                              eta_s=1.0, T=60)
+    assert_the_worker_gives_the_bits_of_the_inline_path(cfg, 39, monkeypatch)
+
+
+def test_meta_records_where_the_gap_ran_and_the_trace_does_not_change(tmp_path,
+                                                                       monkeypatch):
+    runs = {"worker": (logistic_cfg(), {0, 1}), "inline": (logistic_cfg(), {0}),
+            "quadratic": (quad_cfg(), {0, 1})}
+    meta, trace = {}, {}
+    for name, (cfg, cpus) in runs.items():
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        run_experiment(dataclasses.replace(cfg, outdir=str(tmp_path / name)))
+        meta[name] = (tmp_path / name / "meta.txt").read_text().splitlines()
+        trace[name] = (tmp_path / name / "trace.csv").read_bytes()
+    for name, where in [("worker", "worker"), ("inline", "inline"),
+                        ("quadratic", "inline")]:
+        assert f"gap_thread = {where}" in meta[name], name
+    assert ([line for line in meta["worker"] if not line.startswith("gap_thread")]
+            == [line for line in meta["inline"] if not line.startswith("gap_thread")])
+    assert trace["worker"] == trace["inline"]
 
 
 class _RaisesInRound2(Exception):

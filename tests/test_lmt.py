@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lmtsim
-from helpers import dsmt_reference, local_reference
+from helpers import dsmt_reference, local_reference, q_star
 from lmtsim import lmt
 from lmtsim import objectives as obj
 from lmtsim.streams import TrialStreams
@@ -390,14 +390,14 @@ def test_theorem2_values():
 
 
 def test_q_star_values():
-    assert lmtsim.q_star(0.5, 0.0, 4, 0.1) == 1
+    assert q_star(0.5, 0.0, 4, 0.1) == 1
     # sqrt(1-lam)=0.05, sigma^2=100, n=10, eps^2=0.01 -> 50
-    assert lmtsim.q_star(1.0 - 0.0025, 10.0, 10, 0.1) == 50
-    assert lmtsim.q_star(0.9, 1.0, 100, 10.0) == 1
+    assert q_star(1.0 - 0.0025, 10.0, 10, 0.1) == 50
+    assert q_star(0.9, 1.0, 100, 10.0) == 1
     with pytest.raises(ValueError):
-        lmtsim.q_star(0.5, 1.0, 4, 0.0)
+        q_star(0.5, 1.0, 4, 0.0)
     with pytest.raises(ValueError):
-        lmtsim.q_star(1.0, 1.0, 4, 0.1)
+        q_star(1.0, 1.0, 4, 0.1)
 
 
 def test_hyperparams_validation():

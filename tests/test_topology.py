@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import save_mixing_csv
 from lmtsim import topology as tp
 
 
@@ -201,7 +202,7 @@ def test_lca_contraction_short_suite():
 def test_csv_roundtrip(tmp_path):
     mix = tp.build_ring_mixing(7)
     path = tmp_path / "w.csv"
-    tp.save_mixing_csv(mix, str(path))
+    save_mixing_csv(mix, str(path))
     loaded = tp.load_mixing_csv(str(path))
     assert np.array_equal(loaded.weights, mix.weights)
     assert loaded.lam == pytest.approx(mix.lam, abs=1e-14)
