@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import baselines as bl
+from . import blas
 from . import diagnostics as dg
 from . import lmt
 from . import objectives as obj
@@ -93,9 +94,14 @@ def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
     it is known: closed form for the quadratic, one full-gradient solve for
     ridge logistic regression with ``rho > 0``."""
     if cfg.objective_kind == "quadratic_pl":
-        return obj.quadratic_pl_oracle(n=n, p=cfg.quad_dim, mu_min=cfg.quad_mu,
-                                       L=cfg.quad_l, sigma=cfg.quad_sigma,
-                                       rng_seed=cfg.quad_seed, center=cfg.quad_center)
+        try:
+            return obj.quadratic_pl_oracle(n=n, p=cfg.quad_dim, mu_min=cfg.quad_mu,
+                                           L=cfg.quad_l, sigma=cfg.quad_sigma,
+                                           rng_seed=cfg.quad_seed, center=cfg.quad_center)
+        except np.linalg.LinAlgError:
+            raise ConfigError(f"objective.mu: {cfg.quad_mu!r} is too small against "
+                              f"objective.L = {cfg.quad_l!r} for a Hessian that is "
+                              f"positive definite in floating point") from None
     if cfg.data_source == "synthetic":
         data = obj.make_synthetic_classification(cfg.synthetic_samples,
                                                  cfg.synthetic_features,
@@ -106,12 +112,24 @@ def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
             fmt = "csv" if cfg.data_source.endswith(".csv") else "libsvm"
         loader = obj.load_csv if fmt == "csv" else obj.load_libsvm
         data = loader(cfg.data_source)
+        # the sizes a synthetic set has are checked by ExperimentConfig.validate
+        if data.n_samples < n:
+            raise ConfigError(f"objective.data: cannot split {data.n_samples} samples "
+                              f"among {n} agents")
+        if cfg.batch is not None and cfg.batch > (shard := data.n_samples // n):
+            raise ConfigError(f"objective.batch: must be <= the smallest shard, "
+                              f"{shard} samples, got {cfg.batch}")
     shards = obj.partition_heterogeneous(data, n)
     if cfg.objective_kind == "logistic_nonconvex":
         return obj.LogisticOracle(shards, "nonconvex", cfg.omega, cfg.batch)
     oracle = obj.LogisticOracle(shards, "l2", cfg.rho, cfg.batch)
     if cfg.rho > 0:
-        oracle.f_star = dg.solve_f_star(oracle)
+        try:
+            oracle.f_star = dg.solve_f_star(oracle)
+        except RuntimeError as exc:
+            # the ridge sets the solve's condition number
+            raise ConfigError(f"objective.rho: {cfg.rho!r} is too small for this data: "
+                              f"{exc}") from None
     return oracle
 
 
@@ -262,13 +280,15 @@ def run_experiment(cfg: ExperimentConfig,
                    label: str | None = None) -> ResultTable:
     """Run one experiment (all trials) and return the aggregated table.
 
-    Writes ``trace.csv`` and ``meta.txt`` into ``cfg.outdir`` when set.
-    ``meta.txt`` lists the warnings the run raised; they still reach the
-    caller, each once, when the run ends.
+    Runs on one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is set (see
+    :func:`blas.single_threaded`).  Writes ``trace.csv`` and ``meta.txt``
+    into ``cfg.outdir`` when set.  ``meta.txt`` lists the warnings the run
+    raised; they still reach the caller, each once, when the run ends.
     """
     raised = []
     try:
-        with warnings.catch_warnings(record=True) as raised:
+        with warnings.catch_warnings(record=True) as raised, \
+                blas.single_threaded() as blas_threads:
             mix = build_mixing(cfg)
             oracle = build_oracle(cfg, mix.n)
             hp = resolve_hyperparams(cfg, oracle, mix)
@@ -299,13 +319,14 @@ def run_experiment(cfg: ExperimentConfig,
         os.makedirs(cfg.outdir, exist_ok=True)
         table.to_csv(os.path.join(cfg.outdir, "trace.csv"))
         _write_meta(cfg, mix, oracle, hp, diverged_at, [str(w.message) for w in raised],
-                    os.path.join(cfg.outdir, "meta.txt"))
+                    blas_threads, os.path.join(cfg.outdir, "meta.txt"))
     return table
 
 
 def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
-                diverged_at: int | None, raised: list[str], path: str) -> None:
+                diverged_at: int | None, raised: list[str], blas_threads: int | None,
+                path: str) -> None:
     lines = [
         f"fingerprint = {cfg.fingerprint()}",
         f"seed = {cfg.seed}",
@@ -327,6 +348,7 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
         f"f_star = {'unknown' if oracle.f_star is None else repr(oracle.f_star)}",
         f"diverged_at = {'none' if diverged_at is None else diverged_at}",
         f"gap_thread = {'worker' if _gap_on_worker(oracle) else 'inline'}",
+        f"blas_threads = {'unknown' if blas_threads is None else blas_threads}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
         f"warnings = {len(raised)}",
@@ -342,12 +364,13 @@ def _library_lines() -> list[str]:
     ulp follows numpy's SIMD dispatch, every product the BLAS."""
     import scipy  # only for its version; quadratic runs need no scipy otherwise
     build = np.show_config(mode="dicts")
-    blas = build.get("Build Dependencies", {}).get("blas", {})
+    lib = build.get("Build Dependencies", {}).get("blas", {})
     return [
         f"python = {platform.python_version()}",
         f"numpy = {np.__version__}",
         f"scipy = {scipy.__version__}",
-        f"blas = {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        f"blas = {lib.get('name', 'unknown')} {lib.get('version', 'unknown')}",
+        f"blas_core = {blas.corename()}",
         f"numpy_simd = {' '.join(build.get('SIMD Extensions', {}).get('found', []))}",
     ]
 

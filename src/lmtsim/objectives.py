@@ -11,7 +11,12 @@ deterministic full-batch mode (zero gradient noise).
 from __future__ import annotations
 
 import abc
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +239,45 @@ class GradientOracle(abc.ABC):
         shape ``X.shape[:-2]`` for ``X`` of shape ``(..., rows, p)``."""
 
 
+#: the compiled module of scipy that defines ``expit`` and ``log_expit``
+_UFUNC_MODULE = "scipy.special._special_ufuncs"
+
+
+@functools.cache
+def _logistic_ufuncs() -> tuple[np.ufunc, np.ufunc]:
+    """scipy's ``expit`` and ``log_expit`` ufuncs.
+
+    ``scipy.special``'s initializer loads some 300 modules, a second
+    OpenBLAS and about 16 MiB, and takes about 0.1 s, so unless it is
+    already imported these come from the one compiled module that defines
+    them, loaded from its file beside scipy's ``__init__.py`` (found
+    without importing scipy) and registered under its own name: a later
+    ``import scipy.special`` returns these very objects.  Where that file
+    is missing or lacks either name, the public import serves them.
+    """
+    module = (sys.modules.get("scipy.special") or sys.modules.get(_UFUNC_MODULE)
+              or _load_ufunc_module())
+    if not (hasattr(module, "expit") and hasattr(module, "log_expit")):
+        import scipy.special as module
+    return module.expit, module.log_expit
+
+
+def _load_ufunc_module():
+    """:data:`_UFUNC_MODULE` loaded from its file, or None if not found."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    parts = _UFUNC_MODULE.split(".")[1:]
+    for folder in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, *parts) + suffix
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_UFUNC_MODULE, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_UFUNC_MODULE] = module
+                return module
+    return None
+
+
 def logistic_loss_inplace(margins: np.ndarray) -> np.ndarray:
     """``log(1 + exp(-m))`` of every margin, as ``log1p(exp(-|m|)) - min(m, 0)``.
 
@@ -275,11 +319,7 @@ class LogisticOracle(GradientOracle):
             if batch > min(sizes):
                 raise ValueError(
                     f"batch {batch} exceeds smallest shard size {min(sizes)}")
-        # scipy.special takes about 24 MiB and 0.2 s to import, so only a
-        # process that builds a logistic oracle loads it
-        from scipy.special import expit, log_expit
-        self._expit = expit
-        self._log_expit = log_expit
+        self._expit, self._log_expit = _logistic_ufuncs()
         self.reg = reg
         self.coeff = float(coeff)
         self.batch = batch

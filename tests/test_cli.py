@@ -114,6 +114,22 @@ run.trials = 1
 """
 
 
+# a ridge of 1e-12 on eight samples in ten dimensions, which a hyperplane separates
+TINY_RIDGE_CFG = """
+topology.kind = ring
+topology.n = 4
+objective.kind = logistic_l2
+objective.data = synthetic
+objective.synthetic.samples = 8
+objective.synthetic.features = 10
+objective.rho = 1e-12
+method = lmt
+schedule = figure1
+hyper.Q = 2
+run.T = 2
+"""
+
+
 # two blocks of two agents each: a graph that is not connected
 TWO_BLOCKS = "0.5,0.5,0,0\n0.5,0.5,0,0\n0,0,0.5,0.5\n0,0,0.5,0.5\n"
 
@@ -171,14 +187,36 @@ def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, 
         ("objective.batch", SIX_SAMPLES_CFG + "objective.batch = 3\n"),
         # numpy's generators take no negative seed, while a negative run.seed runs
         ("objective.seed", QUICK_CFG + "objective.seed = -1\n"),
-        ("objective.synthetic.seed", SIX_SAMPLES_CFG + "objective.synthetic.seed = -1\n")]])
+        ("objective.synthetic.seed", SIX_SAMPLES_CFG + "objective.synthetic.seed = -1\n"),
+        # separable data: the f_star solve's gradient norm falls like 1 / k
+        ("objective.rho", TINY_RIDGE_CFG)]])
 def test_out_of_range_keys_exit_2_before_any_round_runs(tmp_path, monkeypatch, capsys,
                                                         field, text):
     runs = []
-    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    monkeypatch.setattr(harness, "_run_trials", lambda *args: runs.append(args))
     assert cli.main(["run", write_cfg(tmp_path, text)]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
     assert runs == []
+
+
+@pytest.mark.parametrize("agents, batch, field", [(5, 1, "objective.data"),
+                                                  (3, 2, "objective.batch")])
+def test_a_data_file_too_small_for_its_agents_or_batch_exits_2(tmp_path, capsys, agents,
+                                                               batch, field):
+    # four samples: the sizes of a data file are known only once it is read
+    (tmp_path / "data.csv").write_text("0.1,0.2,1\n0.3,-0.1,2\n-0.2,0.4,1\n0.5,0.0,2\n")
+    text = (SIX_SAMPLES_CFG.replace("objective.data = synthetic", "objective.data = data.csv")
+            .replace("topology.n = 3", f"topology.n = {agents}")
+            + f"objective.batch = {batch}\n")
+    assert cli.main(["run", write_cfg(tmp_path, text)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_a_tiny_ridge_on_data_that_is_not_separable_runs(tmp_path):
+    # the data's own curvature lets the f_star solve converge in 0.02 s
+    text = (TINY_RIDGE_CFG.replace("samples = 8", "samples = 200")
+            .replace("features = 10", "features = 20"))
+    assert cli.main(["run", write_cfg(tmp_path, text)]) == 0
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -347,15 +385,53 @@ assert cli.main(["plot", os.path.join(out, "trace.csv"), "--metric", "grad_norm_
                  "--out", os.path.join(tmp, "fig.svg")]) == 0
 assert "scipy.special" not in sys.modules
 data = objectives.make_synthetic_classification(8, 2, seed=0)
-objectives.LogisticOracle(objectives.partition_heterogeneous(data, 2), "l2", 0.1, None)
-assert "scipy.special" in sys.modules
+oracle = objectives.LogisticOracle(objectives.partition_heterogeneous(data, 2), "l2", 0.1, None)
+# the oracle loads scipy's logistic ufuncs alone: no scipy.special, and no
+# OpenBLAS beside numpy's
+assert "scipy.special" not in sys.modules
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        blas = {line.split()[-1] for line in fh if "openblas" in line}
+    assert len(blas) == 1 and "numpy.libs" in blas.pop(), blas
+import scipy.special
+assert scipy.special.expit is oracle._expit
+assert scipy.special.log_expit is oracle._log_expit
 """
 
 
-def test_only_logistic_oracles_import_scipy_special(tmp_path):
-    cfg = write_cfg(tmp_path, QUICK_CFG.replace("run.T = 10", "run.T = 3"))
-    proc = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT, str(tmp_path), str(cfg)],
-        capture_output=True, text=True, timeout=60,
+def _run_script(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_no_command_or_oracle_imports_scipy_special(tmp_path):
+    cfg = write_cfg(tmp_path, QUICK_CFG.replace("run.T = 10", "run.T = 3"))
+    proc = _run_script(GUARD_SCRIPT, str(tmp_path), str(cfg))
+    assert proc.returncode == 0, proc.stderr
+
+
+#: builds an oracle after the set-up lines, and checks it holds the ufuncs
+#: of ``scipy.special`` and computes with them
+_ORACLE_AFTER = """
+import sys
+from lmtsim import objectives
+{setup}
+data = objectives.make_synthetic_classification(8, 2, seed=0)
+oracle = objectives.LogisticOracle(objectives.partition_heterogeneous(data, 2), "l2", 0.1, None)
+assert "scipy.special" in sys.modules
+import scipy.special
+assert oracle._expit is scipy.special.expit
+assert oracle._log_expit is scipy.special.log_expit
+assert oracle.global_value(data.features[0]) > 0
+"""
+
+
+@pytest.mark.parametrize("setup", [
+    "import scipy.special",
+    # a scipy without the module file: the public import serves the ufuncs
+    "objectives._UFUNC_MODULE = 'scipy.special._no_such_module'",
+], ids=["scipy_special_first", "module_file_missing"])
+def test_an_oracle_takes_the_ufuncs_of_scipy_special_where_it_must(setup):
+    proc = _run_script(_ORACLE_AFTER.format(setup=setup))
     assert proc.returncode == 0, proc.stderr

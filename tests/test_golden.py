@@ -44,14 +44,32 @@ def test_golden_trace(method, objective):
                                                    ref["checkpoints"], ref["rows"])
 
 
+#: prints a golden case's digest and the OpenBLAS thread counts its rounds ran at
+_THREADED_CASE = """
+import sys
+from golden.make_golden import digest, run_case
+from lmtsim import blas, lmt
+seen = set()
+lmt_round = lmt.lmt_round
+def watched(*args):
+    seen.add(blas.threads())
+    return lmt_round(*args)
+lmt.lmt_round = watched
+print(digest(run_case(sys.argv[1], sys.argv[2])), *sorted(seen, key=str))
+"""
+
+
 def _digest_with_blas_threads(threads: int, method: str, objective: str) -> str:
-    code = ("from golden.make_golden import digest, run_case; "
-            f"print(digest(run_case({method!r}, {objective!r})))")
+    """The case's digest, run in a process whose environment sets ``threads``
+    OpenBLAS threads, which the run keeps; asserts that its rounds ran at
+    that count, as the OpenBLAS shim reads it."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([str(_TESTS), str(_TESTS.parent / "src")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env, check=True)
-    return proc.stdout.strip()
+    proc = subprocess.run([sys.executable, "-c", _THREADED_CASE, method, objective],
+                          capture_output=True, text=True, timeout=120, env=env, check=True)
+    got, *seen = proc.stdout.split()
+    assert seen == [str(threads)], (threads, seen)
+    return got
 
 
 def test_trace_digest_does_not_depend_on_blas_threads():

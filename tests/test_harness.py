@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from lmtsim import baselines, harness, lmt
+from lmtsim import baselines, blas, harness, lmt
 from lmtsim import diagnostics as dg
 from lmtsim.config import KEYS, METHOD_CHOICES, ConfigError, ExperimentConfig, \
     parse_config_text
@@ -319,11 +319,12 @@ def test_meta_records_library_versions_and_simd(tmp_path):
     meta = dict(line.split(" = ", 1) for line in
                 (tmp_path / "meta.txt").read_text().splitlines())
     build = np.show_config(mode="dicts")
-    blas = build["Build Dependencies"]["blas"]
+    lib = build["Build Dependencies"]["blas"]
     assert meta["python"] == platform.python_version()
     assert meta["numpy"] == np.__version__
     assert meta["scipy"] == scipy.__version__
-    assert meta["blas"] == f"{blas['name']} {blas['version']}"
+    assert meta["blas"] == f"{lib['name']} {lib['version']}"
+    assert meta["blas_core"] == blas.corename()
     assert meta["numpy_simd"].split() == build["SIMD Extensions"]["found"]
 
 
@@ -704,6 +705,75 @@ def test_an_exception_in_round_2_reaches_the_caller_and_no_thread_outlives_the_r
     with pytest.raises(_RaisesInRound2):
         run_experiment(logistic_cfg())
     assert threading.enumerate() == before
+
+
+# ---------------------------------------------------------------------------
+# the run's BLAS threads
+
+needs_openblas = pytest.mark.skipif(blas.threads() is None,
+                                    reason="numpy's BLAS is not a known OpenBLAS")
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """The caller runs two OpenBLAS threads and the environment sets none."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = blas.threads()
+    blas.set_threads(2)
+    yield
+    blas.set_threads(before)
+
+
+def _watch_blas_threads(monkeypatch, raise_at=None):
+    """The OpenBLAS thread count at each round of ``lmt``, which raises in
+    round ``raise_at``."""
+    seen = []
+    lmt_round = lmt.lmt_round
+
+    def watched(state, *args):
+        seen.append(blas.threads())
+        if state["t"] == raise_at:
+            raise _RaisesInRound2
+        return lmt_round(state, *args)
+
+    monkeypatch.setattr(lmt, "lmt_round", watched)
+    return seen
+
+
+@needs_openblas
+def test_a_run_takes_one_blas_thread_and_gives_the_callers_back(two_blas_threads,
+                                                                 monkeypatch, tmp_path):
+    seen = _watch_blas_threads(monkeypatch)
+    run_experiment(dataclasses.replace(logistic_cfg(), outdir=str(tmp_path)))
+    assert set(seen) == {1} and blas.threads() == 2
+    assert "blas_threads = 1" in (tmp_path / "meta.txt").read_text().splitlines()
+
+
+@needs_openblas
+def test_a_run_that_raises_gives_the_callers_blas_threads_back(two_blas_threads,
+                                                                monkeypatch):
+    seen = _watch_blas_threads(monkeypatch, raise_at=2)
+    with pytest.raises(_RaisesInRound2):
+        run_experiment(logistic_cfg())
+    assert set(seen) == {1} and blas.threads() == 2
+
+
+@needs_openblas
+def test_a_run_keeps_the_blas_threads_the_environment_sets(two_blas_threads,
+                                                           monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    seen = _watch_blas_threads(monkeypatch)
+    run_experiment(dataclasses.replace(logistic_cfg(), outdir=str(tmp_path)))
+    assert set(seen) == {2} and blas.threads() == 2
+    assert "blas_threads = 2" in (tmp_path / "meta.txt").read_text().splitlines()
+
+
+def test_an_unknown_blas_is_left_alone_and_recorded_as_unknown(monkeypatch, tmp_path):
+    monkeypatch.setattr(blas, "_symbols", lambda: None)
+    assert blas.threads() is None and blas.corename() == "unknown"
+    run_experiment(dataclasses.replace(quad_cfg(), outdir=str(tmp_path)))
+    meta = (tmp_path / "meta.txt").read_text().splitlines()
+    assert "blas_threads = unknown" in meta and "blas_core = unknown" in meta
 
 
 # ---------------------------------------------------------------------------
