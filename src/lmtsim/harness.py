@@ -198,75 +198,58 @@ def _gap_on_worker(oracle: obj.GradientOracle) -> bool:
     return cpus >= 2
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
-                oracle: obj.GradientOracle, hp: lmt.HyperParams,
-                trials: list[int]) -> tuple[dict[str, np.ndarray], list[int | None]]:
-    """Per-round metrics of ``trials``, run as one batch on a leading array
-    axis (one row per trial, one column per round), and each trial's first
-    round whose metrics the method defines are not finite, or ``T`` if only
-    the iterates of the last round are not (None if every round's are).  A
-    trial's rows from that round on are NaN; the loop stops after the round
-    in which the last trial diverged.
-
-    Every kernel acts on each trial's slice exactly as on that trial alone,
-    so a trial's metrics do not depend on the batch it runs in, and a
-    diverged trial's inf and NaN values stay in its own slice.
-
-    Where :func:`_gap_on_worker` says so, :func:`diagnostics.input_metrics`
-    runs on one worker thread, submitted as soon as the round before has
-    returned its input, so round t + 1's gap is queued while round t's
-    still runs.  Round t's metrics, its finiteness check and the stop still
-    come before round t + 1 runs, and the worker makes the inline path's
-    calls on the same arrays.
-    """
-    k = len(trials)
+def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
+                  oracle: obj.GradientOracle, hp: lmt.HyperParams,
+                  streams: TrialStreams, worker):
+    """The rounds of one point, one a step of this generator, which returns
+    the per-round metrics of the trials of ``streams`` (one row per trial,
+    one column per round), and each trial's first round whose metrics the
+    method defines are not finite, or ``T`` if only the iterates of the
+    last round are not (None if every round's are).  A trial's rows from
+    that round on are NaN; the loop stops after the round in which the last
+    trial diverged.  Given ``worker``, an executor, round t + 1's
+    :func:`diagnostics.input_metrics` is queued on it as soon as round t
+    has returned its state, and round t's metrics and stop still come
+    before round t + 1 runs."""
+    k = len(streams.trials)
     out = {name: np.full((k, cfg.T), np.nan) for name in _METRICS}
     at = np.full(k, cfg.T + 1)  # each trial's divergence round, T + 1 for none
 
-    streams = TrialStreams(cfg.seed, trials)
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     state = lmt.init_state(cfg.method, X0)
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
-    carry = x_bar_prev = worker = None
-    if _gap_on_worker(oracle):
-        from concurrent.futures import ThreadPoolExecutor
-        worker = ThreadPoolExecutor(max_workers=1)
+    carry = x_bar_prev = None
+    if worker:
         pending = worker.submit(dg.input_metrics, oracle, hp, state, None)
-    try:
-        for t in range(cfg.T):
-            # looked up at each call, so wrappers put on the module attributes
-            # (such as the benchmark's layer timers) see every round
-            if cfg.method == "lmt":
-                new = lmt.lmt_round(state, oracle, mix, hp, streams)
-            elif cfg.method == "naive_lmt":
-                new = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
-            else:
-                new = bl.baseline_round(spec, state, oracle, mix, streams)
-            if worker:
-                # round t + 1's gap reads only ``new`` and this round's mean
-                # iterate, so it is queued behind round t's before that is
-                # collected, and the worker goes from one gap to the next
-                queued = (worker.submit(dg.input_metrics, oracle, hp, new,
-                                        dg.axis_mean(state["X"], -2))
-                          if t + 1 < cfg.T else None)
-                inputs, pending = pending.result(), queued
-            else:
-                inputs = dg.input_metrics(oracle, hp, state, x_bar_prev)
-            row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
-            x_bar_prev, state = inputs[0], new
-            # ``row`` holds exactly the metrics the method defines
-            for name, values in row.items():
-                out[name][:, t] = values
-            bad = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
-            at[bad & (at > cfg.T)] = t
-            if (at <= t).all():
-                break
-    finally:
-        # a gap queued for a round that never runs belongs to no row, so it
-        # is dropped unread, with any exception it raised
+    for t in range(cfg.T):
+        # looked up at each call, so wrappers put on the module attributes
+        # (such as the benchmark's layer timers) see every round
+        if cfg.method == "lmt":
+            new = lmt.lmt_round(state, oracle, mix, hp, streams)
+        elif cfg.method == "naive_lmt":
+            new = lmt.naive_local_momentum_round(state, oracle, mix, hp, streams)
+        else:
+            new = bl.baseline_round(spec, state, oracle, mix, streams)
         if worker:
-            worker.shutdown(cancel_futures=True)
+            # round t + 1's gap reads only ``new`` and this round's mean
+            # iterate, so it is queued behind round t's before that is
+            # collected, and the worker goes from one gap to the next
+            queued = (worker.submit(dg.input_metrics, oracle, hp, new,
+                                    dg.axis_mean(state["X"], -2))
+                      if t + 1 < cfg.T else None)
+            inputs, pending = pending.result(), queued
+        else:
+            inputs = dg.input_metrics(oracle, hp, state, x_bar_prev)
+        row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
+        x_bar_prev, state = inputs[0], new
+        # ``row`` holds exactly the metrics the method defines
+        for name, values in row.items():
+            out[name][:, t] = values
+        bad = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
+        at[bad & (at > cfg.T)] = t
+        if (at <= t).all():
+            break
+        yield
 
     # non-finite iterates make the next round's ``consensus_x`` non-finite,
     # so only those the last round returned need a check of their own
@@ -274,6 +257,51 @@ def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
     for values in out.values():
         values[np.arange(cfg.T) >= at[:, None]] = np.nan
     return out, [int(a) if a <= cfg.T else None for a in at]
+
+
+def _run_points(points: list[tuple[ExperimentConfig, lmt.HyperParams]],
+                mix: tp.MixingMatrix, oracle: obj.GradientOracle, trials: list[int],
+                on_worker: bool, raised: list) -> tuple[list[tuple], list[list]]:
+    """:func:`_point_rounds` of each ``(cfg, hp)``, one round of every live
+    point before the next round of any, on one :class:`TrialStreams` and
+    gap worker, and the warnings each point's rounds added to ``raised``.
+    A generator entering the ``errstate`` across a ``yield`` would reset
+    it under the other points."""
+    streams = TrialStreams(points[0][0].seed, trials)
+    worker = None
+    if on_worker:
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(max_workers=1)
+    live = {j: _point_rounds(cfg, mix, oracle, hp, streams, worker)
+            for j, (cfg, hp) in enumerate(points)}
+    done, heard = [None] * len(points), [[] for _ in points]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while live:
+                for j, run in list(live.items()):
+                    seen = len(raised)
+                    try:
+                        next(run)
+                    except StopIteration as stop:
+                        done[j] = stop.value
+                        del live[j]
+                    heard[j] += raised[seen:]
+    finally:
+        # a gap queued for a round that never runs belongs to no row, so it
+        # is dropped unread, with any exception it raised
+        if worker:
+            worker.shutdown(cancel_futures=True)
+    return done, heard
+
+
+def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
+                oracle: obj.GradientOracle, hp: lmt.HyperParams,
+                trials: list[int], on_worker: bool | None = None
+                ) -> tuple[dict[str, np.ndarray], list[int | None]]:
+    """:func:`_run_points` of one point, its gap on a worker thread where
+    ``on_worker`` says so, by default where :func:`_gap_on_worker` does."""
+    on_worker = _gap_on_worker(oracle) if on_worker is None else on_worker
+    return _run_points([(cfg, hp)], mix, oracle, trials, on_worker, [])[0][0]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -285,48 +313,75 @@ def run_experiment(cfg: ExperimentConfig,
     into ``cfg.outdir`` when set.  ``meta.txt`` lists the warnings the run
     raised; they still reach the caller, each once, when the run ends.
     """
+    return _run_group([(cfg, label or cfg.method)])[0]
+
+
+def _run_group(points: list[tuple[ExperimentConfig, str]], built: tuple | None = None,
+               progress: tuple[int, int] | None = None) -> list[ResultTable]:
+    """The tables of ``(cfg, label)`` points that differ only in what
+    :func:`resolve_hyperparams` and the rounds read, sharing the mixing
+    matrix and oracle ``built`` (else the first point's).  After all rounds,
+    each writes its outputs and, given ``progress`` (its first index and
+    the sweep's size), a line with the seconds since the group began."""
+    started = time.perf_counter()
     raised = []
     try:
         with warnings.catch_warnings(record=True) as raised, \
                 blas.single_threaded() as blas_threads:
-            mix = build_mixing(cfg)
-            oracle = build_oracle(cfg, mix.n)
-            hp = resolve_hyperparams(cfg, oracle, mix)
-            per_trial, diverged = _run_trials(cfg, mix, oracle, hp, list(range(cfg.trials)))
+            mix = built[0] if built else build_mixing(points[0][0])
+            oracle = built[1] if built else build_oracle(points[0][0], mix.n)
+            shared, hps, own = len(raised), [], []
+            for cfg, _ in points:
+                seen = len(raised)
+                # a context of its own: a warning an earlier point raised is recorded again
+                with warnings.catch_warnings():
+                    hps.append(resolve_hyperparams(cfg, oracle, mix))
+                own.append(raised[:shared] + raised[seen:])
+            on_worker = _gap_on_worker(oracle)
+            trials, seen = list(range(points[0][0].trials)), len(raised)
+            if len(points) == 1:
+                results = [_run_trials(points[0][0], mix, oracle, hps[0], trials, on_worker)]
+                heard = [raised[seen:]]
+            else:
+                results, heard = _run_points([(cfg, hp) for (cfg, _), hp in zip(points, hps)],
+                                             mix, oracle, trials, on_worker, raised)
     finally:
         for w in raised:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
                                    source=w.source)
-    diverged_at = min((t for t in diverged if t is not None), default=None)
-
-    # the mean of every metric, and the std of those the trace schema
-    # carries, so a table holds the same columns in memory as on disk
-    columns: dict[str, np.ndarray] = {"t": np.arange(cfg.T, dtype=float)}
-    for name in _METRICS:
-        stacked = per_trial[name]
-        # rounds whose magnitude reaches 2**256 are scaled by an exact power
-        # of two, so finite trials overflow neither the sum nor the squares;
-        # the others are divided by 1 and stay bit for bit as they were
-        _, exp = np.frexp(np.abs(stacked).max(axis=0))
-        scale = np.ldexp(1.0, np.where(exp > 256, exp - 1, 0))
-        scaled = stacked / scale
-        columns[name] = scaled.mean(axis=0) * scale
-        if name + "_std" in dg.TRACE_COLUMNS:
-            columns[name + "_std"] = scaled.std(axis=0) * scale
-
-    table = ResultTable(label=label or cfg.method, columns=columns, diverged_at=diverged_at)
-    if cfg.outdir:
-        os.makedirs(cfg.outdir, exist_ok=True)
-        table.to_csv(os.path.join(cfg.outdir, "trace.csv"))
-        _write_meta(cfg, mix, oracle, hp, diverged_at, [str(w.message) for w in raised],
-                    blas_threads, os.path.join(cfg.outdir, "meta.txt"))
-    return table
+    tables = []
+    for k, ((cfg, label), (per_trial, diverged)) in enumerate(zip(points, results)):
+        # the mean of every metric, and the std of those the trace schema
+        # carries, so a table holds the same columns in memory as on disk
+        columns: dict[str, np.ndarray] = {"t": np.arange(cfg.T, dtype=float)}
+        for name in _METRICS:
+            stacked = per_trial[name]
+            # rounds reaching 2**256 are scaled by an exact power of two, so
+            # finite trials overflow neither the sum nor the squares
+            _, exp = np.frexp(np.abs(stacked).max(axis=0))
+            scale = np.ldexp(1.0, np.where(exp > 256, exp - 1, 0))
+            scaled = stacked / scale
+            columns[name] = scaled.mean(axis=0) * scale
+            if name + "_std" in dg.TRACE_COLUMNS:
+                columns[name + "_std"] = scaled.std(axis=0) * scale
+        diverged_at = min((t for t in diverged if t is not None), default=None)
+        tables.append(ResultTable(label=label, columns=columns, diverged_at=diverged_at))
+        if cfg.outdir:
+            os.makedirs(cfg.outdir, exist_ok=True)
+            tables[-1].to_csv(os.path.join(cfg.outdir, "trace.csv"))
+            _write_meta(cfg, mix, oracle, hps[k], diverged_at,
+                        [str(w.message) for w in own[k] + heard[k]], blas_threads,
+                        on_worker, os.path.join(cfg.outdir, "meta.txt"))
+        if progress:
+            print(f"sweep {label}: point {progress[0] + k}/{progress[1]} done in "
+                  f"{time.perf_counter() - started:.2f} s", file=sys.stderr)
+    return tables
 
 
 def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
                 diverged_at: int | None, raised: list[str], blas_threads: int | None,
-                path: str) -> None:
+                on_worker: bool, path: str) -> None:
     lines = [
         f"fingerprint = {cfg.fingerprint()}",
         f"seed = {cfg.seed}",
@@ -347,7 +402,7 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
         f"trials = {cfg.trials}",
         f"f_star = {'unknown' if oracle.f_star is None else repr(oracle.f_star)}",
         f"diverged_at = {'none' if diverged_at is None else diverged_at}",
-        f"gap_thread = {'worker' if _gap_on_worker(oracle) else 'inline'}",
+        f"gap_thread = {'worker' if on_worker else 'inline'}",
         f"blas_threads = {'unknown' if blas_threads is None else blas_threads}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
@@ -384,8 +439,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     everything per point (the graph changes); ``method`` sweeps share the
     resolved stepsizes through the parity map.  For ``Q`` sweeps the
     summary carries the log-log slope of the final-window gradient metric
-    against ``Q``.  Each finished point prints one line to stderr: its
-    label, its index out of the total and its seconds.
+    against ``Q``.  The points of a ``Q`` or ``method`` sweep run side by
+    side as one group (:func:`_run_group`); each point of an ``n`` sweep is
+    a group of its own.  Each finished point prints one line to stderr: its
+    label, its index out of the total and its group's seconds so far.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -399,18 +456,15 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     for value in values:
         replace(cfg, **{axis: value}).validate()
 
-    tables: list[ResultTable] = []
-    rows: list[dict] = []
     base_outdir = cfg.outdir
-
-    base_hp: lmt.HyperParams | None = None
+    base_hp = built = None
     if axis == "Q":
         mix = build_mixing(cfg)
-        oracle = build_oracle(cfg, mix.n)
-        base_hp = resolve_hyperparams(cfg, oracle, mix)
+        built = mix, build_oracle(cfg, mix.n)
+        base_hp = resolve_hyperparams(cfg, built[1], mix)
 
-    for index, value in enumerate(values, start=1):
-        started = time.perf_counter()
+    points = []
+    for value in values:
         point = replace(cfg, **{axis: value})
         if axis == "Q":
             point = replace(point, schedule="explicit",
@@ -420,17 +474,18 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
         if base_outdir:
             point = replace(point, outdir=os.path.join(
                 base_outdir, f"point_{axis}_{label.replace('=', '')}"))
-        table = run_experiment(point, label=label)
-        print(f"sweep {label}: point {index}/{len(values)} done in "
-              f"{time.perf_counter() - started:.2f} s", file=sys.stderr)
-        tables.append(table)
-        rows.append({
-            "axis": axis,
-            "value": value,
-            "final_grad_norm_avg": table.final_window("grad_norm_avg"),
-            "final_opt_gap_mean": table.final_window("opt_gap_mean"),
-            "final_consensus_x": table.final_window("consensus_x"),
-        })
+        points.append((point, label))
+    # the points of a Q or method sweep share their graph and oracle, so
+    # they run as one group; each n changes both
+    size = 1 if axis == "n" else len(points)
+    tables: list[ResultTable] = []
+    for first in range(0, len(points), size):
+        tables += _run_group(points[first:first + size], built, (first + 1, len(points)))
+    rows = [{"axis": axis, "value": value,
+             "final_grad_norm_avg": table.final_window("grad_norm_avg"),
+             "final_opt_gap_mean": table.final_window("opt_gap_mean"),
+             "final_consensus_x": table.final_window("consensus_x")}
+            for value, table in zip(values, tables)]
 
     summary: dict = {"axis": axis, "rows": rows}
     if axis == "Q":

@@ -250,8 +250,9 @@ class TrialStreams:
         self._state = {**self._bg.state, "buffer": [0, 0, 0, 0],
                        "state": {"counter": self._counter, "key": self._key_words}}
         self._slot = 0
-        # (first round, layout, chunk) of the last chunk served
+        # (first round, layout, chunk) of the last chunk, and the most steps asked
         self._chunk = None
+        self._steps = 0
 
     def _reseat(self, agent: int, rnd: int, step: int, purpose: int,
                 slot: int) -> np.random.Generator:
@@ -278,11 +279,11 @@ class TrialStreams:
         ``self.gradient(i, rnd, step, slot).bit_generator.random_raw(words)``.
 
         The words of consecutive rounds from ``rnd`` on are computed in one
-        Philox call, up to ``_CHUNK_BLOCKS`` blocks, and later rounds of the
-        same layout are served from that chunk.  The result is a read-only
-        view into it.
+        Philox call, up to ``_CHUNK_BLOCKS`` blocks, and later requests of
+        the same layout are served from that chunk, those for fewer local
+        steps by its leading steps.  The result is a read-only view into it.
         """
-        return self._served(rnd, ("words", steps, agents, words),
+        return self._served(rnd, steps, ("words", agents, words),
                             lambda first, raw: raw[..., :words])
 
     def gradient_normals(self, rnd: int, steps: int, agents: int, count: int) -> np.ndarray:
@@ -301,27 +302,30 @@ class TrialStreams:
                 self.gradient(i, first + r, step, *slot).standard_normal(out=values[site])
             return values
 
-        return self._served(rnd, ("normals", steps, agents, count), normals)
+        return self._served(rnd, steps, ("normals", agents, count), normals)
 
-    def _served(self, rnd: int, layout: tuple, finish) -> np.ndarray:
-        """Round ``rnd`` of the chunk of ``layout = (kind, steps, agents,
-        per_site)``, computing the chunk from ``rnd`` on if it is not the
-        last one: ``finish(first_round, words)`` turns the words of whole
-        blocks, shape ``(rounds, steps, *shape, agents, 4 * blocks)``, into
-        the chunk."""
+    def _served(self, rnd: int, steps: int, layout: tuple, finish) -> np.ndarray:
+        """The first ``steps`` local steps of round ``rnd`` of the last chunk
+        if it has ``layout = (kind, agents, per_site)``, that round and as
+        many steps, else of a new chunk from ``rnd`` on, for the most steps
+        asked for so far: ``finish(first_round, words)`` turns the words of
+        whole blocks, shape ``(rounds, steps, *shape, agents, 4 * blocks)``,
+        into the chunk."""
         if self._chunk is not None:
             first, chunk_layout, chunk = self._chunk
-            if chunk_layout == layout and first <= rnd < first + len(chunk):
-                return chunk[rnd - first]
-        kind, steps, agents, per_site = layout
+            if (chunk_layout == layout and first <= rnd < first + len(chunk)
+                    and steps <= chunk.shape[1]):
+                return chunk[rnd - first, :steps]
+        self._steps = most = max(steps, self._steps)
+        kind, agents, per_site = layout
         # a spare word a site for the extra draws of a slow normal
         blocks = per_site // 4 + 1 if kind == "normals" else -(-per_site // 4)
-        rounds = max(1, _CHUNK_BLOCKS // (steps * len(self.trials) * agents * blocks))
-        counters = np.zeros((rounds, steps) + self.shape + (agents, blocks, 4), dtype=np.uint64)
+        rounds = max(1, _CHUNK_BLOCKS // (most * len(self.trials) * agents * blocks))
+        counters = np.zeros((rounds, most) + self.shape + (agents, blocks, 4), dtype=np.uint64)
         counters[..., 0] = np.arange(1, blocks + 1, dtype=np.uint64)
         # the words _reseat packs for each (agent, rnd, step) site
-        steps_word = np.arange(steps, dtype=np.uint64) | np.uint64(_PURPOSE_GRADIENT << 48)
-        counters[..., 1] = steps_word.reshape((1, steps) + (1,) * (counters.ndim - 3))
+        steps_word = np.arange(most, dtype=np.uint64) | np.uint64(_PURPOSE_GRADIENT << 48)
+        counters[..., 1] = steps_word.reshape((1, most) + (1,) * (counters.ndim - 3))
         rounds_word = np.arange(rnd, rnd + rounds, dtype=np.uint64) << _SHIFT32
         counters[..., 2] = (rounds_word.reshape((rounds,) + (1,) * (counters.ndim - 2))
                             | np.arange(agents, dtype=np.uint64)[:, None])
@@ -330,4 +334,4 @@ class TrialStreams:
         chunk = finish(rnd, out.reshape(counters.shape[:-2] + (4 * blocks,)))
         chunk.flags.writeable = False
         self._chunk = (rnd, layout, chunk)
-        return chunk[0]
+        return chunk[0, :steps]
