@@ -22,6 +22,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -259,51 +260,6 @@ def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
     return out, [int(a) if a <= cfg.T else None for a in at]
 
 
-def _run_points(points: list[tuple[ExperimentConfig, lmt.HyperParams]],
-                mix: tp.MixingMatrix, oracle: obj.GradientOracle, trials: list[int],
-                on_worker: bool, raised: list) -> tuple[list[tuple], list[list]]:
-    """:func:`_point_rounds` of each ``(cfg, hp)``, one round of every live
-    point before the next round of any, on one :class:`TrialStreams` and
-    gap worker, and the warnings each point's rounds added to ``raised``.
-    A generator entering the ``errstate`` across a ``yield`` would reset
-    it under the other points."""
-    streams = TrialStreams(points[0][0].seed, trials)
-    worker = None
-    if on_worker:
-        from concurrent.futures import ThreadPoolExecutor
-        worker = ThreadPoolExecutor(max_workers=1)
-    live = {j: _point_rounds(cfg, mix, oracle, hp, streams, worker)
-            for j, (cfg, hp) in enumerate(points)}
-    done, heard = [None] * len(points), [[] for _ in points]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            while live:
-                for j, run in list(live.items()):
-                    seen = len(raised)
-                    try:
-                        next(run)
-                    except StopIteration as stop:
-                        done[j] = stop.value
-                        del live[j]
-                    heard[j] += raised[seen:]
-    finally:
-        # a gap queued for a round that never runs belongs to no row, so it
-        # is dropped unread, with any exception it raised
-        if worker:
-            worker.shutdown(cancel_futures=True)
-    return done, heard
-
-
-def _run_trials(cfg: ExperimentConfig, mix: tp.MixingMatrix,
-                oracle: obj.GradientOracle, hp: lmt.HyperParams,
-                trials: list[int], on_worker: bool | None = None
-                ) -> tuple[dict[str, np.ndarray], list[int | None]]:
-    """:func:`_run_points` of one point, its gap on a worker thread where
-    ``on_worker`` says so, by default where :func:`_gap_on_worker` does."""
-    on_worker = _gap_on_worker(oracle) if on_worker is None else on_worker
-    return _run_points([(cfg, hp)], mix, oracle, trials, on_worker, [])[0][0]
-
-
 def run_experiment(cfg: ExperimentConfig,
                    label: str | None = None) -> ResultTable:
     """Run one experiment (all trials) and return the aggregated table.
@@ -313,47 +269,73 @@ def run_experiment(cfg: ExperimentConfig,
     into ``cfg.outdir`` when set.  ``meta.txt`` lists the warnings the run
     raised; they still reach the caller, each once, when the run ends.
     """
-    return _run_group([(cfg, label or cfg.method)])[0]
+    return _run_group(cfg, lambda mix, oracle: [(cfg, label or cfg.method)])[0]
 
 
-def _run_group(points: list[tuple[ExperimentConfig, str]], built: tuple | None = None,
+def _run_group(cfg: ExperimentConfig, points_of,
                progress: tuple[int, int] | None = None) -> list[ResultTable]:
-    """The tables of ``(cfg, label)`` points that differ only in what
-    :func:`resolve_hyperparams` and the rounds read, sharing the mixing
-    matrix and oracle ``built`` (else the first point's).  After all rounds,
-    each writes its outputs and, given ``progress`` (its first index and
-    the sweep's size), a line with the seconds since the group began."""
+    """The tables of the ``(cfg, label)`` points that ``points_of`` makes
+    from the mixing matrix and oracle built from ``cfg``, points that
+    differ from it only in what :func:`resolve_hyperparams` and the rounds
+    read.  All of it runs on one OpenBLAS thread; the points' rounds run
+    side by side (:func:`_point_rounds`, one round of every live point
+    before the next round of any) on one :class:`TrialStreams` and gap
+    worker.  Each point's ``meta.txt`` lists the warnings of the build, of
+    its hyperparameters and of its rounds, not those of ``points_of``; all
+    reach the caller, each once, when the group ends.  After all rounds,
+    each point writes its outputs and, given ``progress`` (its first index
+    and the sweep's size), a line with the seconds since the group began."""
     started = time.perf_counter()
     raised = []
     try:
         with warnings.catch_warnings(record=True) as raised, \
                 blas.single_threaded() as blas_threads:
-            mix = built[0] if built else build_mixing(points[0][0])
-            oracle = built[1] if built else build_oracle(points[0][0], mix.n)
-            shared, hps, own = len(raised), [], []
-            for cfg, _ in points:
+            mix = build_mixing(cfg)
+            oracle = build_oracle(cfg, mix.n)
+            shared = raised[:]
+            points = points_of(mix, oracle)
+            hps, heard = [], []
+            for point, _ in points:
                 seen = len(raised)
                 # a context of its own: a warning an earlier point raised is recorded again
                 with warnings.catch_warnings():
-                    hps.append(resolve_hyperparams(cfg, oracle, mix))
-                own.append(raised[:shared] + raised[seen:])
-            on_worker = _gap_on_worker(oracle)
-            trials, seen = list(range(points[0][0].trials)), len(raised)
-            if len(points) == 1:
-                results = [_run_trials(points[0][0], mix, oracle, hps[0], trials, on_worker)]
-                heard = [raised[seen:]]
-            else:
-                results, heard = _run_points([(cfg, hp) for (cfg, _), hp in zip(points, hps)],
-                                             mix, oracle, trials, on_worker, raised)
+                    hps.append(resolve_hyperparams(point, oracle, mix))
+                heard.append(shared + raised[seen:])
+            streams = TrialStreams(cfg.seed, list(range(cfg.trials)))
+            worker = None
+            if threaded := _gap_on_worker(oracle):
+                from concurrent.futures import ThreadPoolExecutor
+                worker = ThreadPoolExecutor(max_workers=1)
+            live = {j: _point_rounds(point, mix, oracle, hp, streams, worker)
+                    for j, ((point, _), hp) in enumerate(zip(points, hps))}
+            results = [None] * len(points)
+            try:
+                # entered here, since a generator entering it across a
+                # ``yield`` would reset it under the other points
+                with np.errstate(over="ignore", invalid="ignore"):
+                    while live:
+                        for j, run in list(live.items()):
+                            seen = len(raised)
+                            try:
+                                next(run)
+                            except StopIteration as stop:
+                                results[j] = stop.value
+                                del live[j]
+                            heard[j] += raised[seen:]
+            finally:
+                # a gap queued for a round that never runs belongs to no
+                # row, so it is dropped unread, with any exception it raised
+                if worker:
+                    worker.shutdown(cancel_futures=True)
     finally:
         for w in raised:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
                                    source=w.source)
     tables = []
-    for k, ((cfg, label), (per_trial, diverged)) in enumerate(zip(points, results)):
+    for k, ((point, label), (per_trial, diverged)) in enumerate(zip(points, results)):
         # the mean of every metric, and the std of those the trace schema
         # carries, so a table holds the same columns in memory as on disk
-        columns: dict[str, np.ndarray] = {"t": np.arange(cfg.T, dtype=float)}
+        columns: dict[str, np.ndarray] = {"t": np.arange(point.T, dtype=float)}
         for name in _METRICS:
             stacked = per_trial[name]
             # rounds reaching 2**256 are scaled by an exact power of two, so
@@ -366,12 +348,12 @@ def _run_group(points: list[tuple[ExperimentConfig, str]], built: tuple | None =
                 columns[name + "_std"] = scaled.std(axis=0) * scale
         diverged_at = min((t for t in diverged if t is not None), default=None)
         tables.append(ResultTable(label=label, columns=columns, diverged_at=diverged_at))
-        if cfg.outdir:
-            os.makedirs(cfg.outdir, exist_ok=True)
-            tables[-1].to_csv(os.path.join(cfg.outdir, "trace.csv"))
-            _write_meta(cfg, mix, oracle, hps[k], diverged_at,
-                        [str(w.message) for w in own[k] + heard[k]], blas_threads,
-                        on_worker, os.path.join(cfg.outdir, "meta.txt"))
+        if point.outdir:
+            os.makedirs(point.outdir, exist_ok=True)
+            tables[-1].to_csv(os.path.join(point.outdir, "trace.csv"))
+            _write_meta(point, mix, oracle, hps[k], diverged_at,
+                        [str(w.message) for w in heard[k]], blas_threads,
+                        threaded, os.path.join(point.outdir, "meta.txt"))
         if progress:
             print(f"sweep {label}: point {progress[0] + k}/{progress[1]} done in "
                   f"{time.perf_counter() - started:.2f} s", file=sys.stderr)
@@ -381,7 +363,7 @@ def _run_group(points: list[tuple[ExperimentConfig, str]], built: tuple | None =
 def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                 oracle: obj.GradientOracle, hp: lmt.HyperParams,
                 diverged_at: int | None, raised: list[str], blas_threads: int | None,
-                on_worker: bool, path: str) -> None:
+                threaded: bool, path: str) -> None:
     lines = [
         f"fingerprint = {cfg.fingerprint()}",
         f"seed = {cfg.seed}",
@@ -402,7 +384,7 @@ def _write_meta(cfg: ExperimentConfig, mix: tp.MixingMatrix,
         f"trials = {cfg.trials}",
         f"f_star = {'unknown' if oracle.f_star is None else repr(oracle.f_star)}",
         f"diverged_at = {'none' if diverged_at is None else diverged_at}",
-        f"gap_thread = {'worker' if on_worker else 'inline'}",
+        f"gap_thread = {'worker' if threaded else 'inline'}",
         f"blas_threads = {'unknown' if blas_threads is None else blas_threads}",
         "lyapunov_note = surrogate: realized consensus norms replace "
         "expectation-level bounds",
@@ -456,31 +438,33 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     for value in values:
         replace(cfg, **{axis: value}).validate()
 
-    base_outdir = cfg.outdir
-    base_hp = built = None
-    if axis == "Q":
-        mix = build_mixing(cfg)
-        built = mix, build_oracle(cfg, mix.n)
-        base_hp = resolve_hyperparams(cfg, built[1], mix)
+    def points(group: list, mix: tp.MixingMatrix, oracle: obj.GradientOracle) -> list:
+        """The ``(cfg, label)`` points of the values ``group``, from the
+        mixing matrix and oracle their group built: a Q point runs the base
+        config's schedule, resolved on them, with its local step rescaled."""
+        base = resolve_hyperparams(cfg, oracle, mix) if axis == "Q" else None
+        made = []
+        for value in group:
+            point = replace(cfg, **{axis: value})
+            if axis == "Q":
+                point = replace(point, schedule="explicit",
+                                eta_a=base.eta_hat / (base.eta_s * value),
+                                eta_s=base.eta_s, beta=base.beta)
+            label = value if axis == "method" else f"{axis}={value}"
+            if cfg.outdir:
+                point = replace(point, outdir=os.path.join(
+                    cfg.outdir, f"point_{axis}_{label.replace('=', '')}"))
+            made.append((point, label))
+        return made
 
-    points = []
-    for value in values:
-        point = replace(cfg, **{axis: value})
-        if axis == "Q":
-            point = replace(point, schedule="explicit",
-                            eta_a=base_hp.eta_hat / (base_hp.eta_s * value),
-                            eta_s=base_hp.eta_s, beta=base_hp.beta)
-        label = value if axis == "method" else f"{axis}={value}"
-        if base_outdir:
-            point = replace(point, outdir=os.path.join(
-                base_outdir, f"point_{axis}_{label.replace('=', '')}"))
-        points.append((point, label))
     # the points of a Q or method sweep share their graph and oracle, so
-    # they run as one group; each n changes both
-    size = 1 if axis == "n" else len(points)
+    # they run as one group, built from its first point; each n changes both
+    size = 1 if axis == "n" else len(values)
     tables: list[ResultTable] = []
-    for first in range(0, len(points), size):
-        tables += _run_group(points[first:first + size], built, (first + 1, len(points)))
+    for first in range(0, len(values), size):
+        group = values[first:first + size]
+        tables += _run_group(replace(cfg, **{axis: group[0]}), partial(points, group),
+                             (first + 1, len(values)))
     rows = [{"axis": axis, "value": value,
              "final_grad_norm_avg": table.final_window("grad_norm_avg"),
              "final_opt_gap_mean": table.final_window("opt_gap_mean"),
@@ -495,9 +479,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
             slope = float(np.polyfit(np.log(qs), np.log(finals), 1)[0])
             summary["loglog_slope_grad_norm_avg"] = slope
 
-    if base_outdir:
-        os.makedirs(base_outdir, exist_ok=True)
-        _write_summary_csv(summary, os.path.join(base_outdir, "summary.csv"))
+    if cfg.outdir:
+        os.makedirs(cfg.outdir, exist_ok=True)
+        _write_summary_csv(summary, os.path.join(cfg.outdir, "summary.csv"))
     return tables, summary
 
 

@@ -1,17 +1,20 @@
 """Shared reference implementations and instrumentation for the tests.
 
-Everything here is deliberately written from the update equations directly
-(no reuse of the library's round functions) so tests compare two
-independent code paths.
+The references are deliberately written from the update equations
+directly (no reuse of the library's round functions) so tests compare two
+independent code paths; ``run_point`` alone drives the library's own
+round loop, for tests of one point's per-trial metrics.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import expit, log_expit
 
+from lmtsim import harness
 from lmtsim.streams import _PURPOSE_GRADIENT, TrialStreams, _key
 
 
@@ -22,6 +25,25 @@ def fresh_stream(master_seed, trial, agent, rnd, step, purpose=_PURPOSE_GRADIENT
     counter = np.array([0, step | (purpose << 48), agent | (rnd << 32), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter,
                                                 key=_key(master_seed, trial)))
+
+
+def run_point(cfg, mix, oracle, hp, trials):
+    """Per-trial metrics and divergence rounds of ``trials`` of one point,
+    run as one batch by ``harness._point_rounds`` to its end, under the
+    round loop's error state, with the gap on a worker thread wherever
+    ``harness._gap_on_worker`` puts it."""
+    worker = ThreadPoolExecutor(max_workers=1) if harness._gap_on_worker(oracle) else None
+    rounds = harness._point_rounds(cfg, mix, oracle, hp, TrialStreams(cfg.seed, trials),
+                                   worker)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                next(rounds)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        if worker:
+            worker.shutdown(cancel_futures=True)
 
 
 class LogisticReference:

@@ -193,7 +193,7 @@ def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, 
 def test_out_of_range_keys_exit_2_before_any_round_runs(tmp_path, monkeypatch, capsys,
                                                         field, text):
     runs = []
-    monkeypatch.setattr(harness, "_run_trials", lambda *args: runs.append(args))
+    monkeypatch.setattr(harness, "_point_rounds", lambda *args: runs.append(args))
     assert cli.main(["run", write_cfg(tmp_path, text)]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
     assert runs == []

@@ -18,6 +18,8 @@ from lmtsim.config import KEYS, METHOD_CHOICES, ConfigError, ExperimentConfig, \
 from lmtsim.harness import ResultTable, build_oracle, resolve_hyperparams, \
     build_mixing, run_experiment, run_sweep
 
+from helpers import run_point
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 QUAD_CFG = """
@@ -312,6 +314,24 @@ def test_meta_records_each_warning_and_the_caller_still_gets_it_once(tmp_path):
             == (tmp_path / "warned" / "trace.csv").read_bytes())
 
 
+def test_a_q_sweep_warns_of_its_base_schedule_once_and_of_each_point_once(tmp_path):
+    cfg = dataclasses.replace(ExperimentConfig.from_mapping(parse_config_text(SPEEDUP_CFG)),
+                              outdir=str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(cfg, "Q", [1, 2, 4])
+    messages = [str(w.message) for w in caught]
+    # the base schedule's two, as its run alone gives them, then each point's
+    # momentum warning: a Q point runs an explicit schedule at the base beta
+    cap, momentum = messages[:2]
+    assert "eta_s" in cap and "momentum" in momentum
+    assert messages[2:] == [momentum] * 3
+    for q in (1, 2, 4):
+        meta = dict(line.split(" = ", 1) for line in
+                    (tmp_path / f"point_Q_Q{q}" / "meta.txt").read_text().splitlines())
+        assert meta["warnings"] == "1" and meta["warning_1"] == momentum, q
+
+
 def test_meta_records_library_versions_and_simd(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -458,7 +478,7 @@ def run_trials(cfg, trials):
     mix = build_mixing(cfg)
     oracle = build_oracle(cfg, mix.n)
     hp = resolve_hyperparams(cfg, oracle, mix)
-    return harness._run_trials(cfg, mix, oracle, hp, trials)
+    return run_point(cfg, mix, oracle, hp, trials)
 
 
 def assert_batch_matches_each_trial_alone(cfg, trials):
@@ -766,6 +786,22 @@ def test_a_run_keeps_the_blas_threads_the_environment_sets(two_blas_threads,
     run_experiment(dataclasses.replace(logistic_cfg(), outdir=str(tmp_path)))
     assert set(seen) == {2} and blas.threads() == 2
     assert "blas_threads = 2" in (tmp_path / "meta.txt").read_text().splitlines()
+
+
+@needs_openblas
+@pytest.mark.parametrize("axis, values", [("Q", [1, 2]), ("method", ["lmt", "led"])])
+def test_a_sweep_solves_f_star_at_one_blas_thread_and_gives_the_callers_back(
+        two_blas_threads, monkeypatch, axis, values):
+    seen = []
+    solve_f_star = dg.solve_f_star
+
+    def watched(oracle):
+        seen.append(blas.threads())
+        return solve_f_star(oracle)
+
+    monkeypatch.setattr(dg, "solve_f_star", watched)
+    run_sweep(dataclasses.replace(logistic_cfg(), T=3), axis, values)
+    assert seen == [1] and blas.threads() == 2
 
 
 def test_an_unknown_blas_is_left_alone_and_recorded_as_unknown(monkeypatch, tmp_path):

@@ -22,6 +22,8 @@ from lmtsim import topology as tp
 from lmtsim.config import METHOD_CHOICES, ExperimentConfig
 from lmtsim.streams import TrialStreams
 
+from helpers import run_point
+
 _EXAMPLES = settings(max_examples=50, deadline=None)
 
 
@@ -238,9 +240,8 @@ def test_doubled_objective_at_half_the_local_step_scales_every_metric_exactly(ob
     half = dataclasses.replace(hp, eta_a=hp.eta_a / 2)
     for method in METHOD_CHOICES:
         run = dataclasses.replace(cfg, method=method)
-        plain, plain_at = harness._run_trials(run, mix, oracle, hp, [0, 1, 2])
-        doubled, doubled_at = harness._run_trials(run, mix, DoubledOracle(oracle), half,
-                                                  [0, 1, 2])
+        plain, plain_at = run_point(run, mix, oracle, hp, [0, 1, 2])
+        doubled, doubled_at = run_point(run, mix, DoubledOracle(oracle), half, [0, 1, 2])
         assert plain_at == doubled_at == [None] * 3, method
         assert plain.keys() == doubled.keys() == _RESCALED.keys()
         for name, factor in _RESCALED.items():
