@@ -24,18 +24,18 @@ TRACE_COLUMNS = ("t", "consensus_x", "consensus_y",
                  "z_dev", "lyapunov_surrogate", "d_bar_drift")
 
 
-def consensus_error(M: np.ndarray):
-    """Squared Frobenius distance of the rows of ``M`` from their mean; one
-    value per trial when ``M`` of shape ``(..., n, p)`` has leading axes."""
+def consensus_error(M: np.ndarray, x_bar: np.ndarray | None = None):
+    """Squared Frobenius distance of the rows of ``M`` from ``x_bar``, by default
+    their mean; one value per trial when ``M`` of shape ``(..., n, p)`` has leading axes."""
     M = np.asarray(M, dtype=float)
-    centered = M - axis_mean(M, -2, keepdims=True)
-    return np.sum(centered * centered, axis=(-2, -1))
+    centered = M - (axis_mean(M, -2) if x_bar is None else x_bar)[..., None, :]
+    return np.add.reduce(centered * centered, (-2, -1))
 
 
-def axis_mean(M: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """``M.mean(axis, keepdims=keepdims)`` bit for bit, without the Python
-    wrapper that costs a few microseconds a call on small per-round arrays."""
-    return np.add.reduce(M, axis, keepdims=keepdims) / M.shape[axis]
+def axis_mean(M: np.ndarray, axis: int) -> np.ndarray:
+    """``M.mean(axis)`` bit for bit, without the Python wrapper that costs a
+    few microseconds a call on small per-round arrays."""
+    return np.add.reduce(M, axis) / M.shape[axis]
 
 
 def squared_norms(V: np.ndarray) -> np.ndarray:
@@ -122,14 +122,14 @@ def round_metrics(oracle, hp: HyperParams, mix: MixingMatrix, state: dict, new: 
     X = state["X"]
     grads_at_mean = oracle.full_gradients_at(x_bar)
     g_bar = axis_mean(grads_at_mean, -2)
-    row = {"consensus_x": consensus_error(X),
+    row = {"consensus_x": consensus_error(X, x_bar),
            "grad_norm_avg": squared_norms(g_bar)}
     if gap is not None:
         row["opt_gap_mean"] = gap
     if d_bar is None:
         return row, None
     dev = state["Z"] - grads_at_mean
-    row["z_dev"] = np.sum(dev * dev, axis=(-2, -1))
+    row["z_dev"] = np.add.reduce(dev * dev, (-2, -1))
     if carry is None:
         row["d_bar_drift"] = np.zeros(len(x_bar))
     else:

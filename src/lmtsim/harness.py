@@ -58,11 +58,8 @@ class ResultTable:
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(dg.TRACE_COLUMNS) + "\n")
-            for row in range(self.rounds):
-                cells = []
-                for name in dg.TRACE_COLUMNS:
-                    v = self.columns[name][row]
-                    cells.append(str(int(v)) if name == "t" else format(float(v), ".17g"))
+            for t, *values in zip(*(self.columns[name] for name in dg.TRACE_COLUMNS)):
+                cells = [str(int(t))] + [format(float(v), ".17g") for v in values]
                 fh.write(",".join(cells) + "\n")
 
     @staticmethod
@@ -246,7 +243,7 @@ def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
         # ``row`` holds exactly the metrics the method defines
         for name, values in row.items():
             out[name][:, t] = values
-        bad = ~np.all([np.isfinite(v) for v in row.values()], axis=0)
+        bad = ~np.isfinite(list(row.values())).all(axis=0)
         at[bad & (at > cfg.T)] = t
         if (at <= t).all():
             break
@@ -301,7 +298,7 @@ def _run_group(cfg: ExperimentConfig, points_of,
                 with warnings.catch_warnings():
                     hps.append(resolve_hyperparams(point, oracle, mix))
                 heard.append(shared + raised[seen:])
-            streams = TrialStreams(cfg.seed, list(range(cfg.trials)))
+            streams = TrialStreams(cfg.seed, list(range(cfg.trials)), max(h.Q for h in hps))
             worker = None
             if threaded := _gap_on_worker(oracle):
                 from concurrent.futures import ThreadPoolExecutor

@@ -117,7 +117,10 @@ def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
     for draws_step in oracle.draw(streams, t, Q):
         G = oracle.stochastic_gradient_matrix(X, draws_step)
         G_sum += G
-        X = X - eta * (G if shift is None else G + shift)
+        if shift is not None:  # in the oracle's new array, as (G + shift) * eta
+            G += shift
+        G *= eta
+        X = X - G
     return X, G_sum
 
 

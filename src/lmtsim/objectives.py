@@ -40,10 +40,6 @@ class Dataset:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class PartitionedDataset:
@@ -226,8 +222,8 @@ class GradientOracle(abc.ABC):
     @abc.abstractmethod
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
-        """Stacked stochastic gradients, agent i evaluated at row
-        ``X[..., i, :]``; ``X`` is ``(n, p)`` or carries leading trial axes.
+        """Stacked stochastic gradients in a new array, agent i evaluated at
+        row ``X[..., i, :]``; ``X`` is ``(n, p)`` or carries leading trial axes.
 
         ``draws_step`` is one local step's entry of :meth:`draw` (None in
         deterministic mode).
@@ -376,9 +372,11 @@ class LogisticOracle(GradientOracle):
         """
         G = np.empty(X.shape)
         for agents, S in self._runs:
-            slope = self._expit(-(S @ X[..., agents, :, None]))  # = 1 / (1 + exp(margin))
-            G[..., agents, :] = -(S.swapaxes(-1, -2) @ slope)[..., 0] / S.shape[1]
-        return G + self._reg_gradient(X)
+            slope = S @ X[..., agents, :, None]
+            self._expit(np.negative(slope, out=slope), out=slope)  # = 1 / (1 + exp(margin))
+            g = S.swapaxes(-1, -2) @ slope
+            np.divide(np.negative(g, out=g), S.shape[1], out=G[..., agents, :, None])
+        return np.add(G, self._reg_gradient(X), out=G)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
         return self._exact_gradients(
@@ -488,7 +486,7 @@ class QuadraticOracle(GradientOracle):
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
         G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)
-        return G if draws_step is None else G + draws_step
+        return G if draws_step is None else np.add(G, draws_step, out=G)
 
     def opt_gap(self, X: np.ndarray) -> np.ndarray:
         """``0.5 (x - x_star)' H (x - x_star)`` averaged over the rows of
@@ -497,7 +495,7 @@ class QuadraticOracle(GradientOracle):
         accurate to relative precision near the optimum, where
         ``F(x) - f_star`` is not."""
         root = (X - self.x_star) @ self._hessian_root
-        return 0.5 * axis_mean(np.sum(root * root, axis=-1), -1)
+        return 0.5 * axis_mean(np.add.reduce(root * root, -1), -1)
 
     def global_value(self, x: np.ndarray) -> float:
         d = x[None, :] - self.b

@@ -228,9 +228,10 @@ class TrialStreams:
     the next call on the same ``TrialStreams``.  It produces exactly the
     draws of a new ``np.random.Philox`` whose counter encodes the site;
     reusing one underlying Philox object merely avoids construction cost.
+    Its first chunk of draws is sized for ``steps``, the most local steps a round asks for.
     """
 
-    def __init__(self, master_seed: int, trial):
+    def __init__(self, master_seed: int, trial, steps: int = 1):
         self.master_seed = int(master_seed)
         self.shape = np.shape(trial)
         self.trials = tuple(int(j) for j in np.ravel(trial))
@@ -252,7 +253,7 @@ class TrialStreams:
         self._slot = 0
         # (first round, layout, chunk) of the last chunk, and the most steps asked
         self._chunk = None
-        self._steps = 0
+        self._steps = steps
 
     def _reseat(self, agent: int, rnd: int, step: int, purpose: int,
                 slot: int) -> np.random.Generator:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmtsim import baselines as bl
+from lmtsim import diagnostics as dg
 from lmtsim import harness, lmt
 from lmtsim import objectives as obj
 from lmtsim import topology as tp
@@ -137,19 +138,41 @@ def test_round_leaves_its_input_state_unchanged(method):
         assert np.asarray(state[key]).tobytes() == value.tobytes(), (method, key)
 
 
+def read_only(*values):
+    """Mark every array among ``values``, and in the dicts and tuples among
+    them, read-only; returns the first."""
+    for value in values:
+        inner = value.values() if isinstance(value, dict) else value
+        for array in inner if isinstance(value, (dict, tuple)) else [value]:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+    return values[0]
+
+
 @pytest.mark.parametrize("method", METHOD_CHOICES)
 def test_round_writes_into_no_array_of_its_input(method):
     # the harness may compute a round's input metrics on a second thread
-    # while the round runs, so any write into the input must raise here
+    # while the round and the metrics of the round before run, and a round
+    # forms its steps in place, so any write into the arrays they share
+    # must raise here, on every kind of oracle
     mix = tp.build_ring_mixing(5)
-    oracle = logistic(5, seed=4, batch=1)
     hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.5, eta_w=mix.eta_w)
     X0 = np.random.default_rng(2).normal(size=(2, 5, 3))
-    state = lmt.init_state(method, X0)
-    for value in state.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    one_round(method, state, oracle, mix, hp, TrialStreams(9, [0, 1]))
+    for kind in ORACLE_KINDS:
+        oracle = make_oracle(kind, 5, seed=4)
+        if oracle.f_star is None:  # so the gaps are computed too
+            oracle.f_star = dg.solve_f_star(oracle)
+        streams = TrialStreams(9, [0, 1])
+        state = read_only(lmt.init_state(method, X0))
+        carry = x_bar_prev = None
+        # two rounds, so the second's metrics take a carry and a previous mean
+        for _ in range(2):
+            new = read_only(one_round(method, state, oracle, mix, hp, streams))
+            inputs = read_only(dg.input_metrics(oracle, hp, state, x_bar_prev))
+            row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
+            assert "opt_gap_mean" in row, kind
+            read_only(carry)
+            x_bar_prev, state = inputs[0], new
 
 
 def logistic(n, seed, batch):
@@ -157,17 +180,23 @@ def logistic(n, seed, batch):
     return obj.LogisticOracle(obj.partition_heterogeneous(data, n), "l2", 0.2, batch)
 
 
+ORACLE_KINDS = ("quad_noisy", "quad_exact", "logistic_minibatch", "logistic_full")
+
+
+def make_oracle(kind, n, seed):
+    return {"quad_noisy": lambda: quad(n, seed, sigma=0.5),
+            "quad_exact": lambda: quad(n, seed, sigma=0.0),
+            "logistic_minibatch": lambda: logistic(n, seed, batch=3),
+            "logistic_full": lambda: logistic(n, seed, batch=None)}[kind]()
+
+
 @settings(max_examples=25, deadline=None)
 @given(mix=lazy_metropolis_mixing(), seed=st.integers(0, 2**16),
        trials=st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
-       oracle_kind=st.sampled_from(["quad_noisy", "quad_exact", "logistic_minibatch",
-                                    "logistic_full"]),
+       oracle_kind=st.sampled_from(ORACLE_KINDS),
        Q=st.integers(1, 3), beta=st.floats(0.0, 0.9))
 def test_batched_round_equals_each_trials_round(mix, seed, trials, oracle_kind, Q, beta):
-    oracle = {"quad_noisy": lambda: quad(mix.n, seed, sigma=0.5),
-              "quad_exact": lambda: quad(mix.n, seed, sigma=0.0),
-              "logistic_minibatch": lambda: logistic(mix.n, seed, batch=3),
-              "logistic_full": lambda: logistic(mix.n, seed, batch=None)}[oracle_kind]()
+    oracle = make_oracle(oracle_kind, mix.n, seed)
     hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
                          eta_w=mix.eta_w)
     X0 = np.random.default_rng(seed).normal(size=(len(trials), mix.n, 3))
