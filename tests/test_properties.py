@@ -138,15 +138,13 @@ def test_round_leaves_its_input_state_unchanged(method):
         assert np.asarray(state[key]).tobytes() == value.tobytes(), (method, key)
 
 
-def read_only(*values):
-    """Mark every array among ``values``, and in the dicts and tuples among
-    them, read-only; returns the first."""
-    for value in values:
-        inner = value.values() if isinstance(value, dict) else value
-        for array in inner if isinstance(value, (dict, tuple)) else [value]:
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
-    return values[0]
+def read_only(value):
+    """Mark every array in the dict or tuple ``value`` read-only; returns
+    ``value``."""
+    for array in value.values() if isinstance(value, dict) else value or ():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return value
 
 
 @pytest.mark.parametrize("method", METHOD_CHOICES)
