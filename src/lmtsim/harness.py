@@ -8,7 +8,7 @@ experiment along one axis (local steps, agent count, or method) and
 summarize final-window behaviour.
 
 Everything is deterministic given (config, seed): random streams are
-derived per (trial, agent, round, local step), every kernel treats each
+derived per (trial, round), every kernel treats each
 trial of the batch as it would that trial alone, and trials are
 aggregated in fixed order.
 """
@@ -133,18 +133,28 @@ def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
 
 def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
                         mix: tp.MixingMatrix) -> lmt.HyperParams:
-    """Turn a schedule tag into concrete round hyperparameters."""
+    """Turn a schedule tag into concrete round hyperparameters, and warn
+    when a momentum method's ``beta`` lies below ``rho_w``."""
+    hp = _schedule(cfg, oracle, mix)
+    if cfg.method in ("lmt", "naive_lmt", "pdsgdm"):
+        lmt.check_momentum(hp.beta, mix.rho_w)
+    return hp
+
+
+def _schedule(cfg: ExperimentConfig, oracle: obj.GradientOracle,
+              mix: tp.MixingMatrix) -> lmt.HyperParams:
+    """The round hyperparameters of ``cfg``'s schedule tag."""
     if mix.lam >= 1.0:
         raise ConfigError("topology.path: graph not connected (lambda = 1), "
                           "so its agents never reach consensus")
     beta = cfg.beta if cfg.beta is not None else mix.rho_w
     if cfg.schedule == "explicit":
-        hp = lmt.HyperParams(Q=cfg.Q, eta_a=cfg.eta_a, eta_s=cfg.eta_s,
-                             beta=beta, eta_w=mix.eta_w)
-    elif cfg.schedule == "figure1":
-        hp = lmt.HyperParams(Q=cfg.Q, eta_a=0.25 / cfg.Q, eta_s=0.1,
-                             beta=beta, eta_w=mix.eta_w)
-    elif cfg.schedule == "theorem1":
+        return lmt.HyperParams(Q=cfg.Q, eta_a=cfg.eta_a, eta_s=cfg.eta_s,
+                               beta=beta, eta_w=mix.eta_w)
+    if cfg.schedule == "figure1":
+        return lmt.HyperParams(Q=cfg.Q, eta_a=0.25 / cfg.Q, eta_s=0.1,
+                               beta=beta, eta_w=mix.eta_w)
+    if cfg.schedule == "theorem1":
         delta_f = cfg.delta_f
         if delta_f is None:
             if oracle.f_star is None:
@@ -153,17 +163,14 @@ def resolve_hyperparams(cfg: ExperimentConfig, oracle: obj.GradientOracle,
             delta_f = oracle.global_value(np.zeros(oracle.dim)) - oracle.f_star
             if delta_f <= 0:
                 delta_f = 1.0
-        hp = lmt.theorem1_stepsizes(L=oracle.L, sigma=oracle.sigma, n=oracle.n_agents,
-                                    Q=cfg.Q, T=cfg.T, delta_f=delta_f, beta=beta,
-                                    eta_w=mix.eta_w)
-    else:  # theorem2
-        if not oracle.mu or oracle.mu <= 0:
-            raise ConfigError("schedule: theorem2 needs an oracle with a positive "
-                              "strong convexity / PL modulus")
-        hp = lmt.theorem2_stepsizes(mu=oracle.mu, Q=cfg.Q, T=cfg.T, mix=mix)
-    if cfg.method in ("lmt", "naive_lmt", "pdsgdm"):
-        lmt.check_momentum(hp.beta, mix.rho_w)
-    return hp
+        return lmt.theorem1_stepsizes(L=oracle.L, sigma=oracle.sigma, n=oracle.n_agents,
+                                      Q=cfg.Q, T=cfg.T, delta_f=delta_f, beta=beta,
+                                      eta_w=mix.eta_w)
+    # theorem2
+    if not oracle.mu or oracle.mu <= 0:
+        raise ConfigError("schedule: theorem2 needs an oracle with a positive "
+                          "strong convexity / PL modulus")
+    return lmt.theorem2_stepsizes(mu=oracle.mu, Q=cfg.Q, T=cfg.T, mix=mix)
 
 
 def _initial_iterates(cfg: ExperimentConfig, n: int, p: int,
@@ -438,8 +445,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     def points(group: list, mix: tp.MixingMatrix, oracle: obj.GradientOracle) -> list:
         """The ``(cfg, label)`` points of the values ``group``, from the
         mixing matrix and oracle their group built: a Q point runs the base
-        config's schedule, resolved on them, with its local step rescaled."""
-        base = resolve_hyperparams(cfg, oracle, mix) if axis == "Q" else None
+        config's schedule, resolved on them, with its local step rescaled.
+        Only the points check their momentum, so each of them warns once."""
+        base = _schedule(cfg, oracle, mix) if axis == "Q" else None
         made = []
         for value in group:
             point = replace(cfg, **{axis: value})

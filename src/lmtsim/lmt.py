@@ -109,7 +109,7 @@ def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
     """Run ``Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
 
     ``G`` stacks the agents' stochastic gradients at the current local
-    iterates, drawn from the streams of round ``t`` and the step's index;
+    iterates, from the step's entry of the draws of round ``t``;
     ``shift=None`` takes plain stochastic-gradient steps.  Returns
     ``(X_Q, G_sum)``: the end points and the sum of the drawn gradients.
     """

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import axis_mean, squared_norms
-from .streams import TrialStreams, bounded_uint32
+from .streams import TrialStreams
 
 
 class DatasetError(ValueError):
@@ -215,9 +215,10 @@ class GradientOracle(abc.ABC):
     @abc.abstractmethod
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """All random draws of round ``t``, one leading entry per local step,
-        then the trial axes of ``streams.shape``: entry ``[step, slot, i]``
-        comes from ``streams.gradient(i, t, step, slot)``.  ``[None] * Q``
-        in deterministic mode, where ``streams`` may be None."""
+        then the trial axes of ``streams.shape``: each trial's draws come
+        from its stream ``streams.gradient(t, slot)``, laid out (step,
+        agent, ...).  ``[None] * Q`` in deterministic mode, where
+        ``streams`` may be None."""
 
     @abc.abstractmethod
     def stochastic_gradient_matrix(self, X: np.ndarray,
@@ -392,24 +393,21 @@ class LogisticOracle(GradientOracle):
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's minibatch rows, ``(Q, *streams.shape, n, batch)``
-        indices into the stacked shards: ``[step, slot, i]`` is
-        ``streams.gradient(i, t, step, slot).integers(0, shard size,
-        size=batch)`` offset to shard i.  All sites of all trials are drawn
-        in one vectorised Philox call; a site where numpy's Lemire rule
-        rejects a draw is redrawn through its own generator.  ``[None] * Q``
+        indices into the stacked shards: each trial's
+        ``streams.gradient(t, slot).integers(0, shard sizes, size=(Q, n,
+        batch))``, row ``[step, slot, i]`` offset to shard i.  ``[None] * Q``
         in full-batch mode."""
         if self.batch is None:
             return [None] * Q
         if streams is None:
             raise ValueError("minibatch oracle needs random streams")
-        b = self.batch
-        words = streams.gradient_words(t, Q, self.n_agents, (b + 1) // 2)
-        rows, rejected = bounded_uint32(words, self._sizes, b)
-        sites = rows.reshape(Q, -1, self.n_agents, b)  # a view, one trial axis
-        for step, slot, i in zip(*np.nonzero(rejected.reshape(Q, -1, self.n_agents))):
-            sites[step, slot, i] = streams.gradient(int(i), t, int(step), int(slot)).integers(
-                0, self._sizes[i], size=b)
-        return rows + self._offsets[:-1, None]
+        return streams.round_draws(t, Q, self._rows)
+
+    def _rows(self, gen: np.random.Generator, steps: int) -> np.ndarray:
+        """One trial's minibatch rows for ``steps`` local steps, from its
+        round's stream ``gen``."""
+        return self._offsets[:-1, None] + gen.integers(
+            0, self._sizes[:, None], size=(steps, self.n_agents, self.batch))
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
@@ -471,17 +469,20 @@ class QuadraticOracle(GradientOracle):
         return np.einsum("ipq,...q->...ip", self.A, x) - self._Ab
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
-        """The round's gradient noise, ``(Q, *streams.shape, n, p)``:
-        ``[step, slot, i]`` is ``streams.gradient(i, t, step,
-        slot).normal(0.0, sigma / sqrt(p), size=p)``, scaled from
-        :meth:`TrialStreams.gradient_normals`.  ``[None] * Q`` when the
-        oracle is noiseless."""
+        """The round's gradient noise, ``(Q, *streams.shape, n, p)``: what
+        each trial's ``streams.gradient(t, slot).normal(0.0, sigma /
+        sqrt(p), size=(Q, n, p))`` returns.  ``[None] * Q`` when the oracle
+        is noiseless."""
         if self.sigma == 0.0:
             return [None] * Q
         if streams is None:
             raise ValueError("noisy oracle needs random streams")
-        # what Generator.normal(0.0, scale) returns from the same draws
-        return 0.0 + self._noise_scale * streams.gradient_normals(t, Q, self.n_agents, self.dim)
+        return streams.round_draws(t, Q, self._noise)
+
+    def _noise(self, gen: np.random.Generator, steps: int) -> np.ndarray:
+        """One trial's gradient noise for ``steps`` local steps, from its
+        round's stream ``gen``."""
+        return gen.normal(0.0, self._noise_scale, size=(steps, self.n_agents, self.dim))
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:

@@ -18,13 +18,24 @@ from lmtsim import harness
 from lmtsim.streams import _PURPOSE_GRADIENT, TrialStreams, _key
 
 
-def fresh_stream(master_seed, trial, agent, rnd, step, purpose=_PURPOSE_GRADIENT):
-    """A new, independent generator for one draw site, built from the
-    stream layout directly: counter ``[0, step | purpose << 48,
-    agent | rnd << 32, 0]`` under the key of (master_seed, trial)."""
-    counter = np.array([0, step | (purpose << 48), agent | (rnd << 32), 0], dtype=np.uint64)
+def fresh_stream(master_seed, trial, rnd, agent=0, purpose=_PURPOSE_GRADIENT):
+    """A new, independent generator for one stream, built from the stream
+    layout directly: counter ``[0, purpose << 48, agent | rnd << 32, 0]``
+    under the key of (master_seed, trial).  The gradient stream of a round
+    has agent 0; the initial iterate of an agent comes from round 0 and
+    ``_PURPOSE_INIT``."""
+    counter = np.array([0, purpose << 48, agent | (rnd << 32), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter,
                                                 key=_key(master_seed, trial)))
+
+
+def round_sites(master_seed, trial, rnd, Q, n, draw):
+    """``draw(gen, i)`` for every local step and agent ``i`` of round ``rnd``
+    of one trial, ``[step][i]``, one draw at a time from the round's fresh
+    stream ``gen``, in the order a round lays its draws out: step by step,
+    and within a step agent by agent."""
+    gen = fresh_stream(master_seed, trial, rnd)
+    return [[draw(gen, i) for i in range(n)] for _ in range(Q)]
 
 
 def run_point(cfg, mix, oracle, hp, trials):
@@ -128,19 +139,19 @@ def dsmt_reference(X0, mix, hp, oracle, master_seed, trial, rounds):
     Tracking variables are propagated directly through the augmented
     operator (no correction variables), one stochastic gradient per agent
     per round of the quadratic ``oracle``, built from its ``A`` and ``b``
-    and drawn from the same streams the main driver would use.  Returns
-    the iterate matrix after ``rounds`` rounds.
+    and drawn, agent by agent, from a fresh generator of each round's
+    stream (:func:`fresh_stream`).  Returns the iterate matrix after
+    ``rounds`` rounds.
     """
     reference = local_reference(oracle)
-    streams = TrialStreams(master_seed, trial)
     n, p = X0.shape
     X, X_mem = X0.copy(), X0.copy()
     Z = np.zeros((n, p))
     Y = Y_mem = None
     eta_hat = hp.eta_hat
     for t in range(rounds):
-        G = np.stack([reference.stochastic_gradient(i, X[i], streams.gradient(i, t, 0))
-                      for i in range(n)])
+        gen = fresh_stream(master_seed, trial, t)
+        G = np.stack([reference.stochastic_gradient(i, X[i], gen) for i in range(n)])
         Z_new = hp.beta * Z + (1.0 - hp.beta) * G
         if t == 0:
             Y, Y_mem = Z_new.copy(), Z_new.copy()

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import log_expit
 
-from helpers import finite_difference_gradient, fresh_stream, local_reference, \
-    quadratic_values_at_rows
+from helpers import finite_difference_gradient, local_reference, quadratic_values_at_rows, \
+    round_sites
 from lmtsim import objectives as obj
-from lmtsim import streams as streams_module
-from lmtsim.streams import TrialStreams, bounded_uint32, standard_normal
+from lmtsim.streams import TrialStreams
 
 
 def two_class_dataset(m=40, p=6, seed=0):
@@ -258,9 +257,9 @@ def test_stochastic_gradient_matrix_matches_per_agent_calls():
     streams = TrialStreams(99, 0)
     G = oracle.stochastic_gradient_matrix(X, oracle.draw(streams, 7, 2)[1])
     reference = local_reference(oracle, parts)
+    sites = round_sites(99, 0, 7, 2, 3, lambda gen, i: reference.stochastic_gradient(i, X[i], gen))
     for i in range(3):
-        gi = reference.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, 1))
-        assert np.allclose(G[i], gi, atol=1e-15)
+        assert np.allclose(G[i], sites[1][i], atol=1e-15)
 
 
 def _uneven_partition(sizes, p=3):
@@ -271,18 +270,20 @@ def _uneven_partition(sizes, p=3):
 
 
 def _assert_round_rows_match_streams(oracle, sizes, b, seed=13, trials=(2, 7, 0), t=6, Q=3):
-    """Rows of one trial, and of a batch of trials, equal the site streams'."""
+    """Rows of one trial, and of a batch of trials, equal each site's
+    ``integers`` call on the stream of its trial and round."""
     rows = oracle.draw(TrialStreams(seed, trials[0]), t, Q)
     batch = oracle.draw(TrialStreams(seed, trials), t, Q)
     assert rows.shape == (Q, len(sizes), b)
     assert batch.shape == (Q, len(trials), len(sizes), b)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for step in range(Q):
-        for i, s in enumerate(sizes):
-            for slot, trial in enumerate(trials):
-                expected = fresh_stream(seed, trial, i, t, step).integers(0, s, size=b)
-                assert np.array_equal(batch[step, slot, i], offsets[i] + expected)
-            assert np.array_equal(rows[step, i], batch[step, 0, i])
+    for slot, trial in enumerate(trials):
+        sites = round_sites(seed, trial, t, Q, len(sizes),
+                            lambda gen, i: gen.integers(0, sizes[i], size=b))
+        for step in range(Q):
+            for i in range(len(sizes)):
+                assert np.array_equal(batch[step, slot, i], offsets[i] + sites[step][i])
+    assert np.array_equal(rows, batch[:, 0])
 
 
 @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 17])
@@ -298,44 +299,34 @@ def test_logistic_round_draws_with_single_row_shard():
     _assert_round_rows_match_streams(oracle, sizes, 1)
 
 
-def test_logistic_rejected_sites_are_redrawn_from_their_streams(monkeypatch):
-    def reject_all(words, bound, count):
-        values, rejected = bounded_uint32(words, bound, count)
-        return np.zeros_like(values), np.ones_like(rejected)
-
-    monkeypatch.setattr(obj, "bounded_uint32", reject_all)
-    sizes = (17, 23, 40)
-    oracle = obj.LogisticOracle(_uneven_partition(sizes), "l2", 0.2, 9)
-    _assert_round_rows_match_streams(oracle, sizes, 9)
-
-
 def test_quadratic_round_noise_matches_per_agent_calls():
     oracle = obj.quadratic_pl_oracle(n=3, p=4, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
     X = np.random.default_rng(5).normal(size=(3, 4))
     draws = oracle.draw(TrialStreams(99, 0), 7, 2)
     assert draws.shape == (2, 3, 4)
     reference = local_reference(oracle)
+    sites = round_sites(99, 0, 7, 2, 3, lambda gen, i: reference.stochastic_gradient(i, X[i], gen))
     for step in range(2):
         G = oracle.stochastic_gradient_matrix(X, draws[step])
         for i in range(3):
-            gi = reference.stochastic_gradient(i, X[i], fresh_stream(99, 0, i, 7, step))
-            assert np.allclose(G[i], gi, atol=1e-15)
+            assert np.allclose(G[i], sites[step][i], atol=1e-15)
 
 
 def _assert_noise_matches_streams(oracle, Q, seed=99, trials=(4, 0, 9), t=7):
-    """Noise of one trial, and of a batch of trials, equals the per-site
-    ``Generator.normal`` draws bit for bit."""
+    """Noise of one trial, and of a batch of trials, equals each site's
+    ``Generator.normal`` call on the stream of its trial and round, bit for
+    bit."""
     n, p = oracle.n_agents, oracle.dim
     scale = oracle.sigma / np.sqrt(p)
     alone = oracle.draw(TrialStreams(seed, trials[0]), t, Q)
     batch = oracle.draw(TrialStreams(seed, list(trials)), t, Q)
     assert alone.shape == (Q, n, p) and batch.shape == (Q, len(trials), n, p)
-    for step in range(Q):
-        for i in range(n):
-            for slot, trial in enumerate(trials):
-                expected = fresh_stream(seed, trial, i, t, step).normal(0.0, scale, size=p)
-                assert batch[step, slot, i].tobytes() == expected.tobytes(), (step, slot, i)
-            assert alone[step, i].tobytes() == batch[step, 0, i].tobytes()
+    for slot, trial in enumerate(trials):
+        sites = round_sites(seed, trial, t, Q, n, lambda gen, i: gen.normal(0.0, scale, size=p))
+        for step in range(Q):
+            for i in range(n):
+                assert batch[step, slot, i].tobytes() == sites[step][i].tobytes(), (step, slot, i)
+    assert alone.tobytes() == batch[:, 0].tobytes()
 
 
 def test_quadratic_round_noise_of_a_batch_matches_each_trial():
@@ -348,16 +339,6 @@ def test_quadratic_round_noise_of_a_batch_matches_each_trial():
 def test_quadratic_noise_equals_per_site_normals(p, Q):
     oracle = obj.quadratic_pl_oracle(n=5, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
     _assert_noise_matches_streams(oracle, Q)
-
-
-def test_quadratic_rejected_sites_are_redrawn_from_their_streams(monkeypatch):
-    def short_everywhere(words, count):
-        values, short = standard_normal(words, count)
-        return np.zeros_like(values), np.ones_like(short)
-
-    monkeypatch.setattr(streams_module, "standard_normal", short_everywhere)
-    oracle = obj.quadratic_pl_oracle(n=3, p=5, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
-    _assert_noise_matches_streams(oracle, 3)
 
 
 def test_draws_are_none_in_deterministic_mode():

@@ -10,14 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from lmtsim import baselines, blas, harness, lmt, streams
+from lmtsim import baselines, blas, harness, lmt
 from lmtsim.config import METHOD_CHOICES, ExperimentConfig, parse_config_text
 from lmtsim.harness import build_mixing, build_oracle, resolve_hyperparams, run_experiment, \
     run_sweep
 from lmtsim.streams import TrialStreams
 
-from test_harness import DIVERGING_TRIALS_CFG, LOGISTIC_CFG, QUAD_CFG, _GapRaisesAtRound2, \
-    _RaisesInRound2
+from test_harness import DIVERGING_TRIALS_CFG, LOGISTIC_CFG, QUAD_CFG, SPEEDUP_CFG, \
+    _GapRaisesAtRound2, _RaisesInRound2
 
 
 def config(text, **overrides):
@@ -109,6 +109,33 @@ def test_a_warning_a_round_raises_is_listed_by_its_point_only(tmp_path, monkeypa
             assert ("warning_1 = round 3 of Q = 2" in meta) == (label == "Q=2")
 
 
+def _heard(run):
+    """The messages of every warning ``run()`` lets reach its caller."""
+    with warnings.catch_warnings(record=True) as heard:
+        warnings.simplefilter("always")
+        run()
+    return sorted(str(w.message) for w in heard)
+
+
+@pytest.mark.parametrize("axis, values", [("Q", [1, 2, 4]), ("Q", [4]),
+                                          ("method", ["lmt", "led", "pdsgdm"])])
+def test_a_sweep_warns_once_for_each_point_that_raises_a_warning(axis, values):
+    # beta = 0 lies below rho_w, and the theorem-1 pair exceeds its cap
+    cfg = config(SPEEDUP_CFG)
+    alone = []
+    for _, point in solo_points(cfg, axis, values):
+        alone += _heard(lambda: run_experiment(point))
+    heard = _heard(lambda: run_sweep(cfg, axis, values))
+    momentum = [m for m in heard if m.startswith("momentum beta")]
+    assert len(momentum) == sum(axis == "Q" or v in ("lmt", "pdsgdm") for v in values)
+    # the theorem-1 schedule of a Q sweep is resolved once, for all its points
+    cap = [m for m in heard if "exceeds admissible cap" in m]
+    if axis == "Q":
+        assert len(cap) == 1 and sorted(alone + cap) == heard
+    else:
+        assert len(cap) == len(values) and sorted(alone) == heard
+
+
 def test_a_point_that_diverges_stops_alone_while_the_others_run_on(monkeypatch):
     # alone, local_dsgd stops after round 33, lmt after round 53 and pdsgdm
     # later still
@@ -143,63 +170,59 @@ def test_a_point_that_diverges_stops_alone_while_the_others_run_on(monkeypatch):
 # ---------------------------------------------------------------------------
 # shared draws
 
-def test_a_chunk_serves_every_request_for_as_many_or_fewer_steps(monkeypatch):
-    redrawn = []
+def _count_streams(monkeypatch):
+    """The rounds of every gradient stream :class:`TrialStreams` hands out."""
+    calls = []
     gradient = TrialStreams.gradient
 
-    def counted(self, agent, rnd, step, slot=0):
-        redrawn.append(step)
-        return gradient(self, agent, rnd, step, slot)
+    def counted(self, rnd, slot=0):
+        calls.append(rnd)
+        return gradient(self, rnd, slot)
 
     monkeypatch.setattr(TrialStreams, "gradient", counted)
-    shared = TrialStreams(1, [0, 3])
-    for rnd in range(40):
-        for steps in (1, 8, 2, 4):
-            for draw, per_site in (("gradient_words", 2), ("gradient_normals", 3)):
-                got = getattr(shared, draw)(rnd, steps, 5, per_site)
-                alone = getattr(TrialStreams(1, [0, 3]), draw)(rnd, steps, 5, per_site)
-                assert got.shape == alone.shape == (steps, 2, 5, per_site)
-                assert got.tobytes() == alone.tobytes(), (rnd, steps, draw)
-                assert not got.flags.writeable
-    # three normals in one block leave one word to spare, so some sites run
-    # short and are redrawn while a shared chunk is made, some of them at a
-    # step every request is served
-    assert min(redrawn) == 0
-
-
-def _count_philox(monkeypatch):
-    calls = []
-    philox = streams.philox4x64
-
-    def counted(*args):
-        calls.append(args[0].shape)
-        return philox(*args)
-
-    monkeypatch.setattr(streams, "philox4x64", counted)
     return calls
 
 
+def test_a_chunk_serves_every_request_for_as_many_or_fewer_steps(monkeypatch):
+    # a chunk: the draws of every trial for one round and its most steps
+    calls = _count_streams(monkeypatch)
+    quadratic = build_oracle(config(QUAD_CFG), 5)
+    logistic = build_oracle(config(LOGISTIC_CFG.format(batch=2)), 5)
+    for oracle in (quadratic, logistic):
+        shared = TrialStreams(1, [0, 3], 8)
+        for rnd in range(40):
+            for steps in (1, 8, 2, 4):
+                calls.clear()
+                got = oracle.draw(shared, rnd, steps)
+                made = len(calls)
+                alone = oracle.draw(TrialStreams(1, [0, 3]), rnd, steps)
+                assert got.shape == alone.shape == (steps, 2, 5) + got.shape[3:]
+                assert got.tobytes() == alone.tobytes(), (rnd, steps)
+                # the first request of a round draws for every trial
+                assert made == (2 if steps == 1 else 0)
+
+
 def noisy_quad(**overrides):
-    # past the first chunk's rounds, so every point asks for a new chunk
     return config(QUAD_CFG, T=100, **overrides)
 
 
 def test_a_q_sweep_computes_the_draws_of_its_largest_q(monkeypatch):
-    # its first chunk is sized for the largest Q, whichever point asks first
-    calls = _count_philox(monkeypatch)
+    # its first round's draws are made for the largest Q, whichever point
+    # asks first
+    calls = _count_streams(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         (_, point), = solo_points(noisy_quad(), "Q", [8])
         run_experiment(point)
-        alone = len(calls)
+        alone = calls[:]
         for values in ([1, 2, 4, 8], [8, 1, 4, 2]):
             calls.clear()
             run_sweep(noisy_quad(), "Q", values)
-            assert 0 < alone == len(calls), values
+            assert 0 < len(alone) and calls == alone, values
 
 
 def test_an_n_sweep_computes_no_more_chunks_than_its_points_alone(monkeypatch):
-    calls = _count_philox(monkeypatch)
+    calls = _count_streams(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_sweep(noisy_quad(), "n", [4, 6, 9])

@@ -47,7 +47,7 @@ MUTANTS = (
     ("src/lmtsim/diagnostics.py",
      "(axis_mean(M, -2) if x_bar is None else x_bar)", "axis_mean(M, -2)",
      ["tests/test_diagnostics.py::test_consensus_error_measures_from_the_mean_it_is_given"]),
-    # a group's first chunk sized for its first point's Q
+    # a group's first round of draws made for its first point's Q
     ("src/lmtsim/harness.py", "max(h.Q for h in hps)", "hps[0].Q",
      ["tests/test_sweep_groups.py::test_a_q_sweep_computes_the_draws_of_its_largest_q"]),
     # a round's finiteness reduced over its trials instead of its metrics
@@ -67,36 +67,41 @@ MUTANTS = (
     ("src/lmtsim/objectives.py", "loss -= np.minimum(margins, 0.0, out=margins)",
      "loss -= np.maximum(margins, 0.0, out=margins)",
      ["tests/test_objectives.py", "-k", "loss or values"]),
-    # a rejected minibatch site kept, not redrawn from its own stream
-    ("src/lmtsim/objectives.py",
-     "for step, slot, i in zip(*np.nonzero(rejected.reshape(Q, -1, self.n_agents))):",
-     "for step, slot, i in zip(*np.nonzero(rejected.reshape(Q, -1, self.n_agents) & False)):",
-     ["tests/test_objectives.py", "-k", "draws or redrawn"]),
     # the logistic gap scaled by 1 + 1e-9
     ("src/lmtsim/objectives.py",
      "return axis_mean(self.global_values_at_rows(X), -1) - self.f_star",
      "return (axis_mean(self.global_values_at_rows(X), -1) - self.f_star) * (1 + 1e-9)",
      ["tests/test_golden.py", "-k", "logistic_l2"]),
-    # the ziggurat's fast-path sign from bit 9, not bit 8
-    ("src/lmtsim/streams.py", "(words << np.uint64(55)) & _SIGN_BIT",
-     "(words << np.uint64(54)) & _SIGN_BIT",
-     ["tests/test_streams.py", "-k", "ziggurat"]),
-    # the wedge test against the lower layer's edge, fi[l] for fi[l-1]
-    ("src/lmtsim/streams.py", "(fi[lay - 1] - fi[lay]) * u + fi[lay] < bound",
-     "(fi[lay] - fi[lay]) * u + fi[lay] < bound",
-     ["tests/test_streams.py", "-k", "slow_path or ziggurat"]),
-    # the wedge bound from numpy's vectorised exp, not the C library's
+    # the round word of a stream's counter shifted by one bit
+    ("src/lmtsim/streams.py", "self._counter[2] = agent | (rnd << 32)",
+     "self._counter[2] = agent | (rnd << 31)",
+     ["tests/test_streams.py", "-k", "fresh"]),
+    # a trial of a batch drawing under the key of the slot before it
+    ("src/lmtsim/streams.py", "self._key_words[:] = self._keys[slot].tolist()",
+     "self._key_words[:] = self._keys[slot - 1].tolist()",
+     ["tests/test_properties.py::test_batched_round_equals_each_trials_round"]),
+    # a round's draws served to a request for another round
     ("src/lmtsim/streams.py",
-     "bound = np.fromiter(map(math.exp, (-0.5 * x * x).tolist()), float, len(f))",
-     "bound = np.exp(-0.5 * x * x)",
-     ["tests/test_streams.py::test_wedge_test_uses_the_c_library_exp_on_near_ties"]),
-    # the tail's sign from bit 8 of the word, not bit 17
-    ("src/lmtsim/streams.py", "-value if stream[c] >> 17 & 1 else value",
-     "-value if stream[c] >> 8 & 1 else value",
-     ["tests/test_streams.py", "-k", "slow_path"]),
-    # a chunk of draws left writeable
-    ("src/lmtsim/streams.py", "        chunk.flags.writeable = False\n", "",
-     ["tests/test_streams.py", "-k", "read_only"]),
+     "if cached_rnd == rnd and cached_draw == draw and steps <= len(block):",
+     "if cached_draw == draw and steps <= len(block):",
+     ["tests/test_sweep_groups.py", "-k", "chunk"]),
+    # the quadratic's noise laid out (agent, step) and read as (step, agent)
+    ("src/lmtsim/objectives.py", "size=(steps, self.n_agents, self.dim))",
+     "size=(self.n_agents, steps, self.dim)).swapaxes(0, 1)",
+     ["tests/test_objectives.py", "-k", "noise"]),
+    # the in-place logistic loss through log(1 + x), not log1p
+    ("src/lmtsim/objectives.py", "np.log1p(loss, out=loss)", "np.log(1 + loss, out=loss)",
+     ["tests/test_objectives.py", "-k", "loss"]),
+    # agent 0's quadratic gradient scaled by 1 + 1e-9
+    ("src/lmtsim/objectives.py",
+     '        G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)\n',
+     '        G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)\n'
+     "        G[..., 0, :] *= 1 + 1e-9\n",
+     ["tests/test_golden.py", "-k", "quadratic"]),
+    # K-GT mixing a delta rolled by one agent
+    ("src/lmtsim/baselines.py", "mixed_delta = W.weights @ delta",
+     'mixed_delta = W.weights @ __import__("numpy").roll(delta, 1, axis=-2)',
+     ["tests/test_golden.py", "-k", "kgt"]),
     # K-GT's corrections divided by Q alone
     ("src/lmtsim/baselines.py", "C_next = C + (delta - mixed_delta) / (Q * local)",
      "C_next = C + (delta - mixed_delta) / Q",
