@@ -8,9 +8,8 @@ experiment along one axis (local steps, agent count, or method) and
 summarize final-window behaviour.
 
 Everything is deterministic given (config, seed): random streams are
-derived per (trial, round), every kernel treats each
-trial of the batch as it would that trial alone, and trials are
-aggregated in fixed order.
+derived per (trial, round), every kernel treats each trial of the batch
+as it would that trial alone, and trials are aggregated in fixed order.
 """
 
 from __future__ import annotations
