@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import log_expit
 
-from helpers import finite_difference_gradient, local_reference, quadratic_values_at_rows, \
-    round_sites
+from helpers import finite_difference_gradient, fresh_stream, local_reference, \
+    quadratic_values_at_rows, round_sites
 from lmtsim import objectives as obj
 from lmtsim.streams import TrialStreams
 
@@ -299,6 +299,36 @@ def test_logistic_round_draws_with_single_row_shard():
     _assert_round_rows_match_streams(oracle, sizes, 1)
 
 
+def _assert_refused_rounds_are_redrawn(oracles, seed=13, trials=(2, 7, 0)):
+    """Round draws that a shared ``TrialStreams``'s cached block cannot
+    serve (more steps, another round, another oracle's draws) are drawn anew
+    from the streams, as are those it serves: for each of two
+    ``(oracle, expected)``, each trial's equal ``expected(gen, Q)`` on a
+    fresh generator of its round's stream."""
+    streams = TrialStreams(seed, list(trials))
+    requests = [(0, 6, 1), (0, 6, 3), (0, 6, 2), (1, 6, 2), (0, 6, 2), (1, 6, 1),
+                (0, 7, 3), (0, 6, 3), (0, 6, 1)]
+    for which, t, Q in requests:
+        oracle, expected = oracles[which]
+        got = oracle.draw(streams, t, Q)
+        for slot, trial in enumerate(trials):
+            want = expected(fresh_stream(seed, trial, t), Q)
+            assert got[:, slot].tobytes() == want.tobytes(), (which, t, Q, slot)
+
+
+def _minibatch_rows(sizes, b):
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])[:, None]
+    return lambda gen, Q: offsets + gen.integers(0, np.array(sizes)[:, None],
+                                                 size=(Q, len(sizes), b))
+
+
+def test_logistic_rejected_sites_are_redrawn_from_their_streams():
+    sizes = (17, 23, 40)
+    _assert_refused_rounds_are_redrawn([
+        (obj.LogisticOracle(_uneven_partition(sizes), "l2", 0.2, b), _minibatch_rows(sizes, b))
+        for b in (9, 5)])
+
+
 def test_quadratic_round_noise_matches_per_agent_calls():
     oracle = obj.quadratic_pl_oracle(n=3, p=4, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
     X = np.random.default_rng(5).normal(size=(3, 4))
@@ -339,6 +369,14 @@ def test_quadratic_round_noise_of_a_batch_matches_each_trial():
 def test_quadratic_noise_equals_per_site_normals(p, Q):
     oracle = obj.quadratic_pl_oracle(n=5, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
     _assert_noise_matches_streams(oracle, Q)
+
+
+def test_quadratic_rejected_sites_are_redrawn_from_their_streams():
+    def noisy(sigma):
+        oracle = obj.quadratic_pl_oracle(n=3, p=5, mu_min=0.2, L=1.0, sigma=sigma, rng_seed=1)
+        return oracle, lambda gen, Q: gen.normal(0.0, sigma / np.sqrt(5), size=(Q, 3, 5))
+
+    _assert_refused_rounds_are_redrawn([noisy(0.5), noisy(0.25)])
 
 
 def test_draws_are_none_in_deterministic_mode():

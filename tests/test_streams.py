@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import fresh_stream
 from lmtsim import objectives as obj
+from lmtsim.config import ExperimentConfig
+from lmtsim.harness import run_experiment
 from lmtsim.streams import _PURPOSE_INIT, TrialStreams, _key
 
 _U64 = st.integers(0, 2**64 - 1)
@@ -59,6 +61,42 @@ def test_batched_streams_match_each_trials_streams():
         assert np.array_equal(batch.init_state(agent, slot).normal(size=3), init.normal(size=3))
 
 
+_SALT = 0x9E3779B97F4A7C15
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_U64, trials=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+       rounds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_philox_block_matches_numpy(seed, trials, rounds):
+    # the documented stream of (trial, round): key [seed, trial ^ salt],
+    # counter [0, 0, round << 32, 0]; its first block is numpy's own
+    streams = TrialStreams(seed, trials)
+    for rnd in rounds:
+        for slot, trial in enumerate(trials):
+            philox = np.random.Philox(
+                key=np.array([seed, trial ^ _SALT], dtype=np.uint64),
+                counter=np.array([0, 0, rnd << 32, 0], dtype=np.uint64))
+            block = streams.gradient(rnd, slot).bit_generator.random_raw(4)
+            assert np.array_equal(block, philox.random_raw(4)), (rnd, slot)
+
+
+def test_gradient_words_match_each_site_stream():
+    seed, trials = 2**64 - 1, [3, 0, 8]
+    streams = TrialStreams(seed, trials)
+    # switching trials and rounds at every call, after draws that leave a
+    # 32-bit half or a partly used block behind, and between init streams
+    for rnd, slot in [(12, 2), (0, 0), (12, 2), (4, 1), (2**32 - 1, 0), (4, 1)]:
+        gen = streams.gradient(rnd, slot)
+        words = gen.bit_generator.random_raw(9)  # across a block boundary
+        assert np.array_equal(words, fresh_stream(seed, trials[slot], rnd)
+                              .bit_generator.random_raw(9)), (rnd, slot)
+        gen.integers(0, 5, size=3)
+        streams.init_state(slot, slot).integers(0, 5)
+        halves = streams.gradient(rnd, slot).integers(0, 2**31, size=5)
+        assert np.array_equal(halves, fresh_stream(seed, trials[slot], rnd)
+                              .integers(0, 2**31, size=5)), (rnd, slot)
+
+
 def _shard_sizes(n):
     return 2 + np.arange(n) % 3  # shards of 2, 3 and 4 rows
 
@@ -102,6 +140,59 @@ def test_oracle_draws_equal_a_fresh_generator_per_trial_and_round(kind, seed, tr
         assert alone.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=_U64, trials=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+       batch=st.booleans(), Q=st.integers(1, 8), n=st.integers(1, 4), p=st.integers(1, 13),
+       start=st.integers(0, 300))
+def test_gradient_normals_equal_each_sites_normals(seed, trials, batch, Q, n, p, start):
+    # one TrialStreams serving round after round, as a run uses it
+    oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
+    streams = TrialStreams(seed, trials if batch else trials[0], steps=Q)
+    for rnd in (start, start + 1, start + 2, start):
+        noise = oracle.draw(streams, rnd, Q)
+        assert noise.shape == (Q,) + streams.shape + (n, p) and not noise.flags.writeable
+        sites = noise.reshape(Q, -1, n, p)
+        for slot, trial in enumerate(streams.trials):
+            expected = fresh_stream(seed, trial, rnd).normal(0.0, 0.5 / np.sqrt(p),
+                                                             size=(Q, n, p))
+            assert sites[:, slot].tobytes() == expected.tobytes(), (rnd, slot)
+
+
+def test_round_integers_match_numpy_across_block_boundaries():
+    sizes = np.array([40, 41, 17, 23, 1000])  # at least the largest batch
+    shards = tuple((np.ones((s, 2)), np.ones(s)) for s in sizes)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    for b in (1, 2, 7, 8, 9, 17):
+        oracle = obj.LogisticOracle(obj.PartitionedDataset(shards=shards), "l2", 0.2, b)
+        expected = offsets[:, None] + fresh_stream(5, 1, 4).integers(
+            0, sizes[:, None], size=(4, len(sizes), b))
+        # 1 to 4 steps: their ends fall at every place in a Philox block
+        for Q in range(1, 5):
+            rows = oracle.draw(TrialStreams(5, 1), 4, Q)
+            assert rows.shape == (Q, len(sizes), b)
+            assert np.array_equal(rows, expected[:Q]), (b, Q)
+
+
+@pytest.mark.parametrize("p", [8, 12])
+def test_normal_sites_rarely_need_their_own_generator(monkeypatch, p):
+    # no site needs one: every gradient draw of a run goes through
+    # TrialStreams.gradient, once for each (trial, round)
+    calls = []
+    gradient = TrialStreams.gradient
+
+    def counted(self, rnd, slot=0):
+        calls.append((rnd, self.trials[slot]))
+        return gradient(self, rnd, slot)
+
+    monkeypatch.setattr(TrialStreams, "gradient", counted)
+    T, Q, trials, n = 40, 8, 8, 10
+    run_experiment(ExperimentConfig.from_mapping({
+        "topology.n": str(n), "objective.dim": str(p), "objective.sigma": "0.5",
+        "schedule": "figure1", "hyper.Q": str(Q), "run.T": str(T),
+        "run.trials": str(trials)}))
+    assert sorted(calls) == [(rnd, j) for rnd in range(T) for j in range(trials)]
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_a_draw_for_fewer_steps_is_the_leading_steps_of_a_draw_for_more(kind):
     oracle = _oracle(kind, 4)
@@ -112,7 +203,9 @@ def test_a_draw_for_fewer_steps_is_the_leading_steps_of_a_draw_for_more(kind):
             assert fewer.tobytes() == most[:Q].tobytes(), (rnd, Q)
 
 
-def test_round_draws_are_made_once_a_round_and_read_only():
+def test_gradient_words_are_served_from_read_only_chunks():
+    # a round's draws are one read-only block, the chunk every request for
+    # that round is served from
     made = []
 
     def draw(gen, steps):
