@@ -466,7 +466,7 @@ class QuadraticOracle(GradientOracle):
         self._Ab = np.einsum("ipq,iq->ip", A, b)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ipq,...q->...ip", self.A, x) - self._Ab
+        return (self.A @ x[..., None, :, None])[..., 0] - self._Ab
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's gradient noise, ``(Q, *streams.shape, n, p)``: what
@@ -486,7 +486,7 @@ class QuadraticOracle(GradientOracle):
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
-        G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)
+        G = (self.A @ (X - self.b)[..., None])[..., 0]
         return G if draws_step is None else np.add(G, draws_step, out=G)
 
     def opt_gap(self, X: np.ndarray) -> np.ndarray:

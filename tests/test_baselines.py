@@ -146,6 +146,33 @@ def test_kgt_complete_mixing_builds_drift_variates():
     assert np.abs(state["c"].mean(axis=0)).max() <= 1e-13
 
 
+def test_kgt_round_on_a_ring_equals_per_agent_arithmetic():
+    # a ring is not a complete graph: mixing a displacement that is not
+    # agent i's own at row i gives another round
+    n, p, Q = 5, 3, 2
+    mix = lmtsim.build_ring_mixing(n)
+    W = mix.weights
+    oracle = quad(n, p, seed=11)
+    rng = np.random.default_rng(11)
+    X, C = rng.normal(size=(n, p)), rng.normal(size=(n, p))
+    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.0, eta_w=0.0)
+    local, outer = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "kgt")
+    state = bl.baseline_round(bl.BaselineSpec(method="kgt", hp=hp),
+                              {"X": X, "c": C, "t": 0}, oracle, mix)
+    delta = []
+    for i in range(n):
+        y = X[i]
+        for _ in range(Q):
+            y = y - local * (oracle.A[i] @ (y - oracle.b[i]) + C[i])
+        delta.append(y - X[i])
+    for i in range(n):
+        mixed_x = sum(W[i, j] * X[j] for j in range(n))
+        mixed_delta = sum(W[i, j] * delta[j] for j in range(n))
+        assert np.abs(state["X"][i] - (mixed_x + outer * mixed_delta)).max() <= 1e-14
+        c_next = C[i] + (delta[i] - mixed_delta) / (Q * local)
+        assert np.abs(state["c"][i] - c_next).max() <= 1e-14
+
+
 def test_scaffold_zero_variates_is_parallel_sgd():
     n, p = 4, 3
     oracle = quad(n, p, seed=4)

@@ -258,8 +258,10 @@ def test_stochastic_gradient_matrix_matches_per_agent_calls():
     G = oracle.stochastic_gradient_matrix(X, oracle.draw(streams, 7, 2)[1])
     reference = local_reference(oracle, parts)
     sites = round_sites(99, 0, 7, 2, 3, lambda gen, i: reference.stochastic_gradient(i, X[i], gen))
+    # the minibatch sum runs in another order than the reference's: equal
+    # within 1e-15, a few ulp of these gradients of size up to 1
     for i in range(3):
-        assert np.allclose(G[i], sites[1][i], atol=1e-15)
+        assert np.allclose(G[i], sites[1][i], rtol=0, atol=1e-15)
 
 
 def _uneven_partition(sizes, p=3):
@@ -330,16 +332,47 @@ def test_logistic_rejected_sites_are_redrawn_from_their_streams():
 
 
 def test_quadratic_round_noise_matches_per_agent_calls():
-    oracle = obj.quadratic_pl_oracle(n=3, p=4, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
-    X = np.random.default_rng(5).normal(size=(3, 4))
-    draws = oracle.draw(TrialStreams(99, 0), 7, 2)
-    assert draws.shape == (2, 3, 4)
+    """Noisy gradients of one trial, and of a batch of trials, equal the
+    reference's per-agent ``A_i (x_i - b_i)`` plus its own normal draws,
+    bit for bit, at a p where einsum sums in another order than gemv."""
+    n, p, Q = 3, 10, 2
+    oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
     reference = local_reference(oracle)
-    sites = round_sites(99, 0, 7, 2, 3, lambda gen, i: reference.stochastic_gradient(i, X[i], gen))
-    for step in range(2):
-        G = oracle.stochastic_gradient_matrix(X, draws[step])
-        for i in range(3):
-            assert np.allclose(G[i], sites[step][i], atol=1e-15)
+    rng = np.random.default_rng(5)
+    for trials in [4, [4, 0, 9]]:
+        streams = TrialStreams(99, trials)
+        X = rng.normal(size=streams.shape + (n, p))
+        draws = oracle.draw(streams, 7, Q)
+        assert draws.shape == (Q,) + streams.shape + (n, p)
+        rows = X.reshape(-1, n, p)
+        expected = [round_sites(99, trial, 7, Q, n,
+                                lambda gen, i: reference.stochastic_gradient(i, x[i], gen))
+                    for trial, x in zip(streams.trials, rows)]
+        for step in range(Q):
+            G = oracle.stochastic_gradient_matrix(X, draws[step]).reshape(-1, n, p)
+            for slot in range(len(rows)):
+                for i in range(n):
+                    assert G[slot, i].tobytes() == expected[slot][step][i].tobytes()
+
+
+@pytest.mark.parametrize("p", [4, 8, 13])
+def test_quadratic_gradients_equal_per_agent_products_bit_for_bit(p):
+    """The stacked products equal ``A_i @ (x_i - b_i)`` and ``A_i @ x -
+    Ab_i`` agent by agent, without and with a leading trial axis; at p >= 8
+    einsum sums in another order than these gemv calls."""
+    n = 5
+    oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=2)
+    reference = local_reference(oracle)
+    rng = np.random.default_rng(3)
+    for shape in [(n, p), (3, n, p)]:
+        X = rng.normal(size=shape)
+        expected = [reference.gradient(i, x[i]) for x in X.reshape(-1, n, p) for i in range(n)]
+        assert oracle.stochastic_gradient_matrix(X, None).tobytes() == np.array(expected).tobytes()
+    # the constant term, with its b_i != 0, is the one the oracle sets up
+    for shape in [(p,), (2, p)]:
+        x = rng.normal(size=shape)
+        expected = [oracle.A[i] @ xt - oracle._Ab[i] for xt in x.reshape(-1, p) for i in range(n)]
+        assert oracle.full_gradients_at(x).tobytes() == np.array(expected).tobytes()
 
 
 def _assert_noise_matches_streams(oracle, Q, seed=99, trials=(4, 0, 9), t=7):

@@ -94,14 +94,18 @@ MUTANTS = (
      ["tests/test_objectives.py", "-k", "loss"]),
     # agent 0's quadratic gradient scaled by 1 + 1e-9
     ("src/lmtsim/objectives.py",
-     '        G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)\n',
-     '        G = np.einsum("ipq,...iq->...ip", self.A, X - self.b)\n'
+     "        G = (self.A @ (X - self.b)[..., None])[..., 0]\n",
+     "        G = (self.A @ (X - self.b)[..., None])[..., 0]\n"
      "        G[..., 0, :] *= 1 + 1e-9\n",
-     ["tests/test_golden.py", "-k", "quadratic"]),
+     ["tests/test_objectives.py", "-k", "quadratic"]),
+    # the quadratic's full gradients with their constant term added
+    ("src/lmtsim/objectives.py", "(self.A @ x[..., None, :, None])[..., 0] - self._Ab",
+     "(self.A @ x[..., None, :, None])[..., 0] + self._Ab",
+     ["tests/test_objectives.py::test_quadratic_gradients_equal_per_agent_products_bit_for_bit"]),
     # K-GT mixing a delta rolled by one agent
     ("src/lmtsim/baselines.py", "mixed_delta = W.weights @ delta",
      'mixed_delta = W.weights @ __import__("numpy").roll(delta, 1, axis=-2)',
-     ["tests/test_golden.py", "-k", "kgt"]),
+     ["tests/test_baselines.py::test_kgt_round_on_a_ring_equals_per_agent_arithmetic"]),
     # K-GT's corrections divided by Q alone
     ("src/lmtsim/baselines.py", "C_next = C + (delta - mixed_delta) / (Q * local)",
      "C_next = C + (delta - mixed_delta) / Q",
