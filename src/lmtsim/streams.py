@@ -52,7 +52,8 @@ class TrialStreams:
     def __init__(self, master_seed: int, trial, steps: int = 1):
         self.master_seed = int(master_seed)
         self.shape = np.shape(trial)
-        self.trials = tuple(int(j) for j in np.ravel(trial))
+        # as Python ints: numpy would read [0, 2**63 + 1] as float64
+        self.trials = (int(trial),) if self.shape == () else tuple(int(j) for j in trial)
         self._keys = np.stack([_key(self.master_seed, j) for j in self.trials])
         self._bg = np.random.Philox(counter=np.zeros(4, dtype=np.uint64), key=self._keys[0])
         self._gen = np.random.Generator(self._bg)

@@ -61,6 +61,16 @@ def test_batched_streams_match_each_trials_streams():
         assert np.array_equal(batch.init_state(agent, slot).normal(size=3), init.normal(size=3))
 
 
+def test_a_batch_keys_trials_above_2_63_as_their_solo_streams():
+    # numpy reads [0, 2**63 + 1] as float64, which rounds the large index
+    big = 2**63 + 1
+    batch = TrialStreams(0, [0, big])
+    assert batch.trials == (0, big)
+    for rnd in (0, 5):
+        alone = TrialStreams(0, big).gradient(rnd).normal(size=4)
+        assert batch.gradient(rnd, 1).normal(size=4).tobytes() == alone.tobytes()
+
+
 _SALT = 0x9E3779B97F4A7C15
 
 
