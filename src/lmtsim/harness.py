@@ -57,9 +57,9 @@ class ResultTable:
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(dg.TRACE_COLUMNS) + "\n")
-            for t, *values in zip(*(self.columns[name] for name in dg.TRACE_COLUMNS)):
-                cells = [str(int(t))] + [format(float(v), ".17g") for v in values]
-                fh.write(",".join(cells) + "\n")
+            line = "%d" + ",%.17g" * (len(dg.TRACE_COLUMNS) - 1) + "\n"
+            rows = zip(*(self.columns[name].tolist() for name in dg.TRACE_COLUMNS))
+            fh.write("".join(line % row for row in rows))
 
     @staticmethod
     def from_csv(path: str, label: str | None = None) -> "ResultTable":
