@@ -334,7 +334,7 @@ def test_logistic_rejected_sites_are_redrawn_from_their_streams():
 def test_quadratic_round_noise_matches_per_agent_calls():
     """Noisy gradients of one trial, and of a batch of trials, equal the
     reference's per-agent ``A_i (x_i - b_i)`` plus its own normal draws,
-    bit for bit, at a p where einsum sums in another order than gemv."""
+    bit for bit, at a p where a sum in another order than gemv's shows."""
     n, p, Q = 3, 10, 2
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=1)
     reference = local_reference(oracle)
@@ -358,8 +358,8 @@ def test_quadratic_round_noise_matches_per_agent_calls():
 @pytest.mark.parametrize("p", [4, 8, 13])
 def test_quadratic_gradients_equal_per_agent_products_bit_for_bit(p):
     """The stacked products equal ``A_i @ (x_i - b_i)`` and ``A_i @ x -
-    Ab_i`` agent by agent, without and with a leading trial axis; at p >= 8
-    einsum sums in another order than these gemv calls."""
+    Ab_i`` agent by agent, without and with a leading trial axis; from
+    p = 8 on, a sum in another order than gemv's shows."""
     n = 5
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.2, L=1.0, sigma=0.5, rng_seed=2)
     reference = local_reference(oracle)
