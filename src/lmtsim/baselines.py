@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lmt import HyperParams, agent_copies, local_steps
+import numpy as np
+
+from .lmt import HyperParams, agent_copies, local_draws, local_steps
 from .topology import MixingMatrix
 from .streams import TrialStreams
 
@@ -102,12 +104,15 @@ def _round_kgt(state, oracle, W, streams, Q, local, outer):
 
 
 def _round_pdsgdm(state, oracle, W, streams, Q, local, beta):
-    X = state["X"]
-    M = state["m"]
-    for draws_step in oracle.draw(streams, state["t"], Q):
-        G = oracle.stochastic_gradient_matrix(X, draws_step)
-        M = beta * M + G
-        X = X - local * M
+    X = state["X"].copy()
+    M = state["m"].copy()
+    for k, draws in local_draws(oracle, streams, state["t"], Q):
+        # views of the stepping points
+        X_k, M_k, local_k = X[k], M[k], np.asarray(local)[k]
+        for draws_step in draws:
+            G = oracle.stochastic_gradient_matrix(X_k, draws_step)
+            M_k[...] = beta * M_k + G
+            X_k -= local_k * M_k
     return {"X": W.weights @ X, "t": state["t"] + 1, "m": W.weights @ M}
 
 
@@ -119,9 +124,12 @@ def _round_scaffold(state, oracle, W, streams, Q, local, outer):
     Y = agent_copies(x, n)
     # its own loop: local_steps would form G + (c - C), which rounds
     # differently from G - C + c
-    for draws_step in oracle.draw(streams, state["t"], Q):
-        G = oracle.stochastic_gradient_matrix(Y, draws_step)
-        Y = Y - local * (G - C + c[..., None, :])
+    for k, draws in local_draws(oracle, streams, state["t"], Q):
+        # views of the stepping points
+        Y_k, C_k, c_k, local_k = Y[k], C[k], c[k][..., None, :], np.asarray(local)[k]
+        for draws_step in draws:
+            G = oracle.stochastic_gradient_matrix(Y_k, draws_step)
+            Y_k -= local_k * (G - C_k + c_k)
     delta_y = Y - x[..., None, :]
     C_next = C - c[..., None, :] + (x[..., None, :] - Y) / (Q * local)
     x_next = x + outer * delta_y.mean(axis=-2)

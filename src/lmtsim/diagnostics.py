@@ -66,20 +66,32 @@ def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
 
     Consensus terms use the realized ``|Pi x|^2`` and ``|Pi y|^2`` of this
     trajectory in place of their expectation-level upper bounds.  The
-    trajectory terms may be arrays, one entry per trial.
+    trajectory terms may be arrays, one entry per trial, or per point and
+    trial for a stack's ``hp``, whose every point's weights are its own
+    ``HyperParams``' floats.
     """
-    eta_hat = hp.eta_hat
+    weights = [_surrogate_weights(Q, eta_a, hp, L, rho_w, n)
+               for Q, eta_a in zip(np.ravel(hp.Q).tolist(), np.ravel(hp.eta_a).tolist())]
+    if np.ndim(hp.Q) == 0:
+        (weights,) = weights
+    else:  # one row per weight, then the point axis of ``gap``
+        weights = np.array(weights).T.reshape((4, -1) + (1,) * (np.ndim(gap) - 1))
+    z_bar, x, y, z = weights
+    return gap + z_bar * z_bar_sq + x * consensus_x + y * consensus_y + z * z_dev
+
+
+def _surrogate_weights(Q: int, eta_a: float, hp: HyperParams, L: float, rho_w: float,
+                       n: int) -> tuple[float, float, float, float]:
+    """The weights of ``|z_bar|^2``, ``|Pi x|^2``, ``|Pi y|^2`` and ``z_dev``
+    in :func:`lyapunov_surrogate` at one point's ``Q`` and ``eta_a``."""
+    eta_hat = eta_a * hp.eta_s * Q
     one_minus_beta = 1.0 - hp.beta
     one_minus_rho = 1.0 - rho_w
-    aq2 = hp.eta_a ** 2 * hp.Q ** 2
-    return (
-        gap
-        + 4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3 * z_bar_sq
-        + 11.0 * eta_hat * L * L / (n * one_minus_rho) * consensus_x
-        + 21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho) * consensus_y
-        + 6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L
-        / (n * one_minus_beta) * z_dev
-    )
+    aq2 = eta_a ** 2 * Q ** 2
+    return (4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3,
+            11.0 * eta_hat * L * L / (n * one_minus_rho),
+            21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho),
+            6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L / (n * one_minus_beta))
 
 
 # numpy's error state is context-local and a worker thread starts from the
@@ -131,10 +143,13 @@ def round_metrics(oracle, hp: HyperParams, mix: MixingMatrix, state: dict, new: 
     dev = state["Z"] - grads_at_mean
     row["z_dev"] = np.add.reduce(dev * dev, (-2, -1))
     if carry is None:
-        row["d_bar_drift"] = np.zeros(len(x_bar))
+        row["d_bar_drift"] = np.zeros(x_bar.shape[:-1])
     else:
         d_prev, r_bar_prev = carry
-        resid = d_bar - (d_prev - hp.eta_hat * r_bar_prev)
+        eta_hat = hp.eta_hat
+        if np.ndim(eta_hat):  # a stack's, shaped (P, 1, 1, 1) to meet its states
+            eta_hat = eta_hat.reshape(eta_hat.shape[:r_bar_prev.ndim])
+        resid = d_bar - (d_prev - eta_hat * r_bar_prev)
         row["d_bar_drift"] = np.sqrt(squared_norms(resid))
     row["consensus_y"] = consensus_error(new["Y"])
     if d_bar_gap is not None:

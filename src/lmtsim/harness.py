@@ -203,24 +203,30 @@ def _gap_on_worker(oracle: obj.GradientOracle) -> bool:
 
 
 def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
-                  oracle: obj.GradientOracle, hp: lmt.HyperParams,
+                  oracle: obj.GradientOracle, hps: list[lmt.HyperParams],
                   streams: TrialStreams, worker):
-    """The rounds of one point, one a step of this generator, which returns
-    the per-round metrics of the trials of ``streams`` (one row per trial,
-    one column per round), and each trial's first round whose metrics the
+    """The rounds of a stack of points, one a step of this generator: the
+    points of ``cfg``'s method with hyperparameters ``hps``, whose ``Q``
+    must not increase, run as one state whose leading axes are points,
+    then the trials of ``streams`` (:func:`lmt.init_state`).  It returns
+    one pair per point: its per-round metrics (one row per trial, one
+    column per round), and each trial's first round whose metrics the
     method defines are not finite, or ``T`` if only the iterates of the
     last round are not (None if every round's are).  A trial's rows from
     that round on are NaN; the loop stops after the round in which the last
-    trial diverged.  Given ``worker``, an executor, round t + 1's
-    :func:`diagnostics.input_metrics` is queued on it as soon as round t
-    has returned its state, and round t's metrics and stop still come
-    before round t + 1 runs."""
-    k = len(streams.trials)
-    out = {name: np.full((k, cfg.T), np.nan) for name in _METRICS}
-    at = np.full(k, cfg.T + 1)  # each trial's divergence round, T + 1 for none
+    trial of the last point diverged.  Given ``worker``, an executor, round
+    t + 1's :func:`diagnostics.input_metrics` is queued on it as soon as
+    round t has returned its state, and round t's metrics and stop still
+    come before round t + 1 runs."""
+    shape = (len(hps), len(streams.trials))
+    out = {name: np.full(shape + (cfg.T,), np.nan) for name in _METRICS}
+    at = np.full(shape, cfg.T + 1)  # each trial's divergence round, T + 1 for none
 
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
-    state = lmt.init_state(cfg.method, X0)
+    state = lmt.init_state(cfg.method, np.repeat(X0[None], len(hps), axis=0))
+    on_points = (-1,) + (1,) * X0.ndim
+    hp = replace(hps[0], Q=np.array([h.Q for h in hps]).reshape(on_points),
+                 eta_a=np.array([h.eta_a for h in hps]).reshape(on_points))
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
     carry = x_bar_prev = None
     if worker:
@@ -246,9 +252,10 @@ def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
             inputs = dg.input_metrics(oracle, hp, state, x_bar_prev)
         row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
         x_bar_prev, state = inputs[0], new
-        # ``row`` holds exactly the metrics the method defines
+        # ``row`` holds exactly the metrics the method defines, each of
+        # shape (points, trials), so the list is one array
         for name, values in row.items():
-            out[name][:, t] = values
+            out[name][..., t] = values
         bad = ~np.isfinite(list(row.values())).all(axis=0)
         at[bad & (at > cfg.T)] = t
         if (at <= t).all():
@@ -259,8 +266,9 @@ def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
     # so only those the last round returned need a check of their own
     at[(at > cfg.T) & ~np.isfinite(state["X"]).all(axis=(-2, -1))] = cfg.T
     for values in out.values():
-        values[np.arange(cfg.T) >= at[:, None]] = np.nan
-    return out, [int(a) if a <= cfg.T else None for a in at]
+        values[np.arange(cfg.T) >= at[..., None]] = np.nan
+    return [({name: values[k] for name, values in out.items()},
+             [int(a) if a <= cfg.T else None for a in at[k]]) for k in range(len(hps))]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -280,14 +288,17 @@ def _run_group(cfg: ExperimentConfig, points_of,
     """The tables of the ``(cfg, label)`` points that ``points_of`` makes
     from the mixing matrix and oracle built from ``cfg``, points that
     differ from it only in what :func:`resolve_hyperparams` and the rounds
-    read.  All of it runs on one OpenBLAS thread; the points' rounds run
-    side by side (:func:`_point_rounds`, one round of every live point
-    before the next round of any) on one :class:`TrialStreams` and gap
-    worker.  Each point's ``meta.txt`` lists the warnings of the build, of
-    its hyperparameters and of its rounds, not those of ``points_of``; all
-    reach the caller, each once, when the group ends.  After all rounds,
-    each point writes its outputs and, given ``progress`` (its first index
-    and the sweep's size), a line with the seconds since the group began."""
+    read.  All of it runs on one OpenBLAS thread, on one
+    :class:`TrialStreams` and gap worker.  The points that share their
+    method, ``eta_s``, ``beta`` and ``eta_w`` (the points of a Q sweep) run
+    as one stack, by their ``Q`` from the largest down
+    (:func:`_point_rounds`); the stacks run side by side, one round of
+    every live stack before the next round of any.  Each point's
+    ``meta.txt`` lists the warnings of the build, of its hyperparameters
+    and of its stack's rounds, not those of ``points_of``; all reach the
+    caller, each once, when the group ends.  After all rounds, each point
+    writes its outputs and, given ``progress`` (its first index and the
+    sweep's size), a line with the seconds since the group began."""
     started = time.perf_counter()
     raised = []
     try:
@@ -304,27 +315,35 @@ def _run_group(cfg: ExperimentConfig, points_of,
                 with warnings.catch_warnings():
                     hps.append(resolve_hyperparams(point, oracle, mix))
                 heard.append(shared + raised[seen:])
-            streams = TrialStreams(cfg.seed, list(range(cfg.trials)), max(h.Q for h in hps))
+            streams = TrialStreams(cfg.seed, list(range(cfg.trials)))
             worker = None
             if threaded := _gap_on_worker(oracle):
                 from concurrent.futures import ThreadPoolExecutor
                 worker = ThreadPoolExecutor(max_workers=1)
-            live = {j: _point_rounds(point, mix, oracle, hp, streams, worker)
-                    for j, ((point, _), hp) in enumerate(zip(points, hps))}
+            stacks = {}
+            for j in sorted(range(len(points)), key=lambda j: -hps[j].Q):
+                hp = hps[j]
+                stacks.setdefault((points[j][0].method, hp.eta_s, hp.beta, hp.eta_w),
+                                  []).append(j)
+            live = {tuple(js): _point_rounds(points[js[0]][0], mix, oracle,
+                                             [hps[j] for j in js], streams, worker)
+                    for js in stacks.values()}
             results = [None] * len(points)
             try:
                 # entered here, since a generator entering it across a
-                # ``yield`` would reset it under the other points
+                # ``yield`` would reset it under the other stacks
                 with np.errstate(over="ignore", invalid="ignore"):
                     while live:
-                        for j, run in list(live.items()):
+                        for js, run in list(live.items()):
                             seen = len(raised)
                             try:
                                 next(run)
                             except StopIteration as stop:
-                                results[j] = stop.value
-                                del live[j]
-                            heard[j] += raised[seen:]
+                                for j, result in zip(js, stop.value):
+                                    results[j] = result
+                                del live[js]
+                            for j in js:
+                                heard[j] += raised[seen:]
             finally:
                 # a gap queued for a round that never runs belongs to no
                 # row, so it is dropped unread, with any exception it raised

@@ -36,6 +36,11 @@ class HyperParams:
     momentum coefficient, ``eta_w`` the consensus-acceleration weight.
     The composite step ``eta_hat = eta_a * eta_s * Q`` governs the motion
     of the averaged iterate.
+
+    A stack of points run as one (see :func:`init_state`) holds ``Q`` and
+    ``eta_a`` as arrays on its point axis, each entry the very value of
+    that point's own ``HyperParams``, shaped ``(P, 1, ..., 1)`` to meet
+    its states, with ``Q`` not increasing along it.
     """
 
     Q: int
@@ -45,9 +50,14 @@ class HyperParams:
     eta_w: float
 
     def __post_init__(self) -> None:
-        if self.Q < 1:
+        Q, eta_a = self.Q, self.eta_a
+        if isinstance(Q, np.ndarray):  # a stack's: checked at its smallest entries
+            if np.any(np.diff(Q.ravel()) > 0):
+                raise ValueError(f"a stack's Q must not increase, got {Q.ravel()}")
+            Q, eta_a = Q.min(), eta_a.min()
+        if Q < 1:
             raise ValueError(f"Q must be >= 1, got {self.Q}")
-        if self.eta_a <= 0 or self.eta_s <= 0:
+        if eta_a <= 0 or self.eta_s <= 0:
             raise ValueError(f"step sizes must be positive, got "
                              f"eta_a={self.eta_a}, eta_s={self.eta_s}")
         if not 0.0 <= self.beta < 1.0:
@@ -72,9 +82,12 @@ def init_state(method: str, X0: np.ndarray) -> dict:
     server and agent variates ``c_server`` and ``c`` for scaffold.  Round
     functions return a new state and leave their input unchanged.
 
-    ``X0`` of shape ``(..., n, p)`` starts a batch of independent trials:
+    ``X0`` of shape ``(..., n, p)`` starts a batch of independent runs:
     every array of the state then carries the same leading axes, and each
-    round acts on every trial's slice exactly as on that trial alone.
+    round acts on every run's slice exactly as on that run alone.  The
+    harness's leading axes are points, then trials: ``(P, trials, n, p)``,
+    the points stepped by one :class:`HyperParams` with their ``Q`` and
+    ``eta_a`` on the point axis.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim < 2:
@@ -104,23 +117,47 @@ def agent_copies(x: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(x[..., None, :], n, axis=-2)
 
 
-def local_steps(X: np.ndarray, shift: np.ndarray | None, eta: float, oracle,
-                streams: TrialStreams | None, t: int, Q: int):
+def local_draws(oracle, streams: TrialStreams | None, t: int, Q):
+    """The draws of the local steps of round ``t`` in runs of steps, each
+    with the index of the points that take them: one run of every point
+    (``...``) for one int ``Q``; for a stack's ``Q``, which does not
+    increase along its point axis, one run from each distinct ``Q`` to the
+    next, taken by the leading points whose ``Q`` exceeds its first step,
+    so that each point takes exactly its own ``Q`` steps on the draws it
+    would take alone."""
+    if np.ndim(Q) == 0:
+        yield ..., oracle.draw(streams, t, Q)
+        return
+    qs = np.ravel(Q).tolist()
+    draws = oracle.draw(streams, t, qs[0])
+    ends = sorted(set(qs))
+    for start, stop in zip([0] + ends, ends):
+        yield slice(sum(q > start for q in qs)), draws[start:stop]
+
+
+def local_steps(X: np.ndarray, shift: np.ndarray | None, eta, oracle,
+                streams: TrialStreams | None, t: int, Q):
     """Run ``Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
 
     ``G`` stacks the agents' stochastic gradients at the current local
     iterates, from the step's entry of the draws of round ``t``;
-    ``shift=None`` takes plain stochastic-gradient steps.  Returns
+    ``shift=None`` takes plain stochastic-gradient steps.  ``eta`` and
+    ``Q`` are numbers, or a stack's arrays (:func:`local_draws`).  Returns
     ``(X_Q, G_sum)``: the end points and the sum of the drawn gradients.
     """
+    X = X.copy()
     G_sum = np.zeros_like(X)
-    for draws_step in oracle.draw(streams, t, Q):
-        G = oracle.stochastic_gradient_matrix(X, draws_step)
-        G_sum += G
-        if shift is not None:  # in the oracle's new array, as (G + shift) * eta
-            G += shift
-        G *= eta
-        X = X - G
+    for k, draws in local_draws(oracle, streams, t, Q):
+        # views of the points that take these steps
+        X_k, G_sum_k, eta_k = X[k], G_sum[k], np.asarray(eta)[k]
+        shift_k = None if shift is None else shift[k]
+        for draws_step in draws:
+            G = oracle.stochastic_gradient_matrix(X_k, draws_step)
+            G_sum_k += G
+            if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta
+                G += shift_k
+            G *= eta_k
+            X_k -= G
     return X, G_sum
 
 
@@ -198,16 +235,20 @@ def naive_local_momentum_round(state: dict, oracle, W: MixingMatrix,
     ``Q > 1`` with momentum it loses the variance damping of the
     aggregated update and settles at a higher noise floor.
     """
-    X_cur = state["X"]
-    Z_run = state["Z"]
+    X_cur = state["X"].copy()
+    Z_run = state["Z"].copy()
     M_sum = np.zeros_like(X_cur)
     G_sum = np.zeros_like(X_cur)
-    for draws_step in oracle.draw(streams, state["t"], hp.Q):
-        G = oracle.stochastic_gradient_matrix(X_cur, draws_step)
-        G_sum += G
-        Z_run = hp.beta * Z_run + (1.0 - hp.beta) * G
-        M_sum += Z_run
-        X_cur = X_cur - hp.eta_a * (Z_run + state["C"])
+    for k, draws in local_draws(oracle, streams, state["t"], hp.Q):
+        # views of the points that take these steps
+        X_k, Z_k, M_sum_k, G_sum_k = X_cur[k], Z_run[k], M_sum[k], G_sum[k]
+        eta_k, C_k = np.asarray(hp.eta_a)[k], state["C"][k]
+        for draws_step in draws:
+            G = oracle.stochastic_gradient_matrix(X_k, draws_step)
+            G_sum_k += G
+            Z_k[...] = hp.beta * Z_k + (1.0 - hp.beta) * G
+            M_sum_k += Z_k
+            X_k -= eta_k * (Z_k + C_k)
     return _track_and_mix(state, M_sum / hp.Q, Z_run, G_sum / hp.Q, W, hp)
 
 

@@ -45,11 +45,10 @@ class TrialStreams:
     return a *borrowed* generator that is only valid until the next call on
     the same ``TrialStreams``.  It produces exactly the draws of a new
     ``np.random.Philox`` whose counter encodes the stream; reusing one
-    underlying Philox object merely avoids construction cost.  ``steps`` is
-    the most local steps a round asks for, if known.
+    underlying Philox object merely avoids construction cost.
     """
 
-    def __init__(self, master_seed: int, trial, steps: int = 1):
+    def __init__(self, master_seed: int, trial):
         self.master_seed = int(master_seed)
         self.shape = np.shape(trial)
         # as Python ints: numpy would read [0, 2**63 + 1] as float64
@@ -72,7 +71,6 @@ class TrialStreams:
         self._slot = 0
         # ((round, draw), block) of the last round's draws
         self._cache = None
-        self._steps = steps
 
     def _reseat(self, agent: int, rnd: int, purpose: int, slot: int) -> np.random.Generator:
         if slot != self._slot:
@@ -95,20 +93,19 @@ class TrialStreams:
         """The draws ``draw`` makes for the first ``steps`` local steps of
         round ``rnd``, ``(steps, *shape, ...)``, read-only.
 
-        ``draw(gen, most)`` makes one trial's draws for ``most`` steps, laid
-        out (step, agent, ...), from that trial's stream :meth:`gradient`.
-        Every trial's draws are made once a round, for the most steps asked
-        for so far, and kept until a request for another round or ``draw``:
-        a request for fewer steps takes their leading steps, which are the
-        draws of a request for as many.
+        ``draw(gen, steps)`` makes one trial's draws for ``steps`` steps,
+        laid out (step, agent, ...), from that trial's stream :meth:`gradient`.
+        Every trial's draws are made together and kept until a request for
+        another round, another ``draw`` or more steps: a request for fewer
+        steps takes their leading steps, which are the draws of a request
+        for as many.
         """
         if self._cache is not None:
             (cached_rnd, cached_draw), block = self._cache
             if cached_rnd == rnd and cached_draw == draw and steps <= len(block):
                 return block[:steps]
-        self._steps = most = max(steps, self._steps)
-        drawn = [draw(self.gradient(rnd, slot), most) for slot in range(len(self.trials))]
-        block = np.stack(drawn, axis=1).reshape((most,) + self.shape + drawn[0].shape[1:])
+        drawn = [draw(self.gradient(rnd, slot), steps) for slot in range(len(self.trials))]
+        block = np.stack(drawn, axis=1).reshape((steps,) + self.shape + drawn[0].shape[1:])
         block.flags.writeable = False
         self._cache = (rnd, draw), block
         return block[:steps]

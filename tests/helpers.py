@@ -44,14 +44,15 @@ def run_point(cfg, mix, oracle, hp, trials):
     round loop's error state, with the gap on a worker thread wherever
     ``harness._gap_on_worker`` puts it."""
     worker = ThreadPoolExecutor(max_workers=1) if harness._gap_on_worker(oracle) else None
-    rounds = harness._point_rounds(cfg, mix, oracle, hp, TrialStreams(cfg.seed, trials),
+    rounds = harness._point_rounds(cfg, mix, oracle, [hp], TrialStreams(cfg.seed, trials),
                                    worker)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 next(rounds)
     except StopIteration as stop:
-        return stop.value
+        (point,) = stop.value
+        return point
     finally:
         if worker:
             worker.shutdown(cancel_futures=True)

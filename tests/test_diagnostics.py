@@ -96,6 +96,45 @@ def test_lyapunov_momentum_coefficient_cubic():
     assert lo / hi == pytest.approx(8.0, rel=1e-12)
 
 
+def test_a_stack_surrogate_equals_each_points_own_bit_for_bit():
+    # 64 points, whose composite steps' cubes numpy's vector power rounds
+    # otherwise than Python's for about one in twenty, and an eta_a whose
+    # square it rounds otherwise
+    rng = np.random.default_rng(4)
+    Q = np.sort(rng.integers(1, 9, 64))[::-1]
+    eta_a = np.concatenate([[0.9382184312295399], rng.uniform(1e-3, 1.0, 63)])
+    terms = {name: rng.uniform(0.0, 2.0, (64, 3))
+             for name in ("gap", "z_bar_sq", "consensus_x", "consensus_y", "z_dev")}
+    on_points = (-1, 1, 1, 1)
+    stack = lmt.HyperParams(Q=Q.reshape(on_points), eta_a=eta_a.reshape(on_points),
+                            eta_s=0.3, beta=0.6, eta_w=0.5)
+    got = dg.lyapunov_surrogate(hp=stack, L=1.5, rho_w=0.7, n=5, **terms)
+    for k in range(64):
+        hp = lmt.HyperParams(Q=int(Q[k]), eta_a=float(eta_a[k]), eta_s=0.3, beta=0.6,
+                             eta_w=0.5)
+        own = dg.lyapunov_surrogate(hp=hp, L=1.5, rho_w=0.7, n=5,
+                                    **{name: v[k] for name, v in terms.items()})
+        assert got[k].tobytes() == own.tobytes(), k
+
+
+def test_each_round_metric_has_the_leading_shape_of_the_state():
+    # points, then trials: a round-0 d_bar_drift of shape (2,) once broke
+    # the stack's finiteness check
+    n, p = 5, 3
+    mix = lmtsim.build_ring_mixing(n)
+    oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.3, L=1.0, sigma=0.0, rng_seed=8)
+    hp = make_hp(beta=mix.rho_w)
+    state = lmt.init_state("lmt", np.random.default_rng(2).normal(size=(2, 3, n, p)))
+    carry = x_bar_prev = None
+    for _ in range(2):
+        new = lmt.lmt_round(state, oracle, mix, hp)
+        inputs = dg.input_metrics(oracle, hp, state, x_bar_prev)
+        row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
+        assert len(row) == 7
+        assert {name: np.shape(v) for name, v in row.items()} == {name: (2, 3) for name in row}
+        x_bar_prev, state = inputs[0], new
+
+
 def test_solve_f_star_quadratic_matches_closed_form():
     oracle = obj.quadratic_pl_oracle(n=6, p=5, mu_min=0.3, L=1.0, sigma=0.0,
                                      rng_seed=3)

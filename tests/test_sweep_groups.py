@@ -25,13 +25,16 @@ def config(text, **overrides):
                                **overrides)
 
 
-# beta = 0 lies below rho_w, so lmt, naive_lmt and pdsgdm points each warn
+# beta = 0 lies below rho_w, so lmt, naive_lmt and pdsgdm points each warn;
+# the points of a diverging Q sweep diverge at different rounds
 SETUPS = {
     "quadratic": (lambda: config(QUAD_CFG, beta=0.0, T=12), None),
     "logistic_worker": (lambda: config(LOGISTIC_CFG.format(batch=1), beta=0.0), {0, 1}),
     "logistic_inline": (lambda: config(LOGISTIC_CFG.format(batch=1), beta=0.0), {0}),
+    "diverging": (lambda: config(DIVERGING_TRIALS_CFG.format(T=60), beta=0.0), None),
 }
-AXES = {"Q": [1, 2, 3], "n": [4, 5], "method": list(METHOD_CHOICES)}
+# Q out of order: a Q sweep runs as one stack, by Q from the largest down
+AXES = {"Q": [2, 8, 1, 4], "n": [4, 5], "method": list(METHOD_CHOICES)}
 
 
 def solo_points(cfg, axis, values):
@@ -58,55 +61,67 @@ def test_every_sweep_point_writes_what_it_writes_alone(setup, axis, tmp_path, mo
     make, cpus = SETUPS[setup]
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    cfg = make()
     values = AXES[axis]
-    # shown once per place within a record, as by default: each point still
-    # records the warning of the point before it
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("default")
-        tables, _ = run_sweep(dataclasses.replace(cfg, outdir=str(tmp_path / "sweep")),
-                              axis, values)
-        progress = capsys.readouterr().err.splitlines()
-        warned = 0
-        for k, (label, point) in enumerate(solo_points(cfg, axis, values)):
-            name = f"point_{axis}_{label.replace('=', '')}"
-            alone = run_experiment(dataclasses.replace(point, outdir=str(tmp_path / name)),
-                                   label=label)
-            assert tables[k].label == alone.label == label
-            assert tables[k].diverged_at == alone.diverged_at
-            for out in ("trace.csv", "meta.txt"):
-                assert ((tmp_path / "sweep" / name / out).read_bytes()
-                        == (tmp_path / name / out).read_bytes()), (name, out)
-            warned += "warnings = 1" in (tmp_path / name / "meta.txt").read_text()
-            assert re.fullmatch(rf"sweep {re.escape(label)}: point {k + 1}/{len(values)} "
-                                rf"done in \d+\.\d\d s", progress[k]), progress[k]
-    assert len(progress) == len(values)
+    # a Q sweep of every method, each one stack
+    methods = METHOD_CHOICES if axis == "Q" else [make().method]
+    warned = 0
+    for method in methods:
+        cfg = dataclasses.replace(make(), method=method)
+        out = tmp_path / method
+        # shown once per place within a record, as by default: each point
+        # still records the warning of the point before it
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("default")
+            tables, _ = run_sweep(dataclasses.replace(cfg, outdir=str(out / "sweep")),
+                                  axis, values)
+            progress = capsys.readouterr().err.splitlines()
+            for k, (label, point) in enumerate(solo_points(cfg, axis, values)):
+                name = f"point_{axis}_{label.replace('=', '')}"
+                alone = run_experiment(dataclasses.replace(point, outdir=str(out / name)),
+                                       label=label)
+                assert tables[k].label == alone.label == label
+                assert tables[k].diverged_at == alone.diverged_at
+                for file in ("trace.csv", "meta.txt"):
+                    assert ((out / "sweep" / name / file).read_bytes()
+                            == (out / name / file).read_bytes()), (method, name, file)
+                warned += "warnings = 1" in (out / name / "meta.txt").read_text()
+                assert re.fullmatch(rf"sweep {re.escape(label)}: point {k + 1}/{len(values)} "
+                                    rf"done in \d+\.\d\d s", progress[k]), progress[k]
+        assert len(progress) == len(values)
+        if setup == "diverging" and axis == "Q":
+            assert len({table.diverged_at for table in tables} - {None}) == len(values)
     # the warnings path is exercised: lmt points warn, led points do not
-    assert 0 < warned <= len(values)
+    assert 0 < warned <= len(values) * len(methods)
     if setup == "logistic_worker":
-        meta = (tmp_path / "sweep" / name / "meta.txt").read_text().splitlines()
+        meta = (out / "sweep" / name / "meta.txt").read_text().splitlines()
         assert "gap_thread = worker" in meta
 
 
 def test_a_warning_a_round_raises_is_listed_by_its_point_only(tmp_path, monkeypatch):
+    # each method of a method sweep is a stack of its own, so only the lmt
+    # point lists what an lmt round raises; every point of a Q sweep is in
+    # one stack, whose rounds step them all, so each lists it once
     lmt_round = lmt.lmt_round
 
     def warning(state, oracle, mix, hp, rounds_streams):
-        if hp.Q == 2 and state["t"] == 3:
-            warnings.warn("round 3 of Q = 2")
+        if state["t"] == 3:
+            warnings.warn("round 3 of lmt")
         return lmt_round(state, oracle, mix, hp, rounds_streams)
 
     monkeypatch.setattr(lmt, "lmt_round", warning)
     cfg = config(QUAD_CFG, T=6)
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("default")
-        run_sweep(dataclasses.replace(cfg, outdir=str(tmp_path / "sweep")), "Q", [1, 2, 4])
-        for label, point in solo_points(cfg, "Q", [1, 2, 4]):
-            name = f"point_Q_{label.replace('=', '')}"
-            run_experiment(dataclasses.replace(point, outdir=str(tmp_path / name)))
-            meta = (tmp_path / name / "meta.txt").read_text()
-            assert (tmp_path / "sweep" / name / "meta.txt").read_text() == meta
-            assert ("warning_1 = round 3 of Q = 2" in meta) == (label == "Q=2")
+    for axis, values in (("method", ["lmt", "led", "kgt"]), ("Q", [2, 4, 1])):
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("default")
+            run_sweep(dataclasses.replace(cfg, outdir=str(tmp_path / "sweep")), axis, values)
+            for label, point in solo_points(cfg, axis, values):
+                name = f"point_{axis}_{label.replace('=', '')}"
+                run_experiment(dataclasses.replace(point, outdir=str(tmp_path / name)))
+                meta = (tmp_path / name / "meta.txt").read_text()
+                assert (tmp_path / "sweep" / name / "meta.txt").read_text() == meta
+                steps_lmt = axis == "Q" or label == "lmt"
+                assert meta.count("round 3 of lmt") == steps_lmt, label
+                assert ("warnings = 1\n" in meta) == steps_lmt, label
 
 
 def _heard(run):
@@ -189,9 +204,9 @@ def test_a_chunk_serves_every_request_for_as_many_or_fewer_steps(monkeypatch):
     quadratic = build_oracle(config(QUAD_CFG), 5)
     logistic = build_oracle(config(LOGISTIC_CFG.format(batch=2)), 5)
     for oracle in (quadratic, logistic):
-        shared = TrialStreams(1, [0, 3], 8)
+        shared = TrialStreams(1, [0, 3])
         for rnd in range(40):
-            for steps in (1, 8, 2, 4):
+            for steps in (8, 1, 2, 4):
                 calls.clear()
                 got = oracle.draw(shared, rnd, steps)
                 made = len(calls)
@@ -199,7 +214,7 @@ def test_a_chunk_serves_every_request_for_as_many_or_fewer_steps(monkeypatch):
                 assert got.shape == alone.shape == (steps, 2, 5) + got.shape[3:]
                 assert got.tobytes() == alone.tobytes(), (rnd, steps)
                 # the first request of a round draws for every trial
-                assert made == (2 if steps == 1 else 0)
+                assert made == (2 if steps == 8 else 0)
 
 
 def noisy_quad(**overrides):
@@ -207,8 +222,8 @@ def noisy_quad(**overrides):
 
 
 def test_a_q_sweep_computes_the_draws_of_its_largest_q(monkeypatch):
-    # its first round's draws are made for the largest Q, whichever point
-    # asks first
+    # each round's draws are made once, for the largest Q, whichever order
+    # the points come in
     calls = _count_streams(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -268,7 +283,7 @@ def test_a_failing_sweep_reraises_and_leaves_the_caller_as_it_was(where, caller_
         lmt_round = lmt.lmt_round
 
         def raising(state, oracle, mix, hp, rounds_streams):
-            if hp.Q == 2 and state["t"] == 2:
+            if 2 in np.ravel(hp.Q) and state["t"] == 2:
                 raise _RaisesInRound2
             return lmt_round(state, oracle, mix, hp, rounds_streams)
 

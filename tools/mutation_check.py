@@ -31,25 +31,36 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = (
     # the step scaled before its gradient is summed
     ("src/lmtsim/lmt.py",
-     "        G_sum += G\n"
-     "        if shift is not None:  # in the oracle's new array, as (G + shift) * eta\n"
-     "            G += shift\n"
-     "        G *= eta\n",
-     "        G *= eta\n"
-     "        G_sum += G\n"
-     "        if shift is not None:  # in the oracle's new array, as (G + shift) * eta\n"
-     "            G += shift\n",
+     "            G_sum_k += G\n"
+     "            if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta\n"
+     "                G += shift_k\n"
+     "            G *= eta_k\n",
+     "            G *= eta_k\n"
+     "            G_sum_k += G\n"
+     "            if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta\n"
+     "                G += shift_k\n",
      ["tests/test_lmt.py"]),
-    # the step subtracted in place, from the round's input iterates
-    ("src/lmtsim/lmt.py", "        X = X - G\n", "        X -= G\n",
+    # the steps taken in place, on the round's input iterates
+    ("src/lmtsim/lmt.py", "    X = X.copy()\n", "    X = np.asarray(X)\n",
      ["tests/test_properties.py::test_round_writes_into_no_array_of_its_input"]),
+    # a stack's local step also taken by the points whose Q it reached
+    ("src/lmtsim/lmt.py", "slice(sum(q > start for q in qs))",
+     "slice(sum(q >= start for q in qs))",
+     ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
+      "[quadratic-Q]"]),
+    # a stack's results handed back in the caller's order, not the stack's
+    ("src/lmtsim/harness.py", "for j, result in zip(js, stop.value):",
+     "for j, result in zip(sorted(js), stop.value):",
+     ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
+      "[quadratic-Q]"]),
+    # a stack's surrogate weights laid out by point, read as by weight
+    ("src/lmtsim/diagnostics.py", "np.array(weights).T.reshape(",
+     "np.array(weights).reshape(",
+     ["tests/test_diagnostics.py::test_a_stack_surrogate_equals_each_points_own_bit_for_bit"]),
     # the mean a caller passes ignored
     ("src/lmtsim/diagnostics.py",
      "(axis_mean(M, -2) if x_bar is None else x_bar)", "axis_mean(M, -2)",
      ["tests/test_diagnostics.py::test_consensus_error_measures_from_the_mean_it_is_given"]),
-    # a group's first round of draws made for its first point's Q
-    ("src/lmtsim/harness.py", "max(h.Q for h in hps)", "hps[0].Q",
-     ["tests/test_sweep_groups.py::test_a_q_sweep_computes_the_draws_of_its_largest_q"]),
     # a round's finiteness reduced over its trials instead of its metrics
     ("src/lmtsim/harness.py", "np.isfinite(list(row.values())).all(axis=0)",
      "np.isfinite(list(row.values())).all(axis=1)",
