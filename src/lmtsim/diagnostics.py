@@ -160,66 +160,40 @@ def round_metrics(oracle, hp: HyperParams, mix: MixingMatrix, state: dict, new: 
     return row, (d_bar, axis_mean(new["G_avg"], -2))
 
 
-#: gradient-norm target and iteration budget of :func:`solve_f_star`
+#: gradient-norm target and Newton-step cap of :func:`solve_f_star`
 _F_STAR_TOL = 1e-10
-_F_STAR_MAX_ITER = 2_000_000
-#: the first iteration at which :func:`solve_f_star` projects its pace
-_F_STAR_PROBE = 1024
+_F_STAR_MAX_STEPS = 100
 
 
 def solve_f_star(oracle) -> float:
-    """High-accuracy centralized minimum of the global objective.
+    """Centralized minimum of a strongly convex global objective (ridge
+    logistic): damped Newton from the origin on ``oracle.global_hessian``,
+    backtracking on ``global_value`` (Boyd and Vandenberghe, *Convex
+    Optimization*, section 9.5).
 
-    Deterministic full-gradient descent from the origin with a fixed step,
-    run until the global gradient norm drops below 1e-10.  Intended for
-    strongly convex objectives (ridge-regularized logistic); raises if the
-    tolerance is not reached, or, from iteration 1024 on, as soon as
-    :func:`_projected_iterations` puts the gradient norm's fall to the
-    larger of the tolerance and ``mu |x|`` beyond the budget.  On data that
-    a hyperplane separates, the norm falls like ``1 / k`` until about
-    ``mu |x|``, where the ridge takes over.
+    Returns ``F(x)`` at the first iterate with gradient norm ``|g| <= 1e-10``
+    and Newton decrement ``g' H^-1 g <= 2 eps |F(x)|`` under the Hessian ``H``
+    of the step that reached it: the decrement, about twice ``F(x) - f_star``,
+    certifies a tiny minimum where the norm does not.  Raises RuntimeError
+    after 100 steps, and numpy's LinAlgError on a singular Hessian.
     """
-    mu = oracle.mu or 0.0
-    step = 2.0 / (oracle.L + mu) if mu else 1.0 / oracle.L
+    eps = np.finfo(float).eps
     x = np.zeros(oracle.dim)
-    at_half = drop = None  # the norm at the last power of two, and its log-drop
-    for k in range(1, _F_STAR_MAX_ITER + 1):
+    value = oracle.global_value(x)
+    H = None
+    for _ in range(_F_STAR_MAX_STEPS):
         g = oracle.global_gradient(x)
-        norm = math.sqrt(float(g @ g))
-        if norm <= _F_STAR_TOL:
-            return float(oracle.global_value(x))
-        if k & (k - 1) == 0:  # a power of two
-            last, drop = drop, math.log(at_half / norm) if at_half else None
-            at_half = norm
-            floor = max(_F_STAR_TOL, mu * math.sqrt(float(x @ x)))
-            if (k >= _F_STAR_PROBE and norm > floor
-                    and _projected_iterations(k, norm / floor, drop, last) > _F_STAR_MAX_ITER):
-                raise RuntimeError(
-                    f"full-gradient solve would not reach |grad| <= {_F_STAR_TOL} within "
-                    f"{_F_STAR_MAX_ITER} iterations at its pace (|grad| = {norm:.3g} "
-                    f"after {k})")
-        x = x - step * g
-    raise RuntimeError(f"full-gradient solve did not reach |grad| <= {_F_STAR_TOL} "
-                       f"within {_F_STAR_MAX_ITER} iterations")
-
-
-def _projected_iterations(k: int, ratio: float, drop: float, last: float) -> float:
-    """The iteration at which gradient descent will have cut the gradient
-    norm by ``ratio`` more than at iteration ``k``, if the log-drop of the
-    norm over each doubling of the iteration count keeps growing by the
-    factor ``drop / last`` (at least 1) of its last two: ``drop`` over
-    ``k / 2`` to ``k``, ``last`` over the doubling before.  A geometric rate
-    doubles the drop, so it is projected exactly; a norm that falls like
-    ``C / k`` keeps it at ``log 2``.  Infinite without progress, or beyond
-    the budget."""
-    if drop <= 0:
-        return math.inf
-    growth = max(1.0, drop / last) if last > 0 else 1.0
-    left = math.log(ratio)
-    while k <= _F_STAR_MAX_ITER:
-        drop *= growth
-        if left <= drop:  # within the next doubling, where the log falls linearly
-            return k * (1.0 + left / drop)
-        left -= drop
-        k *= 2
-    return math.inf
+        if (math.sqrt(float(g @ g)) <= _F_STAR_TOL and H is not None
+                and float(g @ np.linalg.solve(H, g)) <= 2.0 * eps * abs(value)):
+            return value
+        H = oracle.global_hessian(x)
+        step = np.linalg.solve(H, g)
+        decrement = float(g @ step)
+        # Armijo's test at a quarter of the decrement, until the drop it asks
+        # for is below the rounding of F, where every step size may fail it
+        t = 1.0
+        while ((new := oracle.global_value(x - t * step)) > value - t * decrement / 4
+               and t * decrement > 2.0 * eps * abs(value)):
+            t /= 2
+        x, value = x - t * step, new
+    raise RuntimeError(f"Newton's method did not converge within {_F_STAR_MAX_STEPS} steps")

@@ -65,14 +65,24 @@ class ResultTable:
     def from_csv(path: str, label: str | None = None) -> "ResultTable":
         """The table of a ``trace.csv``, labelled ``label`` or else by the name
         of its directory, the run's (such as a sweep point's ``point_Q_Q1``)."""
+        rows = []
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip().split(",")
             if tuple(header) != dg.TRACE_COLUMNS:
                 raise ValueError(f"{path}: unexpected trace header {header}")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                fields = line.strip().split(",")
+                try:
+                    if len(fields) != len(header):
+                        raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
+                    rows.append([float(c) for c in fields])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: empty trace")
-        data = np.array([[float(c) for c in row] for row in rows])
+        data = np.array(rows)
         columns = {name: data[:, j] for j, name in enumerate(dg.TRACE_COLUMNS)}
         default = os.path.basename(os.path.dirname(os.path.abspath(path)))
         return ResultTable(label=label or default, columns=columns)
@@ -88,7 +98,7 @@ def build_mixing(cfg: ExperimentConfig) -> tp.MixingMatrix:
 
 def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
     """The oracle of ``cfg`` over ``n`` agents, its ``f_star`` set whenever
-    it is known: closed form for the quadratic, one full-gradient solve for
+    it is known: closed form for the quadratic, one Newton solve for
     ridge logistic regression with ``rho > 0``."""
     if cfg.objective_kind == "quadratic_pl":
         try:
@@ -123,8 +133,8 @@ def build_oracle(cfg: ExperimentConfig, n: int) -> obj.GradientOracle:
     if cfg.rho > 0:
         try:
             oracle.f_star = dg.solve_f_star(oracle)
-        except RuntimeError as exc:
-            # the ridge sets the solve's condition number
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            # the ridge sets the Hessian's condition number
             raise ConfigError(f"objective.rho: {cfg.rho!r} is too small for this data: "
                               f"{exc}") from None
     return oracle

@@ -391,6 +391,17 @@ class LogisticOracle(GradientOracle):
             [np.mean(-self._log_expit(S @ x), axis=-1) for _, S in self._runs])
         return float(np.mean(losses + self._reg_values(x)))
 
+    def global_hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of the ridge (``l2``) global objective at one point x."""
+        s = self._expit(-(self._signed @ x))
+        curvature = self._global_weights * s * (1.0 - s)
+        H = self.coeff * np.eye(self.dim)
+        # 128 rows at a time: a scaled copy of all fig1's rows adds 2% to its peak memory
+        for i in range(0, len(s), 128):
+            rows = self._signed[i:i + 128]
+            H += rows.T @ (curvature[i:i + 128, None] * rows)
+        return H
+
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's minibatch rows, ``(Q, *streams.shape, n, batch)``
         indices into the stacked shards: each trial's
@@ -497,6 +508,10 @@ class QuadraticOracle(GradientOracle):
         ``F(x) - f_star`` is not."""
         root = (X - self.x_star) @ self._hessian_root
         return 0.5 * axis_mean(np.add.reduce(root * root, -1), -1)
+
+    def global_hessian(self, x: np.ndarray) -> np.ndarray:
+        """The global objective's Hessian, the same at every x."""
+        return self._hessian
 
     def global_value(self, x: np.ndarray) -> float:
         d = x[None, :] - self.b

@@ -72,6 +72,15 @@ def test_run_and_plot_commands(tmp_path, capsys):
                      "grad_norm_avg", "--out", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
 
+    # a ragged or non-numeric row is named by its file and line
+    trace = out / "trace.csv"
+    lines = trace.read_text().splitlines()
+    for last, fault in [(",".join(lines[-1].split(",")[:4]), "4 fields, the header has 10"),
+                        ("x" + lines[-1][1:], "could not convert string to float: 'x'")]:
+        trace.write_text("\n".join(lines[:-1] + [last]) + "\n")
+        assert cli.main(["plot", str(trace), "--out", str(svg)]) == 2
+        assert capsys.readouterr().err == f"error: {trace}:{len(lines)}: {fault}\n"
+
 
 def test_sweep_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
@@ -188,8 +197,9 @@ def test_sweep_rejects_a_bad_axis_value_before_any_point_runs(tmp_path, capsys, 
         # numpy's generators take no negative seed, while a negative run.seed runs
         ("objective.seed", QUICK_CFG + "objective.seed = -1\n"),
         ("objective.synthetic.seed", SIX_SAMPLES_CFG + "objective.synthetic.seed = -1\n"),
-        # separable data: the f_star solve's gradient norm falls like 1 / k
-        ("objective.rho", TINY_RIDGE_CFG)]])
+        # 8 samples cannot span 10 features, so the f_star solve's Hessian
+        # is singular once the ridge is below its rounding
+        ("objective.rho", TINY_RIDGE_CFG.replace("rho = 1e-12", "rho = 1e-100"))]])
 def test_out_of_range_keys_exit_2_before_any_round_runs(tmp_path, monkeypatch, capsys,
                                                         field, text):
     runs = []
@@ -212,10 +222,14 @@ def test_a_data_file_too_small_for_its_agents_or_batch_exits_2(tmp_path, capsys,
     assert f"error: {field}:" in capsys.readouterr().err
 
 
-def test_a_tiny_ridge_on_data_that_is_not_separable_runs(tmp_path):
-    # the data's own curvature lets the f_star solve converge in 0.02 s
-    text = (TINY_RIDGE_CFG.replace("samples = 8", "samples = 200")
-            .replace("features = 10", "features = 20"))
+# separable data, where only the ridge keeps the f_star solve's Hessian
+# nonsingular, and data whose own curvature does
+@pytest.mark.parametrize("samples, features, rho", [(8, 10, "1e-12"), (8, 10, "3e-7"),
+                                                    (200, 20, "1e-12")])
+def test_a_tiny_ridge_runs(tmp_path, samples, features, rho):
+    text = (TINY_RIDGE_CFG.replace("samples = 8", f"samples = {samples}")
+            .replace("features = 10", f"features = {features}")
+            .replace("rho = 1e-12", f"rho = {rho}"))
     assert cli.main(["run", write_cfg(tmp_path, text)]) == 0
 
 

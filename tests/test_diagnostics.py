@@ -142,19 +142,35 @@ def test_solve_f_star_quadratic_matches_closed_form():
     assert solved == pytest.approx(oracle.f_star, abs=1e-9)
 
 
-def test_solve_f_star_logistic_against_bfgs():
-    data = obj.make_synthetic_classification(60, 5, seed=2)
-    parts = obj.partition_heterogeneous(data, 4)
-    oracle = obj.LogisticOracle(parts, "l2", 0.2, None)
+# the goldens' data at agents=5; TINY_RIDGE_CFG's separable data, whose
+# Hessian is nearly singular at these ridges, and its 200 x 20 variant
+@pytest.mark.parametrize("samples, features, seed, agents, rho", [
+    pytest.param(60, 5, 2, 4, 0.2, id="60x5"),
+    pytest.param(60, 5, 2, 5, 0.2, id="golden"),
+    pytest.param(8, 10, 0, 4, 3e-7, id="8x10-3e-7"),
+    pytest.param(8, 10, 0, 4, 1e-12, id="8x10-1e-12"),
+    pytest.param(200, 20, 0, 4, 1e-12, id="200x20-1e-12")])
+def test_solve_f_star_logistic_against_trust_exact(samples, features, seed, agents, rho):
+    data = obj.make_synthetic_classification(samples, features, seed=seed)
+    oracle = obj.LogisticOracle(obj.partition_heterogeneous(data, agents), "l2", rho, None)
     solved = dg.solve_f_star(oracle)
-    res = scipy.optimize.minimize(oracle.global_value, np.zeros(5),
-                                  jac=oracle.global_gradient, method="BFGS",
-                                  options={"gtol": 1e-12})
-    assert solved == pytest.approx(float(res.fun), abs=1e-9)
+    # rho-strong convexity puts f_star within |g|^2 / (2 rho) below F at any
+    # point; BFGS stops too early for this bracket to close on 200 x 20
+    res = scipy.optimize.minimize(oracle.global_value, np.zeros(features),
+                                  jac=oracle.global_gradient, hess=oracle.global_hessian,
+                                  method="trust-exact", options={"gtol": 1e-15})
+    upper = oracle.global_value(res.x)
+    g = oracle.global_gradient(res.x)
+    lower = upper - float(g @ g) / (2.0 * rho)
+    # within a few ulp, the rounding of F itself: either solve may land a
+    # little above the other, by how much varies with the BLAS thread count
+    few_ulp = 4.0 * np.spacing(solved)
+    assert lower - few_ulp <= solved <= upper + few_ulp
+    assert upper - lower <= few_ulp
     # no probed point can beat the solved minimum
     rng = np.random.default_rng(1)
     for _ in range(20):
-        assert oracle.global_value(rng.normal(size=5)) >= solved - 1e-12
+        assert oracle.global_value(rng.normal(size=features)) >= solved - 1e-12
 
 
 def test_lyapunov_surrogate_monotone_on_deterministic_run():

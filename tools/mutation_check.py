@@ -121,6 +121,22 @@ MUTANTS = (
     ("src/lmtsim/baselines.py", "C_next = C + (delta - mixed_delta) / (Q * local)",
      "C_next = C + (delta - mixed_delta) / Q",
      ["tests/test_baselines.py"]),
+    # LMT's tracking tail replaced by a Local DSGD round at the same step
+    ("src/lmtsim/lmt.py", "    return _track_and_mix(state, Z_next, Z_next, G_avg, W, hp)\n",
+     "    X_Q, _ = local_steps(state[\"X\"], None, hp.eta_a * hp.eta_s, oracle, streams,\n"
+     "                         state[\"t\"], hp.Q)\n"
+     "    return {**state, \"X\": W.weights @ X_Q, \"t\": state[\"t\"] + 1}\n",
+     ["tests/test_acceptance.py::test_criterion_05_deterministic_pl_convergence"]),
+    # the ridge logistic Hessian without its ridge
+    ("src/lmtsim/objectives.py", "H = self.coeff * np.eye(self.dim)",
+     "H = np.zeros((self.dim, self.dim))",
+     ["tests/test_diagnostics.py", "-k", "f_star"]),
+    # the f_star solve stopped by the gradient norm alone
+    ("src/lmtsim/diagnostics.py",
+     "if (math.sqrt(float(g @ g)) <= _F_STAR_TOL and H is not None\n"
+     "                and float(g @ np.linalg.solve(H, g)) <= 2.0 * eps * abs(value)):",
+     "if math.sqrt(float(g @ g)) <= _F_STAR_TOL:",
+     ["tests/test_diagnostics.py", "-k", "f_star"]),
 )
 
 
