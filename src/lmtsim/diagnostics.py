@@ -72,11 +72,8 @@ def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
     """
     weights = [_surrogate_weights(Q, eta_a, hp, L, rho_w, n)
                for Q, eta_a in zip(np.ravel(hp.Q).tolist(), np.ravel(hp.eta_a).tolist())]
-    if np.ndim(hp.Q) == 0:
-        (weights,) = weights
-    else:  # one row per weight, then the point axis of ``gap``
-        weights = np.array(weights).T.reshape((4, -1) + (1,) * (np.ndim(gap) - 1))
-    z_bar, x, y, z = weights
+    # one row per weight, then the point axis of ``gap`` if ``hp`` has one
+    z_bar, x, y, z = np.array(weights).T.reshape((4,) + np.shape(hp.Q)[:np.ndim(gap)])
     return gap + z_bar * z_bar_sq + x * consensus_x + y * consensus_y + z * z_dev
 
 
@@ -146,9 +143,8 @@ def round_metrics(oracle, hp: HyperParams, mix: MixingMatrix, state: dict, new: 
         row["d_bar_drift"] = np.zeros(x_bar.shape[:-1])
     else:
         d_prev, r_bar_prev = carry
-        eta_hat = hp.eta_hat
-        if np.ndim(eta_hat):  # a stack's, shaped (P, 1, 1, 1) to meet its states
-            eta_hat = eta_hat.reshape(eta_hat.shape[:r_bar_prev.ndim])
+        # a stack's, shaped (P, 1, 1, 1) to meet its states, cut to r_bar's axes
+        eta_hat = np.reshape(hp.eta_hat, np.shape(hp.Q)[:r_bar_prev.ndim])
         resid = d_bar - (d_prev - eta_hat * r_bar_prev)
         row["d_bar_drift"] = np.sqrt(squared_norms(resid))
     row["consensus_y"] = consensus_error(new["Y"])

@@ -158,11 +158,9 @@ def _schedule(cfg: ExperimentConfig, oracle: obj.GradientOracle,
                           "so its agents never reach consensus")
     beta = cfg.beta if cfg.beta is not None else mix.rho_w
     if cfg.schedule == "explicit":
-        return lmt.HyperParams(Q=cfg.Q, eta_a=cfg.eta_a, eta_s=cfg.eta_s,
-                               beta=beta, eta_w=mix.eta_w)
+        return lmt.HyperParams(Q=cfg.Q, eta_a=cfg.eta_a, eta_s=cfg.eta_s, beta=beta)
     if cfg.schedule == "figure1":
-        return lmt.HyperParams(Q=cfg.Q, eta_a=0.25 / cfg.Q, eta_s=0.1,
-                               beta=beta, eta_w=mix.eta_w)
+        return lmt.HyperParams(Q=cfg.Q, eta_a=0.25 / cfg.Q, eta_s=0.1, beta=beta)
     if cfg.schedule == "theorem1":
         delta_f = cfg.delta_f
         if delta_f is None:
@@ -173,8 +171,7 @@ def _schedule(cfg: ExperimentConfig, oracle: obj.GradientOracle,
             if delta_f <= 0:
                 delta_f = 1.0
         return lmt.theorem1_stepsizes(L=oracle.L, sigma=oracle.sigma, n=oracle.n_agents,
-                                      Q=cfg.Q, T=cfg.T, delta_f=delta_f, beta=beta,
-                                      eta_w=mix.eta_w)
+                                      Q=cfg.Q, T=cfg.T, delta_f=delta_f, beta=beta)
     # theorem2
     if not oracle.mu or oracle.mu <= 0:
         raise ConfigError("schedule: theorem2 needs an oracle with a positive "
@@ -234,9 +231,10 @@ def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
 
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     state = lmt.init_state(cfg.method, np.repeat(X0[None], len(hps), axis=0))
-    on_points = (-1,) + (1,) * X0.ndim
-    hp = replace(hps[0], Q=np.array([h.Q for h in hps]).reshape(on_points),
-                 eta_a=np.array([h.eta_a for h in hps]).reshape(on_points))
+    on_points = (-1,) + (1,) * X0.ndim  # a stack of one runs on its point's floats
+    hp = hps[0] if len(hps) == 1 else replace(
+        hps[0], Q=np.array([h.Q for h in hps]).reshape(on_points),
+        eta_a=np.array([h.eta_a for h in hps]).reshape(on_points))
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
     carry = x_bar_prev = None
     if worker:
@@ -300,15 +298,15 @@ def _run_group(cfg: ExperimentConfig, points_of,
     differ from it only in what :func:`resolve_hyperparams` and the rounds
     read.  All of it runs on one OpenBLAS thread, on one
     :class:`TrialStreams` and gap worker.  The points that share their
-    method, ``eta_s``, ``beta`` and ``eta_w`` (the points of a Q sweep) run
-    as one stack, by their ``Q`` from the largest down
-    (:func:`_point_rounds`); the stacks run side by side, one round of
-    every live stack before the next round of any.  Each point's
-    ``meta.txt`` lists the warnings of the build, of its hyperparameters
-    and of its stack's rounds, not those of ``points_of``; all reach the
-    caller, each once, when the group ends.  After all rounds, each point
-    writes its outputs and, given ``progress`` (its first index and the
-    sweep's size), a line with the seconds since the group began."""
+    method, ``eta_s`` and ``beta`` (the points of a Q sweep) run as one
+    stack, by their ``Q`` from the largest down (:func:`_point_rounds`);
+    the stacks run side by side, one round of every live stack before the
+    next round of any.  Each point's ``meta.txt`` lists the warnings of
+    the build, of its hyperparameters and of its stack's rounds, not those
+    of ``points_of``; all reach the caller, each once, when the group ends.
+    Each point makes its output directory before the first round and
+    writes its outputs after the last, and, given ``progress`` (its first
+    index and the sweep's size), a line with the group's seconds so far."""
     started = time.perf_counter()
     raised = []
     try:
@@ -325,6 +323,13 @@ def _run_group(cfg: ExperimentConfig, points_of,
                 with warnings.catch_warnings():
                     hps.append(resolve_hyperparams(point, oracle, mix))
                 heard.append(shared + raised[seen:])
+            try:  # before the first round, so that no round is lost to it
+                for point, _ in points:
+                    if point.outdir:
+                        os.makedirs(point.outdir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"output.dir: cannot make {exc.filename!r} a "
+                                  f"directory: {exc.strerror}") from None
             streams = TrialStreams(cfg.seed, list(range(cfg.trials)))
             worker = None
             if threaded := _gap_on_worker(oracle):
@@ -333,8 +338,7 @@ def _run_group(cfg: ExperimentConfig, points_of,
             stacks = {}
             for j in sorted(range(len(points)), key=lambda j: -hps[j].Q):
                 hp = hps[j]
-                stacks.setdefault((points[j][0].method, hp.eta_s, hp.beta, hp.eta_w),
-                                  []).append(j)
+                stacks.setdefault((points[j][0].method, hp.eta_s, hp.beta), []).append(j)
             live = {tuple(js): _point_rounds(points[js[0]][0], mix, oracle,
                                              [hps[j] for j in js], streams, worker)
                     for js in stacks.values()}
@@ -381,7 +385,6 @@ def _run_group(cfg: ExperimentConfig, points_of,
         diverged_at = min((t for t in diverged if t is not None), default=None)
         tables.append(ResultTable(label=label, columns=columns, diverged_at=diverged_at))
         if point.outdir:
-            os.makedirs(point.outdir, exist_ok=True)
             tables[-1].to_csv(os.path.join(point.outdir, "trace.csv"))
             _write_meta(point, mix, oracle, hps[k], diverged_at,
                         [str(w.message) for w in heard[k]], blas_threads,
@@ -512,8 +515,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
             slope = float(np.polyfit(np.log(qs), np.log(finals), 1)[0])
             summary["loglog_slope_grad_norm_avg"] = slope
 
-    if cfg.outdir:
-        os.makedirs(cfg.outdir, exist_ok=True)
+    if cfg.outdir:  # made with its points' directories
         _write_summary_csv(summary, os.path.join(cfg.outdir, "summary.csv"))
     return tables, summary
 

@@ -33,37 +33,32 @@ class HyperParams:
     """Round hyperparameters.
 
     ``eta_a`` is the local step, ``eta_s`` the outer step, ``beta`` the
-    momentum coefficient, ``eta_w`` the consensus-acceleration weight.
-    The composite step ``eta_hat = eta_a * eta_s * Q`` governs the motion
-    of the averaged iterate.
+    momentum coefficient; the consensus-acceleration weight is the mixing
+    matrix's ``eta_w``.  The composite step ``eta_hat = eta_a * eta_s * Q``
+    governs the motion of the averaged iterate.
 
-    A stack of points run as one (see :func:`init_state`) holds ``Q`` and
-    ``eta_a`` as arrays on its point axis, each entry the very value of
-    that point's own ``HyperParams``, shaped ``(P, 1, ..., 1)`` to meet
-    its states, with ``Q`` not increasing along it.
+    A stack of two or more points (see :func:`init_state`) holds ``Q`` and
+    ``eta_a`` as arrays shaped ``(P, 1, ..., 1)`` to meet its states, each
+    entry that point's own value, with ``Q`` not increasing along them.
     """
 
     Q: int
     eta_a: float
     eta_s: float
     beta: float
-    eta_w: float
 
     def __post_init__(self) -> None:
-        Q, eta_a = self.Q, self.eta_a
-        if isinstance(Q, np.ndarray):  # a stack's: checked at its smallest entries
-            if np.any(np.diff(Q.ravel()) > 0):
-                raise ValueError(f"a stack's Q must not increase, got {Q.ravel()}")
-            Q, eta_a = Q.min(), eta_a.min()
-        if Q < 1:
+        # as lists: numpy's reductions on a number cost microseconds each
+        qs = np.ravel(self.Q).tolist()
+        if qs != sorted(qs, reverse=True):
+            raise ValueError(f"a stack's Q must not increase, got {qs}")
+        if min(qs) < 1:
             raise ValueError(f"Q must be >= 1, got {self.Q}")
-        if eta_a <= 0 or self.eta_s <= 0:
+        if min(np.ravel(self.eta_a).tolist()) <= 0 or self.eta_s <= 0:
             raise ValueError(f"step sizes must be positive, got "
                              f"eta_a={self.eta_a}, eta_s={self.eta_s}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if not 0.0 <= self.eta_w < 1.0:
-            raise ValueError(f"eta_w must lie in [0, 1), got {self.eta_w}")
 
     @property
     def eta_hat(self) -> float:
@@ -119,20 +114,18 @@ def agent_copies(x: np.ndarray, n: int) -> np.ndarray:
 
 def local_draws(oracle, streams: TrialStreams | None, t: int, Q):
     """The draws of the local steps of round ``t`` in runs of steps, each
-    with the index of the points that take them: one run of every point
-    (``...``) for one int ``Q``; for a stack's ``Q``, which does not
-    increase along its point axis, one run from each distinct ``Q`` to the
-    next, taken by the leading points whose ``Q`` exceeds its first step,
-    so that each point takes exactly its own ``Q`` steps on the draws it
-    would take alone."""
-    if np.ndim(Q) == 0:
-        yield ..., oracle.draw(streams, t, Q)
-        return
+    with the index of the points that take them: one run from each
+    distinct ``Q`` to the next, taken by the leading points whose ``Q``
+    exceeds its first step (``...`` when every point does), so that each
+    point takes exactly its own ``Q`` steps on the draws it would take
+    alone.  ``Q`` is one int, or a stack's, which does not increase along
+    its point axis."""
     qs = np.ravel(Q).tolist()
     draws = oracle.draw(streams, t, qs[0])
     ends = sorted(set(qs))
     for start, stop in zip([0] + ends, ends):
-        yield slice(sum(q > start for q in qs)), draws[start:stop]
+        active = sum(q > start for q in qs)
+        yield ... if active == len(qs) else slice(active), draws[start:stop]
 
 
 def local_steps(X: np.ndarray, shift: np.ndarray | None, eta, oracle,
@@ -175,18 +168,18 @@ def local_update_phase(state: dict, oracle, hp: HyperParams,
     return X_Q, R, G_sum / hp.Q
 
 
-def tracking_and_correction(state: dict, Z_next: np.ndarray,
-                            W: MixingMatrix, eta_w: float):
+def tracking_and_correction(state: dict, Z_next: np.ndarray, W: MixingMatrix):
     """Refresh tracking directions and corrections through one exchange.
 
     Returns ``(Y, Y_l, C_next)`` with ``Y = Z_next + C``,
     ``Y_l = Z_next + C_prev`` and
-    ``C_next = C - Y + (1 + eta_w) W Y - eta_w Y_l``.
-    Corrections stay mean-zero because ``W`` is doubly stochastic.
+    ``C_next = C - Y + (1 + eta_w) W Y - eta_w Y_l`` at the LCA weight
+    ``eta_w`` of ``W``.  Corrections stay mean-zero because ``W`` is
+    doubly stochastic.
     """
     Y = Z_next + state["C"]
     Y_l = Z_next + state["C_prev"]
-    C_next = state["C"] - Y + (1.0 + eta_w) * (W.weights @ Y) - eta_w * Y_l
+    C_next = state["C"] - Y + (1.0 + W.eta_w) * (W.weights @ Y) - W.eta_w * Y_l
     return Y, Y_l, C_next
 
 
@@ -196,11 +189,12 @@ def accelerated_consensus(state: dict, Y: np.ndarray, hp: HyperParams,
 
     Applies the augmented consensus operator to the stacked pair
     ``(X - eta_hat Y, X_l - eta_hat Y)`` and returns the new (current,
-    memory) pair.  With ``eta_w = 0`` this is plain mixing of the stepped
-    iterates.
+    memory) pair.  With ``W.eta_w = 0`` this is plain mixing of the
+    stepped iterates.
     """
-    D = state["X"] - hp.eta_hat * Y
-    return lca_mix(W, hp.eta_w, D, state["X_l"] - hp.eta_hat * Y), D
+    step = hp.eta_hat * Y
+    D = state["X"] - step
+    return lca_mix(W, D, state["X_l"] - step), D
 
 
 def _track_and_mix(state: dict, M: np.ndarray, Z_next: np.ndarray,
@@ -209,7 +203,7 @@ def _track_and_mix(state: dict, M: np.ndarray, Z_next: np.ndarray,
     momentum average ``M``, then the outer step and LCA mixing.  The new
     state keeps, for the diagnostics, the tracking directions ``Y`` and
     the per-agent mean ``G_avg`` of the round's drawn gradients."""
-    Y, _, C_next = tracking_and_correction(state, M, W, hp.eta_w)
+    Y, _, C_next = tracking_and_correction(state, M, W)
     X_next, X_l_next = accelerated_consensus(state, Y, hp, W)
     return {"X": X_next, "t": state["t"] + 1, "X_l": X_l_next, "Z": Z_next,
             "C": C_next, "C_prev": state["C"], "Y": Y, "G_avg": G_avg}
@@ -260,7 +254,7 @@ _C1 = 1.0 + 63.0 * C0
 
 
 def theorem1_stepsizes(L: float, sigma: float, n: int, Q: int, T: int,
-                       delta_f: float, beta: float, eta_w: float) -> HyperParams:
+                       delta_f: float, beta: float) -> HyperParams:
     """Horizon-aware schedule for the smooth nonconvex regime.
 
     ``eta_hat`` and ``eta_a`` follow the published closed forms; ``eta_s``
@@ -287,7 +281,7 @@ def theorem1_stepsizes(L: float, sigma: float, n: int, Q: int, T: int,
         warnings.warn(
             f"back-solved eta_s={eta_s:.4e} exceeds admissible cap {cap:.4e}; "
             "keeping the closed-form pair", stacklevel=2)
-    return HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=beta, eta_w=eta_w)
+    return HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=beta)
 
 
 def theorem2_stepsizes(mu: float, Q: int, T: int, mix: MixingMatrix) -> HyperParams:
@@ -302,8 +296,7 @@ def theorem2_stepsizes(mu: float, Q: int, T: int, mix: MixingMatrix) -> HyperPar
         raise ValueError(f"need Q, T >= 1, got Q={Q}, T={T}")
     eta_a = 1.0 / (Q * mu * T)
     eta_s = (1.0 - mix.rho_w) / math.sqrt(15.0 * C0)
-    return HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=mix.rho_w,
-                       eta_w=mix.eta_w)
+    return HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=mix.rho_w)
 
 
 def check_momentum(beta: float, rho_w: float) -> None:

@@ -72,6 +72,13 @@ def _remap_labels(raw: np.ndarray, origin: str) -> np.ndarray:
     return np.where(raw == values[0], -1.0, 1.0)
 
 
+def _finite(token: str) -> float:
+    """``float(token)``, refusing the ``inf`` and ``nan`` no loss can use."""
+    if not np.isfinite(value := float(token)):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
 def load_libsvm(path: str) -> Dataset:
     """Read a LIBSVM text file into dense features.
 
@@ -89,14 +96,14 @@ def load_libsvm(path: str) -> Dataset:
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                labels.append(_finite(parts[0]))
                 row = []
                 for tok in parts[1:]:
                     idx_str, val_str = tok.split(":", 1)
                     idx = int(idx_str)
                     if idx < 1:
                         raise ValueError(f"feature index {idx} < 1")
-                    row.append((idx, float(val_str)))
+                    row.append((idx, _finite(val_str)))
                     max_index = max(max_index, idx)
                 entries.append(row)
             except (ValueError, IndexError) as exc:
@@ -119,7 +126,7 @@ def load_csv(path: str) -> Dataset:
             if not line or line.startswith("#"):
                 continue
             try:
-                values = [float(tok) for tok in line.split(",")]
+                values = [_finite(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed CSV line ({exc})")
             if len(values) < 2:

@@ -125,14 +125,14 @@ def build_complete_mixing(n: int) -> MixingMatrix:
     return from_weights(np.full((n, n), 1.0 / n))
 
 
-def lca_mix(W: MixingMatrix, eta_w: float, top: np.ndarray,
-            bottom: np.ndarray) -> np.ndarray:
+def lca_mix(W: MixingMatrix, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """New current block ``(1 + eta_w) W top - eta_w bottom`` of one
     application of the 2n x 2n accelerated consensus operator to the
-    (current, memory) pair ``(top, bottom)``; the new memory block is
-    ``top``.  With ``eta_w = 0`` this reduces to plain mixing of ``top``.
+    (current, memory) pair ``(top, bottom)``, at the LCA weight ``eta_w``
+    of ``W``; the new memory block is ``top``.  With ``eta_w = 0`` this
+    reduces to plain mixing of ``top``.
     """
-    return (1.0 + eta_w) * (W.weights @ top) - eta_w * bottom
+    return (1.0 + W.eta_w) * (W.weights @ top) - W.eta_w * bottom
 
 
 def load_mixing_csv(path: str) -> MixingMatrix:

@@ -97,8 +97,7 @@ def test_criterion_03_round_identities_stochastic_run():
     data = obj.make_synthetic_classification(400, p, seed=33)
     oracle = obj.LogisticOracle(obj.partition_heterogeneous(data, n), "l2", 0.2, 1)
     mix = lmtsim.build_ring_mixing(n)
-    hp = lmt.HyperParams(Q=Q, eta_a=0.25 / Q, eta_s=0.1, beta=mix.rho_w,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.25 / Q, eta_s=0.1, beta=mix.rho_w)
     streams = TrialStreams(314, 0)
     st = lmt.init_state("lmt", np.zeros((n, p)))
 
@@ -143,8 +142,7 @@ def test_criterion_04_q1_reduction_to_single_step_tracking():
     mix = lmtsim.build_ring_mixing(n)
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.3, L=1.0, sigma=1.0,
                                      rng_seed=5)
-    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=mix.rho_w,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=mix.rho_w)
     streams = TrialStreams(271828, 0)
     st = lmt.init_state("lmt", np.zeros((n, p)))
     for _ in range(T):
@@ -312,7 +310,7 @@ def test_criterion_09_effective_stepsize_parity():
                                      rng_seed=55)
     x0 = np.random.default_rng(56).normal(size=p)
     X0 = np.tile(x0, (n, 1))
-    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0)
     expected = x0 - hp.eta_hat * oracle.global_gradient(x0)
 
     errors = {}

@@ -40,7 +40,7 @@ def test_parity_map_figure_values():
         pytest.approx(0.025 / Q), 1.0)
     with pytest.raises(ValueError):
         bl.stepsize_parity_map(eta_a, eta_s, beta, "sgd")
-    hp = lmt.HyperParams(Q=1, eta_a=0.1, eta_s=0.1, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=0.1, eta_s=0.1, beta=0.0)
     with pytest.raises(ValueError):
         bl.baseline_round(bl.BaselineSpec(method="unknown", hp=hp),
                           lmt.init_state("local_dsgd", np.zeros((2, 1))), None, None)
@@ -68,7 +68,7 @@ def test_first_round_parity_q1():
     mix = lmtsim.build_ring_mixing(n)
     oracle = quad(n, p)
     x0, X0 = consensus_start(n, p)
-    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.25, eta_s=0.1, beta=0.0)
     expected = x0 - hp.eta_hat * oracle.global_gradient(x0)
     for method, mean in all_method_first_round_means(oracle, mix, hp, X0).items():
         assert np.abs(mean - expected).max() <= 1e-12, method
@@ -81,7 +81,7 @@ def test_first_round_parity_multi_step_paths():
     n, p, Q = 5, 4, 4
     mix = lmtsim.build_ring_mixing(n)
     x0, X0 = consensus_start(n, p, seed=3)
-    hp = lmt.HyperParams(Q=Q, eta_a=0.06, eta_s=0.3, beta=0.0, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.06, eta_s=0.3, beta=0.0)
 
     def averaged_after_one_round(method):
         oracle = RecordingOracle(quad(n, p))
@@ -112,7 +112,7 @@ def test_local_dsgd_complete_mixing_is_centralized_sgd():
     mix = lmtsim.build_complete_mixing(n)
     oracle = quad(n, p, seed=9)
     x0, X0 = consensus_start(n, p, seed=1)
-    hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=0.5, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=0.5, beta=0.0)
     spec = bl.BaselineSpec(method="local_dsgd", hp=hp)
     state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     flat = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "local_dsgd")[0]
@@ -125,7 +125,7 @@ def test_led_complete_mixing_first_round_is_centralized():
     mix = lmtsim.build_complete_mixing(n)
     oracle = quad(n, p, seed=2)
     x0, X0 = consensus_start(n, p, seed=2)
-    hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=0.5, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=0.5, beta=0.0)
     spec = bl.BaselineSpec(method="led", hp=hp)
     state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     expected = x0 - 0.1 * oracle.global_gradient(x0)
@@ -137,7 +137,7 @@ def test_kgt_complete_mixing_builds_drift_variates():
     mix = lmtsim.build_complete_mixing(n)
     oracle = quad(n, p, seed=3)
     x0, X0 = consensus_start(n, p, seed=3)
-    hp = lmt.HyperParams(Q=1, eta_a=0.3, eta_s=0.4, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=0.3, eta_s=0.4, beta=0.0)
     spec = bl.BaselineSpec(method="kgt", hp=hp)
     state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     grads = oracle.full_gradients_at(x0)
@@ -155,7 +155,7 @@ def test_kgt_round_on_a_ring_equals_per_agent_arithmetic():
     oracle = quad(n, p, seed=11)
     rng = np.random.default_rng(11)
     X, C = rng.normal(size=(n, p)), rng.normal(size=(n, p))
-    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.0)
     local, outer = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "kgt")
     state = bl.baseline_round(bl.BaselineSpec(method="kgt", hp=hp),
                               {"X": X, "c": C, "t": 0}, oracle, mix)
@@ -178,7 +178,7 @@ def test_scaffold_zero_variates_is_parallel_sgd():
     oracle = quad(n, p, seed=4)
     mix = lmtsim.build_complete_mixing(n)
     x0, X0 = consensus_start(n, p, seed=4)
-    hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=1.0, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=0.2, eta_s=1.0, beta=0.0)
     spec = bl.BaselineSpec(method="scaffold", hp=hp)
     state = bl.baseline_round(spec, lmt.init_state(spec.method, X0), oracle, mix)
     expected = x0 - 0.2 * oracle.global_gradient(x0)
@@ -191,7 +191,7 @@ def test_pdsgdm_beta_zero_matches_local_dsgd():
     mix = lmtsim.build_ring_mixing(n)
     oracle = quad(n, p, seed=6, sigma=1.0)
     X0 = np.zeros((n, p))
-    hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.2, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.2, beta=0.0)
     sa = bl.BaselineSpec(method="pdsgdm", hp=hp)
     sb = bl.BaselineSpec(method="local_dsgd", hp=hp)
     st_a = lmt.init_state("pdsgdm", X0)
@@ -207,7 +207,7 @@ def test_corrections_stay_mean_zero_over_rounds():
     n, p = 7, 3
     mix = lmtsim.build_ring_mixing(n)
     oracle = quad(n, p, seed=8, sigma=0.5)
-    hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.0)
     for method in ("kgt", "scaffold"):
         spec = bl.BaselineSpec(method=method, hp=hp)
         state = lmt.init_state(method, np.zeros((n, p)))
@@ -224,7 +224,7 @@ def test_all_baselines_reduce_objective_on_smooth_problem():
     n, p = 8, 4
     mix = lmtsim.build_ring_mixing(n)
     oracle = quad(n, p, seed=10)
-    hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=0.5, eta_w=0.0)
+    hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=0.5)
     X0 = np.zeros((n, p))
     gap0 = float(oracle.opt_gap(X0))
     for method in BASELINES:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import save_mixing_csv
-from lmtsim import cli, harness
+from lmtsim import cli, harness, lmt
 from lmtsim.topology import build_ring_mixing
 
 QUICK_CFG = """
@@ -80,6 +80,12 @@ def test_run_and_plot_commands(tmp_path, capsys):
         trace.write_text("\n".join(lines[:-1] + [last]) + "\n")
         assert cli.main(["plot", str(trace), "--out", str(svg)]) == 2
         assert capsys.readouterr().err == f"error: {trace}:{len(lines)}: {fault}\n"
+    # a wrong header, and a header with no rows, are named by their file
+    for text, fault in [("t,consensus_x\n0,1\n", "unexpected trace header ['t', 'consensus_x']"),
+                        (lines[0] + "\n", "empty trace")]:
+        trace.write_text(text)
+        assert cli.main(["plot", str(trace), "--out", str(svg)]) == 2
+        assert capsys.readouterr().err == f"error: {trace}: {fault}\n"
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -220,6 +226,43 @@ def test_a_data_file_too_small_for_its_agents_or_batch_exits_2(tmp_path, capsys,
             + f"objective.batch = {batch}\n")
     assert cli.main(["run", write_cfg(tmp_path, text)]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
+
+
+INF_FEATURE_CSV = "0.1,0.2,1\ninf,-0.1,2\n-0.2,0.4,1\n0.5,0.0,2\n"
+
+
+@pytest.mark.parametrize("kind, name, text", [
+    pytest.param("logistic_l2", "data.csv", INF_FEATURE_CSV, id="csv-l2"),
+    pytest.param("logistic_nonconvex", "data.csv", INF_FEATURE_CSV, id="csv-nonconvex"),
+    pytest.param("logistic_l2", "data.libsvm", "1 1:0.1\n2 1:0.3 2:nan\n1 2:0.4\n2 1:0.5\n",
+                 id="libsvm-l2")])
+def test_a_non_finite_number_in_a_data_file_exits_2_before_any_round_runs(
+        tmp_path, monkeypatch, capsys, kind, name, text):
+    (tmp_path / name).write_text(text)
+    cfg = (SIX_SAMPLES_CFG.replace("objective.data = synthetic", f"objective.data = {name}")
+           .replace("objective.kind = logistic_l2", f"objective.kind = {kind}"))
+    runs = []
+    monkeypatch.setattr(harness, "_point_rounds", lambda *args: runs.append(args))
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert re.fullmatch(f"error: {re.escape(str(tmp_path / name))}:2: .*non-finite value "
+                        f"'(inf|nan)'\\)\n", capsys.readouterr().err)
+    assert runs == []
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "Q", "--values", "1,2"]],
+                         ids=["run", "sweep-Q"])
+@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")])
+def test_an_unusable_output_dir_exits_2_before_any_round_runs(tmp_path, monkeypatch, capsys,
+                                                              command, out):
+    (tmp_path / "afile").write_text("")
+
+    def no_round(*args):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(lmt, "lmt_round", no_round)
+    out = str(tmp_path / out)
+    assert cli.main([command[0], write_cfg(tmp_path), *command[1:], "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: output.dir: cannot make '{out}")
 
 
 # separable data, where only the ridge keeps the f_star solve's Hessian

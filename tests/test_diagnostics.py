@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -77,7 +79,7 @@ def test_d_bar_sequence_cases():
 
 
 def make_hp(beta, eta_a=0.1, eta_s=0.1, Q=2):
-    return lmt.HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=beta, eta_w=0.5)
+    return lmt.HyperParams(Q=Q, eta_a=eta_a, eta_s=eta_s, beta=beta)
 
 
 def test_lyapunov_zero_at_perfect_state():
@@ -107,11 +109,10 @@ def test_a_stack_surrogate_equals_each_points_own_bit_for_bit():
              for name in ("gap", "z_bar_sq", "consensus_x", "consensus_y", "z_dev")}
     on_points = (-1, 1, 1, 1)
     stack = lmt.HyperParams(Q=Q.reshape(on_points), eta_a=eta_a.reshape(on_points),
-                            eta_s=0.3, beta=0.6, eta_w=0.5)
+                            eta_s=0.3, beta=0.6)
     got = dg.lyapunov_surrogate(hp=stack, L=1.5, rho_w=0.7, n=5, **terms)
     for k in range(64):
-        hp = lmt.HyperParams(Q=int(Q[k]), eta_a=float(eta_a[k]), eta_s=0.3, beta=0.6,
-                             eta_w=0.5)
+        hp = lmt.HyperParams(Q=int(Q[k]), eta_a=float(eta_a[k]), eta_s=0.3, beta=0.6)
         own = dg.lyapunov_surrogate(hp=hp, L=1.5, rho_w=0.7, n=5,
                                     **{name: v[k] for name, v in terms.items()})
         assert got[k].tobytes() == own.tobytes(), k
@@ -140,6 +141,45 @@ def test_solve_f_star_quadratic_matches_closed_form():
                                      rng_seed=3)
     solved = dg.solve_f_star(oracle)
     assert solved == pytest.approx(oracle.f_star, abs=1e-9)
+
+
+class OneDimensional:
+    """A fake oracle of ``F`` on the real line, given ``F`` and its first two
+    derivatives, that records where ``F`` is evaluated."""
+
+    dim = 1
+
+    def __init__(self, value, gradient, hessian):
+        self._value, self._gradient, self._hessian = value, gradient, hessian
+        self.seen = []
+
+    def global_value(self, x):
+        self.seen.append(float(x[0]))
+        return self._value(x[0])
+
+    def global_gradient(self, x):
+        return np.array([self._gradient(x[0])])
+
+    def global_hessian(self, x):
+        return np.array([[self._hessian(x[0])]])
+
+
+def test_solve_f_star_backtracks_and_caps_its_steps():
+    # the first full Newton step from 0 lands near x = 50, far uphill
+    F = OneDimensional(lambda x: math.log(math.cosh(x - 3)) + x * x / 200,
+                       lambda x: math.tanh(x - 3) + x / 100,
+                       lambda x: 1 / math.cosh(x - 3) ** 2 + 1 / 100)
+    solved = dg.solve_f_star(F)
+    assert F.seen[1] == pytest.approx(50.088, abs=1e-3)
+    assert F.seen[2] == F.seen[1] / 2  # backtracked
+    bounded = scipy.optimize.minimize_scalar(
+        lambda x: math.log(math.cosh(x - 3)) + x * x / 200, bounds=(-10, 10),
+        method="bounded", options={"xatol": 1e-12})
+    assert solved == pytest.approx(0.0445543905568470, rel=1e-14)
+    assert solved == pytest.approx(bounded.fun, rel=1e-14)
+    # unbounded below: every full step is taken and none reaches a minimum
+    with pytest.raises(RuntimeError, match="within 100 steps"):
+        dg.solve_f_star(OneDimensional(lambda x: -x, lambda x: -1.0, lambda x: 1.0))
 
 
 # the goldens' data at agents=5; TINY_RIDGE_CFG's separable data, whose
@@ -181,7 +221,7 @@ def test_lyapunov_surrogate_monotone_on_deterministic_run():
     oracle = obj.quadratic_pl_oracle(n=n, p=p, mu_min=0.3, L=1.0, sigma=0.0,
                                      rng_seed=8)
     hp = lmt.theorem1_stepsizes(L=oracle.L, sigma=0.0, n=n, Q=3, T=100,
-                                delta_f=1.0, beta=mix.rho_w, eta_w=mix.eta_w)
+                                delta_f=1.0, beta=mix.rho_w)
     st = lmt.init_state("lmt", np.zeros((n, p)))
     xbar_prev = None
     values = []

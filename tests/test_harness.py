@@ -57,6 +57,8 @@ def test_parse_config_text_basics():
         parse_config_text("a = 1\nnot a pair\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("a = 1\na = 2\n")
+    with pytest.raises(ConfigError, match="exp.cfg:2: empty key or value"):
+        parse_config_text("a = 1\nb =  # nothing\n", origin="exp.cfg")
 
 
 def test_unknown_and_invalid_keys():
@@ -200,7 +202,6 @@ def test_figure1_schedule_values():
     assert hp.eta_a == pytest.approx(0.025, abs=1e-15)
     assert hp.eta_s == pytest.approx(0.1, abs=1e-15)
     assert hp.beta == pytest.approx(mix.rho_w, abs=1e-15)
-    assert hp.eta_w == pytest.approx(mix.eta_w, abs=1e-15)
 
 
 def test_theorem_schedules_resolve():
@@ -227,8 +228,12 @@ def test_theorem_schedules_resolve():
         expected = lmt.theorem1_stepsizes(
             L=oracle3.L, sigma=oracle3.sigma, n=mix.n, Q=ridge.Q, T=ridge.T,
             delta_f=oracle3.global_value(np.zeros(oracle3.dim)) - oracle3.f_star,
-            beta=mix.rho_w, eta_w=mix.eta_w)
+            beta=mix.rho_w)
     assert hp3 == expected
+    # without a known minimum, theorem1 needs delta_f from the config
+    nonconvex = dataclasses.replace(ridge, objective_kind="logistic_nonconvex")
+    with pytest.raises(ConfigError, match="schedule.delta_f: required"):
+        resolve_hyperparams(nonconvex, build_oracle(nonconvex, mix.n), mix)
 
     # theorem2 takes the modulus from the oracle only, never from objective.mu
     # (0.3 here), so objectives without one are rejected

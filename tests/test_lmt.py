@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_init_state_rejects_nonfinite():
 
 def test_local_phase_hand_trace():
     oracle = scalar_quadratic()
-    hp = lmt.HyperParams(Q=1, eta_a=1.0, eta_s=1.0, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=1.0, eta_s=1.0, beta=0.0)
     st = lmt.init_state("lmt", np.array([[1.0]]))
     X_Q, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
     assert X_Q[0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -75,7 +76,7 @@ def test_local_phase_hand_trace():
 
 def test_local_phase_single_step_returns_drawn_gradient():
     oracle = stochastic_quadratic(5, 3, seed=2, sigma=0.0)
-    hp = lmt.HyperParams(Q=1, eta_a=0.1, eta_s=1.0, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=0.1, eta_s=1.0, beta=0.0)
     X0 = np.random.default_rng(1).normal(size=(5, 3))
     st = lmt.init_state("lmt", X0)
     _, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
@@ -90,7 +91,7 @@ def test_local_phase_correction_cancels_gradient():
     X0 = np.random.default_rng(2).normal(size=(4, 3))
     G = np.stack([local_reference(oracle).gradient(i, X0[i]) for i in range(4)])
     st = {**lmt.init_state("lmt", X0), "C": -G}
-    hp = lmt.HyperParams(Q=6, eta_a=0.05, eta_s=1.0, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=6, eta_a=0.05, eta_s=1.0, beta=0.0)
     X_Q, R, _ = lmt.local_update_phase(st, oracle, hp, None)
     assert np.allclose(X_Q, X0, atol=1e-12)
     assert np.allclose(R, G, atol=1e-10)
@@ -98,7 +99,7 @@ def test_local_phase_correction_cancels_gradient():
 
 def test_local_phase_deterministic_mode_averages_path_gradients():
     oracle = stochastic_quadratic(3, 4, seed=7, sigma=0.0)
-    hp = lmt.HyperParams(Q=5, eta_a=0.02, eta_s=1.0, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=5, eta_a=0.02, eta_s=1.0, beta=0.0)
     X0 = np.random.default_rng(3).normal(size=(3, 4))
     st = lmt.init_state("lmt", X0)
     X_Q, R, G_avg = lmt.local_update_phase(st, oracle, hp, None)
@@ -123,7 +124,7 @@ def test_tracking_first_round_equals_momentum():
     mix = lmtsim.build_ring_mixing(5)
     st = lmt.init_state("lmt", np.zeros((5, 2)))
     Z_next = np.random.default_rng(0).normal(size=(5, 2))
-    Y, Y_l, C_next = lmt.tracking_and_correction(st, Z_next, mix, 0.8)
+    Y, Y_l, C_next = lmt.tracking_and_correction(st, Z_next, mix)
     assert np.array_equal(Y, Z_next)
     assert np.array_equal(Y_l, Z_next)
     assert np.abs(C_next.mean(axis=0)).max() <= 1e-12
@@ -131,12 +132,12 @@ def test_tracking_first_round_equals_momentum():
 
 def test_tracking_scalar_recursion():
     # n=1, W=[1]: corrections evolve as C + eta_w (C - C_prev)
-    mix = lmtsim.build_complete_mixing(1)
+    mix = replace(lmtsim.build_complete_mixing(1), eta_w=0.6)
     rng = np.random.default_rng(4)
     C, C_prev = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
     st = {**lmt.init_state("lmt", np.zeros((1, 3))), "C": C, "C_prev": C_prev}
     Z_next = rng.normal(size=(1, 3))
-    _, _, C_next = lmt.tracking_and_correction(st, Z_next, mix, 0.6)
+    _, _, C_next = lmt.tracking_and_correction(st, Z_next, mix)
     assert np.allclose(C_next, C + 0.6 * (C - C_prev), atol=1e-14)
 
 
@@ -148,7 +149,7 @@ def test_tracking_preserves_zero_mean():
     C_prev = rng.normal(size=(6, 2))
     C_prev -= C_prev.mean(axis=0)
     st = {**lmt.init_state("lmt", np.zeros((6, 2))), "C": C, "C_prev": C_prev}
-    _, _, C_next = lmt.tracking_and_correction(st, rng.normal(size=(6, 2)), mix, 0.9)
+    _, _, C_next = lmt.tracking_and_correction(st, rng.normal(size=(6, 2)), mix)
     assert np.abs(C_next.mean(axis=0)).max() <= 1e-13
 
 
@@ -157,15 +158,15 @@ def test_consensus_fixed_point_and_plain_mixing():
     v = np.array([1.5, -2.0])
     X = np.tile(v, (5, 1))
     st = lmt.init_state("lmt", X)
-    hp = lmt.HyperParams(Q=2, eta_a=0.1, eta_s=0.1, beta=0.5, eta_w=0.7)
-    X_next, X_l_next = lmt.accelerated_consensus(st, np.zeros((5, 2)), hp, mix)
+    hp = lmt.HyperParams(Q=2, eta_a=0.1, eta_s=0.1, beta=0.5)
+    X_next, X_l_next = lmt.accelerated_consensus(st, np.zeros((5, 2)), hp,
+                                                 replace(mix, eta_w=0.7))
     assert np.allclose(X_next, X, atol=1e-13)
     assert np.allclose(X_l_next, X, atol=1e-13)
 
-    hp0 = lmt.HyperParams(Q=2, eta_a=0.1, eta_s=0.1, beta=0.5, eta_w=0.0)
     Y = np.random.default_rng(6).normal(size=(5, 2))
-    X_next, _ = lmt.accelerated_consensus(st, Y, hp0, mix)
-    assert np.allclose(X_next, mix.weights @ (X - hp0.eta_hat * Y), atol=1e-14)
+    X_next, _ = lmt.accelerated_consensus(st, Y, hp, replace(mix, eta_w=0.0))
+    assert np.allclose(X_next, mix.weights @ (X - hp.eta_hat * Y), atol=1e-14)
 
 
 def test_consensus_equals_augmented_operator():
@@ -174,10 +175,10 @@ def test_consensus_equals_augmented_operator():
     st = {**lmt.init_state("lmt", rng.normal(size=(7, 3))),
           "X_l": rng.normal(size=(7, 3))}
     Y = rng.normal(size=(7, 3))
-    hp = lmt.HyperParams(Q=3, eta_a=0.05, eta_s=0.2, beta=0.5, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=3, eta_a=0.05, eta_s=0.2, beta=0.5)
     X_next, X_l_next = lmt.accelerated_consensus(st, Y, hp, mix)
     top = st["X"] - hp.eta_hat * Y
-    new_top = lmtsim.lca_mix(mix, mix.eta_w, top, st["X_l"] - hp.eta_hat * Y)
+    new_top = lmtsim.lca_mix(mix, top, st["X_l"] - hp.eta_hat * Y)
     assert np.abs(X_next - new_top).max() <= 1e-13
     assert np.abs(X_l_next - top).max() <= 1e-13
 
@@ -188,7 +189,7 @@ def test_consensus_equals_augmented_operator():
 def test_round_hand_trace_single_agent():
     oracle = scalar_quadratic()
     mix = lmtsim.build_complete_mixing(1)
-    hp = lmt.HyperParams(Q=1, eta_a=1.0, eta_s=1.0, beta=0.0, eta_w=0.0)
+    hp = lmt.HyperParams(Q=1, eta_a=1.0, eta_s=1.0, beta=0.0)
     st = lmt.lmt_round(lmt.init_state("lmt", np.array([[1.0]])), oracle, mix, hp)
     assert st["X"][0, 0] == pytest.approx(0.0, abs=1e-15)
     # at beta = 0 the new momentum is the round's gradient estimate R
@@ -203,7 +204,7 @@ def test_round_consensus_start_homogeneous_objective():
     b = np.tile(np.linspace(1, p, p), (n, 1))
     oracle = obj.QuadraticOracle(A=A, b=b, sigma=0.0)
     mix = lmtsim.build_ring_mixing(n)
-    hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.5, beta=mix.rho_w, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=3, eta_a=0.1, eta_s=0.5, beta=mix.rho_w)
     st = lmt.init_state("lmt", np.tile(np.ones(p), (n, 1)))
     for _ in range(20):
         st = lmt.lmt_round(st, oracle, mix, hp)
@@ -213,7 +214,7 @@ def test_round_consensus_start_homogeneous_objective():
 def test_round_identities_on_stochastic_run():
     oracle = logistic_setup(n=10, m=120, p=6, seed=1, batch=1)
     mix = lmtsim.build_ring_mixing(10)
-    hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=mix.rho_w, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=4, eta_a=0.05, eta_s=0.1, beta=mix.rho_w)
     streams = TrialStreams(31, 0)
     st = lmt.init_state("lmt", np.zeros((10, 6)))
     for t in range(60):
@@ -238,7 +239,7 @@ def test_round_identities_on_stochastic_run():
 def test_auxiliary_sequence_identities():
     oracle = logistic_setup(n=8, m=96, p=5, seed=3, batch=1)
     mix = lmtsim.build_ring_mixing(8)
-    hp = lmt.HyperParams(Q=3, eta_a=0.04, eta_s=0.2, beta=mix.rho_w, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=3, eta_a=0.04, eta_s=0.2, beta=mix.rho_w)
     streams = TrialStreams(13, 0)
     st = lmt.init_state("lmt", np.zeros((8, 5)))
     x_bars = [st["X"].mean(axis=0)]
@@ -267,7 +268,7 @@ def test_q1_reduction_bitmatch():
     n, p = 8, 4
     mix = lmtsim.build_ring_mixing(n)
     oracle = stochastic_quadratic(n, p, seed=3, sigma=1.0)
-    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=mix.rho_w, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.02, eta_s=0.1, beta=mix.rho_w)
     streams = TrialStreams(77, 0)
     st = lmt.init_state("lmt", np.zeros((n, p)))
     for _ in range(100):
@@ -279,7 +280,7 @@ def test_q1_reduction_bitmatch():
 def test_single_agent_recovers_gradient_descent():
     oracle = stochastic_quadratic(1, 4, seed=9, sigma=0.0)
     mix = lmtsim.build_complete_mixing(1)
-    hp = lmt.HyperParams(Q=1, eta_a=0.3, eta_s=0.5, beta=0.0, eta_w=0.5)
+    hp = lmt.HyperParams(Q=1, eta_a=0.3, eta_s=0.5, beta=0.0)
     st = lmt.init_state("lmt", np.zeros((1, 4)))
     x = np.zeros(4)
     reference = local_reference(oracle)
@@ -296,7 +297,7 @@ def test_naive_matches_lmt_at_q1():
     n, p = 6, 3
     mix = lmtsim.build_ring_mixing(n)
     oracle = stochastic_quadratic(n, p, seed=4, sigma=1.0)
-    hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=mix.rho_w, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=mix.rho_w)
     st_a = lmt.init_state("lmt", np.zeros((n, p)))
     st_b = lmt.init_state("naive_lmt", np.zeros((n, p)))
     sa, sb = TrialStreams(5, 0), TrialStreams(5, 0)
@@ -311,7 +312,7 @@ def test_naive_matches_lmt_at_beta_zero():
     n, p = 5, 3
     mix = lmtsim.build_ring_mixing(n)
     oracle = stochastic_quadratic(n, p, seed=6, sigma=1.0)
-    hp = lmt.HyperParams(Q=4, eta_a=0.03, eta_s=0.2, beta=0.0, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=4, eta_a=0.03, eta_s=0.2, beta=0.0)
     st_a = lmt.init_state("lmt", np.zeros((n, p)))
     st_b = lmt.init_state("naive_lmt", np.zeros((n, p)))
     sa, sb = TrialStreams(6, 0), TrialStreams(6, 0)
@@ -327,14 +328,14 @@ def test_naive_matches_lmt_at_beta_zero():
 def test_theorem1_deterministic_values():
     # frozen arithmetic: sigma=0, L=1, beta=0
     hp = lmt.theorem1_stepsizes(L=1.0, sigma=0.0, n=10, Q=3, T=100,
-                                delta_f=1.0, beta=0.0, eta_w=0.5)
+                                delta_f=1.0, beta=0.0)
     c1 = 1.0 + 63.0 * C0
     expected_hat = 1.0 / (30.0 * math.sqrt(3.0 * C0 * c1))
     assert hp.eta_hat == pytest.approx(expected_hat, rel=1e-12)
     assert hp.eta_hat == pytest.approx(1.7309e-4, rel=1e-4)
 
     hp1 = lmt.theorem1_stepsizes(L=1.0, sigma=0.0, n=10, Q=1, T=100,
-                                 delta_f=1.0, beta=0.0, eta_w=0.5)
+                                 delta_f=1.0, beta=0.0)
     expected_a = 1.0 / (15.0 * math.sqrt(2.0 * c1))
     assert hp1.eta_a == pytest.approx(expected_a, rel=1e-12)
     assert hp1.eta_a == pytest.approx(1.5864e-3, rel=1e-4)
@@ -343,7 +344,7 @@ def test_theorem1_deterministic_values():
 def test_theorem1_sigma_zero_eta_s_is_tight():
     for beta in (0.0, 0.5, 0.9):
         hp = lmt.theorem1_stepsizes(L=2.0, sigma=0.0, n=4, Q=5, T=50,
-                                    delta_f=0.7, beta=beta, eta_w=0.5)
+                                    delta_f=0.7, beta=beta)
         assert hp.eta_s == pytest.approx((1.0 - beta) / math.sqrt(6.0 * C0),
                                          rel=1e-12)
 
@@ -351,10 +352,10 @@ def test_theorem1_sigma_zero_eta_s_is_tight():
 def test_theorem1_monotone_in_horizon_and_warns_with_noise():
     with pytest.warns(UserWarning, match="eta_s"):
         a = lmt.theorem1_stepsizes(L=1.0, sigma=1.0, n=10, Q=2, T=100,
-                                   delta_f=1.0, beta=0.5, eta_w=0.5)
+                                   delta_f=1.0, beta=0.5)
     with pytest.warns(UserWarning, match="eta_s"):
         b = lmt.theorem1_stepsizes(L=1.0, sigma=1.0, n=10, Q=2, T=200,
-                                   delta_f=1.0, beta=0.5, eta_w=0.5)
+                                   delta_f=1.0, beta=0.5)
     assert b.eta_hat < a.eta_hat
     # doubling T scales the noise part of the denominator by sqrt(2)
     noise_a = 1.0 / a.eta_hat - 30.0 * math.sqrt(3.0 * C0 * (1 + 63 * C0)) / 0.5
@@ -365,13 +366,13 @@ def test_theorem1_monotone_in_horizon_and_warns_with_noise():
 def test_theorem1_rejects_bad_inputs():
     with pytest.raises(ValueError):
         lmt.theorem1_stepsizes(L=0.0, sigma=0.0, n=1, Q=1, T=1, delta_f=1.0,
-                               beta=0.0, eta_w=0.5)
+                               beta=0.0)
     with pytest.raises(ValueError):
         lmt.theorem1_stepsizes(L=1.0, sigma=0.0, n=1, Q=1, T=1, delta_f=-1.0,
-                               beta=0.0, eta_w=0.5)
+                               beta=0.0)
     with pytest.raises(ValueError):
         lmt.theorem1_stepsizes(L=1.0, sigma=0.0, n=1, Q=1, T=1, delta_f=1.0,
-                               beta=1.0, eta_w=0.5)
+                               beta=1.0)
 
 
 def test_theorem2_values():
@@ -402,12 +403,15 @@ def test_q_star_values():
 
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
-        lmt.HyperParams(Q=0, eta_a=0.1, eta_s=0.1, beta=0.0, eta_w=0.0)
+        lmt.HyperParams(Q=0, eta_a=0.1, eta_s=0.1, beta=0.0)
     with pytest.raises(ValueError):
-        lmt.HyperParams(Q=1, eta_a=-0.1, eta_s=0.1, beta=0.0, eta_w=0.0)
+        lmt.HyperParams(Q=1, eta_a=-0.1, eta_s=0.1, beta=0.0)
     with pytest.raises(ValueError):
-        lmt.HyperParams(Q=1, eta_a=0.1, eta_s=0.1, beta=1.0, eta_w=0.0)
-    hp = lmt.HyperParams(Q=7, eta_a=0.3, eta_s=0.11, beta=0.2, eta_w=0.5)
+        lmt.HyperParams(Q=1, eta_a=0.1, eta_s=0.1, beta=1.0)
+    with pytest.raises(ValueError, match=r"a stack's Q must not increase, got \[2, 4\]"):
+        lmt.HyperParams(Q=np.array([2, 4]).reshape(-1, 1, 1, 1),
+                        eta_a=np.array([0.1, 0.05]).reshape(-1, 1, 1, 1), eta_s=0.1, beta=0.0)
+    hp = lmt.HyperParams(Q=7, eta_a=0.3, eta_s=0.11, beta=0.2)
     assert hp.eta_hat == 0.3 * 0.11 * 7
 
 

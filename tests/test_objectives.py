@@ -62,9 +62,12 @@ def test_load_libsvm_errors(tmp_path):
     with pytest.raises(obj.DatasetError, match="empty"):
         obj.load_libsvm(str(empty))
     bad = tmp_path / "b.libsvm"
-    bad.write_text("+1 1:0.5\n-1 nonsense\n")
-    with pytest.raises(obj.DatasetError, match="b.libsvm:2"):
-        obj.load_libsvm(str(bad))
+    for text, fault in [("+1 1:0.5\n-1 nonsense\n", "b.libsvm:2"),
+                        ("+1 1:0.5\n-1 2:nan\n", "b.libsvm:2: .*non-finite value 'nan'"),
+                        ("inf 1:0.5\n-1 2:1\n", "b.libsvm:1: .*non-finite value 'inf'")]:
+        bad.write_text(text)
+        with pytest.raises(obj.DatasetError, match=fault):
+            obj.load_libsvm(str(bad))
     multi = tmp_path / "m.libsvm"
     multi.write_text("0 1:1\n1 1:1\n2 1:1\n")
     with pytest.raises(obj.DatasetError, match="two-class"):
@@ -82,9 +85,16 @@ def test_load_csv(tmp_path):
 
 def test_load_csv_errors(tmp_path):
     bad = tmp_path / "b.csv"
-    bad.write_text("1.0,1\n1.0,x\n")
-    with pytest.raises(obj.DatasetError, match="b.csv:2"):
-        obj.load_csv(str(bad))
+    for text, fault in [("1.0,1\n1.0,x\n", "b.csv:2"),
+                        ("1.0,1\ninf,-1\n", "b.csv:2: .*non-finite value 'inf'"),
+                        ("1.0,1\n2.0,nan\n", "b.csv:2: .*non-finite value 'nan'"),
+                        ("1e999,1\n2.0,-1\n", "b.csv:1: .*non-finite value '1e999'"),
+                        ("1.0,2.0,1\n1.0,-1\n", r"b.csv: inconsistent column counts \[2, 3\]"),
+                        ("1.0,1\n1.0\n", "b.csv:2: need at least one feature and a label"),
+                        ("# a comment\n\n# and another\n", "b.csv: empty dataset file")]:
+        bad.write_text(text)
+        with pytest.raises(obj.DatasetError, match=fault):
+            obj.load_csv(str(bad))
 
 
 def test_synthetic_dataset_deterministic():

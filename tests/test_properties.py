@@ -74,8 +74,7 @@ def test_first_round_parity_from_consensus_start(mix, seed, eta_a, eta_s):
     oracle = quad(mix.n, seed, sigma=0.0)
     x0 = np.random.default_rng(seed).normal(size=3)
     X0 = np.tile(x0, (mix.n, 1))
-    hp = lmt.HyperParams(Q=1, eta_a=eta_a, eta_s=eta_s, beta=0.0,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=eta_a, eta_s=eta_s, beta=0.0)
     expected = x0 - hp.eta_hat * oracle.global_gradient(x0)
     for method in METHOD_CHOICES:
         mean = one_round(method, lmt.init_state(method, X0), oracle, mix, hp)["X"].mean(axis=0)
@@ -88,8 +87,7 @@ def test_first_round_parity_from_consensus_start(mix, seed, eta_a, eta_s):
 def test_corrections_mean_zero_and_tracking_mean(mix, seed, Q, beta):
     oracle = quad(mix.n, seed, sigma=0.5)
     X0 = np.random.default_rng(seed).normal(size=(mix.n, 3))
-    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta)
     for method in ("lmt", "naive_lmt", "kgt", "scaffold"):
         key = "C" if method in ("lmt", "naive_lmt") else "c"
         state = lmt.init_state(method, X0)
@@ -111,8 +109,7 @@ def test_corrections_mean_zero_and_tracking_mean(mix, seed, Q, beta):
 def test_naive_lmt_equals_lmt_at_q1(mix, seed, beta):
     oracle = quad(mix.n, seed, sigma=1.0)
     X0 = np.random.default_rng(seed).normal(size=(mix.n, 3))
-    hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=beta,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=1, eta_a=0.05, eta_s=0.2, beta=beta)
     a, b = lmt.init_state("lmt", X0), lmt.init_state("naive_lmt", X0)
     sa, sb = TrialStreams(seed, 0), TrialStreams(seed, 0)
     for _ in range(10):
@@ -126,8 +123,7 @@ def test_naive_lmt_equals_lmt_at_q1(mix, seed, beta):
 def test_round_leaves_its_input_state_unchanged(method):
     mix = tp.build_ring_mixing(5)
     oracle = quad(5, seed=1, sigma=0.5)
-    hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.5,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.5)
     streams = TrialStreams(9, 0)
     X0 = np.random.default_rng(2).normal(size=(5, 3))
     # one round first, so every array of the input is non-trivial
@@ -155,7 +151,7 @@ def test_round_writes_into_no_array_of_its_input(method):
     # forms its steps in place, so any write into the arrays they share
     # must raise here, on every kind of oracle
     mix = tp.build_ring_mixing(5)
-    hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.5, eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=2, eta_a=0.05, eta_s=0.3, beta=0.5)
     X0 = np.random.default_rng(2).normal(size=(2, 5, 3))
     for kind in ORACLE_KINDS:
         oracle = make_oracle(kind, 5, seed=4)
@@ -196,8 +192,7 @@ def make_oracle(kind, n, seed):
        Q=st.integers(1, 3), beta=st.floats(0.0, 0.9))
 def test_batched_round_equals_each_trials_round(mix, seed, trials, oracle_kind, Q, beta):
     oracle = make_oracle(oracle_kind, mix.n, seed)
-    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta)
     X0 = np.random.default_rng(seed).normal(size=(len(trials), mix.n, 3))
     batch_streams = TrialStreams(seed, trials)
     for method in METHOD_CHOICES:
@@ -306,8 +301,7 @@ def test_relabelling_the_agents_permutes_the_trajectory(mix, seed, kind, Q, beta
     perm = rng.permutation(mix.n)
     oracle, oracle_p = relabelled_oracles(kind, mix.n, seed, perm)
     mix_p = tp.from_weights(mix.weights[np.ix_(perm, perm)])
-    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta,
-                         eta_w=mix.eta_w)
+    hp = lmt.HyperParams(Q=Q, eta_a=0.05, eta_s=0.3, beta=beta)
     X0 = rng.normal(size=(mix.n, 3))
     for method in METHOD_CHOICES:
         state, state_p = lmt.init_state(method, X0), lmt.init_state(method, X0[perm])

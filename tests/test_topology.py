@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ def test_spectral_quantities_validation_errors():
     with pytest.raises(tp.MixingMatrixError, match="semidefinite"):
         tp.from_weights(W0)
 
+    for weights, fault in [(np.full((2, 3), 1.0 / 3.0), r"square, got shape \(2, 3\)"),
+                           (np.where(np.eye(5) > 0, np.nan, good), "non-finite"),
+                           (np.array([[1.25, -0.25], [-0.25, 1.25]]),
+                            "negative entry -2.500e-01")]:
+        with pytest.raises(tp.MixingMatrixError, match=fault):
+            tp.from_weights(weights)
+
     neg = good.copy()
     neg[0, 0] -= 1e-6
     neg[0, 2] += 1e-6
@@ -134,7 +142,7 @@ def test_lca_mix_consensus_fixed_point():
     mix = tp.build_ring_mixing(6)
     v = np.arange(3.0)
     top = np.tile(v, (6, 1))
-    assert np.allclose(tp.lca_mix(mix, 0.7, top, top.copy()), top, atol=1e-13)
+    assert np.allclose(tp.lca_mix(mix, top, top.copy()), top, atol=1e-13)
 
 
 def test_lca_mix_zero_eta_is_plain_mixing():
@@ -142,15 +150,16 @@ def test_lca_mix_zero_eta_is_plain_mixing():
     rng = np.random.default_rng(0)
     top = rng.normal(size=(5, 3))
     bottom = rng.normal(size=(5, 3))
-    assert np.allclose(tp.lca_mix(mix, 0.0, top, bottom), mix.weights @ top, atol=1e-14)
+    assert np.allclose(tp.lca_mix(replace(mix, eta_w=0.0), top, bottom), mix.weights @ top,
+                       atol=1e-14)
 
 
 def test_lca_mix_shape_errors():
     mix = tp.build_ring_mixing(5)
     with pytest.raises(ValueError):
-        tp.lca_mix(mix, 0.5, np.zeros((5, 2)), np.zeros((5, 3)))
+        tp.lca_mix(mix, np.zeros((5, 2)), np.zeros((5, 3)))
     with pytest.raises(ValueError):
-        tp.lca_mix(mix, 0.5, np.zeros((4, 2)), np.zeros((4, 2)))
+        tp.lca_mix(mix, np.zeros((4, 2)), np.zeros((4, 2)))
 
 
 def test_stacking_identity():
@@ -195,7 +204,7 @@ def test_lca_contraction_short_suite():
             projected = proj2 @ stacked
             norm2 = float(np.sum(projected * projected))
             assert norm2 <= 14.0 * mix.rho_w ** (2 * k) * bound0 * (1 + 1e-9)
-            top, bottom = tp.lca_mix(mix, mix.eta_w, top, bottom), top
+            top, bottom = tp.lca_mix(mix, top, bottom), top
             vec = big @ vec
 
 

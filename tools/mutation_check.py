@@ -44,10 +44,14 @@ MUTANTS = (
     ("src/lmtsim/lmt.py", "    X = X.copy()\n", "    X = np.asarray(X)\n",
      ["tests/test_properties.py::test_round_writes_into_no_array_of_its_input"]),
     # a stack's local step also taken by the points whose Q it reached
-    ("src/lmtsim/lmt.py", "slice(sum(q > start for q in qs))",
-     "slice(sum(q >= start for q in qs))",
+    ("src/lmtsim/lmt.py", "active = sum(q > start for q in qs)",
+     "active = sum(q >= start for q in qs)",
      ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
       "[quadratic-Q]"]),
+    # a run of steps that every point takes indexed as a prefix of the
+    # leading axis, which on an unstacked state is its first agent
+    ("src/lmtsim/lmt.py", "... if active == len(qs) else slice(active)", "slice(active)",
+     ["tests/test_lmt.py", "-k", "local_phase"]),
     # a stack's results handed back in the caller's order, not the stack's
     ("src/lmtsim/harness.py", "for j, result in zip(js, stop.value):",
      "for j, result in zip(sorted(js), stop.value):",
@@ -127,6 +131,16 @@ MUTANTS = (
      "                         state[\"t\"], hp.Q)\n"
      "    return {**state, \"X\": W.weights @ X_Q, \"t\": state[\"t\"] + 1}\n",
      ["tests/test_acceptance.py::test_criterion_05_deterministic_pl_convergence"]),
+    # the LCA step at the contraction rate of the mixing matrix, not its weight
+    ("src/lmtsim/topology.py",
+     "return (1.0 + W.eta_w) * (W.weights @ top) - W.eta_w * bottom",
+     "return (1.0 + W.rho_w) * (W.weights @ top) - W.rho_w * bottom",
+     ["tests/test_topology.py::test_lca_contraction_short_suite"]),
+    # the corrections' exchange at the contraction rate, not the LCA weight
+    ("src/lmtsim/lmt.py",
+     "(1.0 + W.eta_w) * (W.weights @ Y) - W.eta_w * Y_l",
+     "(1.0 + W.rho_w) * (W.weights @ Y) - W.rho_w * Y_l",
+     ["tests/test_lmt.py::test_tracking_scalar_recursion"]),
     # the ridge logistic Hessian without its ridge
     ("src/lmtsim/objectives.py", "H = self.coeff * np.eye(self.dim)",
      "H = np.zeros((self.dim, self.dim))",
