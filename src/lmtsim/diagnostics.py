@@ -10,6 +10,7 @@ output metadata labels it accordingly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -70,25 +71,29 @@ def lyapunov_surrogate(*, gap: float, z_bar_sq: float, consensus_x: float,
     trial for a stack's ``hp``, whose every point's weights are its own
     ``HyperParams``' floats.
     """
-    weights = [_surrogate_weights(Q, eta_a, hp, L, rho_w, n)
-               for Q, eta_a in zip(np.ravel(hp.Q).tolist(), np.ravel(hp.eta_a).tolist())]
-    # one row per weight, then the point axis of ``gap`` if ``hp`` has one
-    z_bar, x, y, z = np.array(weights).T.reshape((4,) + np.shape(hp.Q)[:np.ndim(gap)])
+    z_bar, x, y, z = _surrogate_weights(
+        tuple(zip(np.ravel(hp.Q).tolist(), np.ravel(hp.eta_a).tolist())), hp.eta_s,
+        hp.beta, L, rho_w, n, np.shape(hp.Q)[:np.ndim(gap)])
     return gap + z_bar * z_bar_sq + x * consensus_x + y * consensus_y + z * z_dev
 
 
-def _surrogate_weights(Q: int, eta_a: float, hp: HyperParams, L: float, rho_w: float,
-                       n: int) -> tuple[float, float, float, float]:
+@functools.lru_cache(maxsize=64)
+def _surrogate_weights(points: tuple, eta_s: float, beta: float, L: float, rho_w: float,
+                       n: int, shape: tuple) -> np.ndarray:
     """The weights of ``|z_bar|^2``, ``|Pi x|^2``, ``|Pi y|^2`` and ``z_dev``
-    in :func:`lyapunov_surrogate` at one point's ``Q`` and ``eta_a``."""
-    eta_hat = eta_a * hp.eta_s * Q
-    one_minus_beta = 1.0 - hp.beta
-    one_minus_rho = 1.0 - rho_w
-    aq2 = eta_a ** 2 * Q ** 2
-    return (4.0 * eta_hat ** 3 * L * L / one_minus_beta ** 3,
-            11.0 * eta_hat * L * L / (n * one_minus_rho),
-            21.0 * eta_hat * aq2 * L * L / (n * one_minus_rho),
-            6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L / (n * one_minus_beta))
+    in :func:`lyapunov_surrogate` at each ``(Q, eta_a)`` of ``points``, on
+    Python floats: one row per weight, then the point axis ``shape``.  Cached
+    by value, as each round of a stack asks for the same, so read-only."""
+    weights = []
+    for Q, eta_a in points:
+        eta_hat, aq2 = eta_a * eta_s * Q, eta_a ** 2 * Q ** 2
+        weights.append((4.0 * eta_hat ** 3 * L * L / (1.0 - beta) ** 3,
+                        11.0 * eta_hat * L * L / (n * (1.0 - rho_w)),
+                        21.0 * eta_hat * aq2 * L * L / (n * (1.0 - rho_w)),
+                        6.0 * (1.0 + 63.0 * C0) * eta_hat * aq2 * L * L / (n * (1.0 - beta))))
+    weights = np.array(weights).T.reshape((4,) + shape)
+    weights.flags.writeable = False
+    return weights
 
 
 # numpy's error state is context-local and a worker thread starts from the

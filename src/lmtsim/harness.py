@@ -291,8 +291,8 @@ def run_experiment(cfg: ExperimentConfig,
     return _run_group(cfg, lambda mix, oracle: [(cfg, label or cfg.method)])[0]
 
 
-def _run_group(cfg: ExperimentConfig, points_of,
-               progress: tuple[int, int] | None = None) -> list[ResultTable]:
+def _run_group(cfg: ExperimentConfig, points_of, progress: tuple[int, int] | None = None,
+               dirs: tuple = ()) -> list[ResultTable]:
     """The tables of the ``(cfg, label)`` points that ``points_of`` makes
     from the mixing matrix and oracle built from ``cfg``, points that
     differ from it only in what :func:`resolve_hyperparams` and the rounds
@@ -304,7 +304,8 @@ def _run_group(cfg: ExperimentConfig, points_of,
     next round of any.  Each point's ``meta.txt`` lists the warnings of
     the build, of its hyperparameters and of its stack's rounds, not those
     of ``points_of``; all reach the caller, each once, when the group ends.
-    Each point makes its output directory before the first round and
+    Each point makes its output directory, and the group the directories
+    ``dirs`` (a sweep's other points'), before the first round; each point
     writes its outputs after the last, and, given ``progress`` (its first
     index and the sweep's size), a line with the group's seconds so far."""
     started = time.perf_counter()
@@ -324,9 +325,9 @@ def _run_group(cfg: ExperimentConfig, points_of,
                     hps.append(resolve_hyperparams(point, oracle, mix))
                 heard.append(shared + raised[seen:])
             try:  # before the first round, so that no round is lost to it
-                for point, _ in points:
-                    if point.outdir:
-                        os.makedirs(point.outdir, exist_ok=True)
+                for path in [*(point.outdir for point, _ in points), *dirs]:
+                    if path:
+                        os.makedirs(path, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"output.dir: cannot make {exc.filename!r} a "
                                   f"directory: {exc.strerror}") from None
@@ -458,8 +459,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     summary carries the log-log slope of the final-window gradient metric
     against ``Q``.  The points of a ``Q`` or ``method`` sweep run side by
     side as one group (:func:`_run_group`); each point of an ``n`` sweep is
-    a group of its own.  Each finished point prints one line to stderr: its
-    label, its index out of the total and its group's seconds so far.
+    a group of its own.  Every point's output directory is made before the
+    first group's rounds.  Each finished point prints one line to stderr:
+    its label, its index out of the total and its group's seconds so far.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -472,6 +474,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
         raise ConfigError(f"{key}: sweep values must be distinct, got {values}")
     for value in values:
         replace(cfg, **{axis: value}).validate()
+    labels = {value: value if axis == "method" else f"{axis}={value}" for value in values}
+    outdirs = {value: cfg.outdir and os.path.join(cfg.outdir,
+                                                  f"point_{axis}_{label.replace('=', '')}")
+               for value, label in labels.items()}
 
     def points(group: list, mix: tp.MixingMatrix, oracle: obj.GradientOracle) -> list:
         """The ``(cfg, label)`` points of the values ``group``, from the
@@ -481,16 +487,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
         base = _schedule(cfg, oracle, mix) if axis == "Q" else None
         made = []
         for value in group:
-            point = replace(cfg, **{axis: value})
+            point = replace(cfg, **{axis: value, "outdir": outdirs[value]})
             if axis == "Q":
                 point = replace(point, schedule="explicit",
                                 eta_a=base.eta_hat / (base.eta_s * value),
                                 eta_s=base.eta_s, beta=base.beta)
-            label = value if axis == "method" else f"{axis}={value}"
-            if cfg.outdir:
-                point = replace(point, outdir=os.path.join(
-                    cfg.outdir, f"point_{axis}_{label.replace('=', '')}"))
-            made.append((point, label))
+            made.append((point, labels[value]))
         return made
 
     # the points of a Q or method sweep share their graph and oracle, so
@@ -499,8 +501,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list) -> tuple[list[Resu
     tables: list[ResultTable] = []
     for first in range(0, len(values), size):
         group = values[first:first + size]
+        # the first group makes every point's directory before its rounds
         tables += _run_group(replace(cfg, **{axis: group[0]}), partial(points, group),
-                             (first + 1, len(values)))
+                             (first + 1, len(values)), () if first else tuple(outdirs.values()))
     rows = [{"axis": axis, "value": value,
              "final_grad_norm_avg": table.final_window("grad_norm_avg"),
              "final_opt_gap_mean": table.final_window("opt_gap_mean"),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class HyperParams:
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
 
-    @property
+    @cached_property
     def eta_hat(self) -> float:
         return self.eta_a * self.eta_s * self.Q
 
@@ -240,9 +241,14 @@ def naive_local_momentum_round(state: dict, oracle, W: MixingMatrix,
         for draws_step in draws:
             G = oracle.stochastic_gradient_matrix(X_k, draws_step)
             G_sum_k += G
-            Z_k[...] = hp.beta * Z_k + (1.0 - hp.beta) * G
+            # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)
+            G *= 1.0 - hp.beta
+            Z_k *= hp.beta
+            Z_k += G
             M_sum_k += Z_k
-            X_k -= eta_k * (Z_k + C_k)
+            np.add(Z_k, C_k, out=G)
+            G *= eta_k
+            X_k -= G
     return _track_and_mix(state, M_sum / hp.Q, Z_run, G_sum / hp.Q, W, hp)
 
 

@@ -282,19 +282,20 @@ def _load_ufunc_module():
     return None
 
 
-def logistic_loss_inplace(margins: np.ndarray) -> np.ndarray:
-    """``log(1 + exp(-m))`` of every margin, as ``log1p(exp(-|m|)) - min(m, 0)``.
+def logistic_loss_inplace(z: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(z))`` of every negated margin ``z = -m``, as
+    ``log1p(exp(-|z|)) + max(z, 0)``.
 
     The same formula as ``-log_expit(m)``, on numpy's vectorised ``exp``
     and ``log1p``: within 4 ulp of ``np.logaddexp(0, -m)``, exact at
     +-inf, NaN and +-0, but its last ulp depends on numpy's CPU dispatch.
-    Overwrites ``margins``; one new array of its shape.
+    Overwrites ``z``; one new array of its shape.
     """
-    loss = np.abs(margins)
+    loss = np.abs(z)
     np.negative(loss, out=loss)
     np.exp(loss, out=loss)
     np.log1p(loss, out=loss)
-    loss -= np.minimum(margins, 0.0, out=margins)
+    loss += np.maximum(z, 0.0, out=z)
     return loss
 
 
@@ -330,10 +331,11 @@ class LogisticOracle(GradientOracle):
         self.n_agents = data.n_agents
         self.dim = data.dim
 
-        # label-signed features v * u: with labels +-1 every product with
-        # them is exact, so the margins v * (U @ x) take one product and
-        # the labels need no array of their own
-        self._signed = np.concatenate([l[:, None] * f for f, l in data.shards])
+        # negated label-signed features -v * u: with labels +-1 every product
+        # with them is exact, and IEEE rounding is symmetric in sign, so the
+        # negated margins -v * (U @ x) take one product, bit-equal to the
+        # negation of v * (U @ x), and the labels need no array of their own
+        self._signed = np.concatenate([-l[:, None] * f for f, l in data.shards])
         self._offsets = np.concatenate([[0], np.cumsum(sizes)])
         self._sizes = np.array(sizes)
         # runs of consecutive agents with equal shard sizes, each with its
@@ -375,32 +377,31 @@ class LogisticOracle(GradientOracle):
 
         One stacked product per run of equal shard sizes: numpy's matmul
         makes the same BLAS call for each agent of the stack as for that
-        agent alone, so every entry equals the per-agent
-        ``-(S_i.T @ expit(-(S_i @ x))) / size + reg'(x)`` bit for bit.
+        agent alone, so every entry equals the per-agent ``-(S_i.T @
+        expit(-(S_i @ x))) / size + reg'(x)`` on rows ``S_i = v u`` bit for bit.
         """
         G = np.empty(X.shape)
         for agents, S in self._runs:
             slope = S @ X[..., agents, :, None]
-            self._expit(np.negative(slope, out=slope), out=slope)  # = 1 / (1 + exp(margin))
-            g = S.swapaxes(-1, -2) @ slope
-            np.divide(np.negative(g, out=g), S.shape[1], out=G[..., agents, :, None])
+            self._expit(slope, out=slope)  # = 1 / (1 + exp(margin))
+            np.divide(S.swapaxes(-1, -2) @ slope, S.shape[1], out=G[..., agents, :, None])
         return np.add(G, self._reg_gradient(X), out=G)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
-        return self._exact_gradients(
-            np.broadcast_to(x[..., None, :], x.shape[:-1] + (self.n_agents, self.dim)))
+        # a copy, not a broadcast view: the regularizer's passes run faster on it
+        return self._exact_gradients(np.repeat(x[..., None, :], self.n_agents, axis=-2))
 
     def global_value(self, x: np.ndarray) -> float:
         # each agent's mean loss, then the mean over agents; -log_expit(m)
         # is log(1 + exp(-m)), bit-equal to logaddexp(0, -m); kept exact
         # here, as it sets f_star and the schedules' delta_f
         losses = np.concatenate(
-            [np.mean(-self._log_expit(S @ x), axis=-1) for _, S in self._runs])
+            [np.mean(-self._log_expit(-(S @ x)), axis=-1) for _, S in self._runs])
         return float(np.mean(losses + self._reg_values(x)))
 
     def global_hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the ridge (``l2``) global objective at one point x."""
-        s = self._expit(-(self._signed @ x))
+        s = self._expit(self._signed @ x)
         curvature = self._global_weights * s * (1.0 - s)
         H = self.coeff * np.eye(self.dim)
         # 128 rows at a time: a scaled copy of all fig1's rows adds 2% to its peak memory
@@ -432,8 +433,8 @@ class LogisticOracle(GradientOracle):
         if draws_step is None:
             return self._exact_gradients(X)
         S = self._signed[draws_step]
-        slope = self._expit(-np.einsum("...abp,...ap->...ab", S, X))
-        return -np.einsum("...ab,...abp->...ap", slope, S) / self.batch + self._reg_gradient(X)
+        slope = self._expit(np.einsum("...abp,...ap->...ab", S, X))
+        return np.einsum("...ab,...abp->...ap", slope, S) / self.batch + self._reg_gradient(X)
 
     def global_values_at_rows(self, X: np.ndarray) -> np.ndarray:
         """Global objective evaluated at each row of ``X``: ``(..., n)`` for

@@ -173,6 +173,55 @@ def test_kgt_round_on_a_ring_equals_per_agent_arithmetic():
         assert np.abs(state["c"][i] - c_next).max() <= 1e-14
 
 
+def test_pdsgdm_round_on_a_ring_equals_per_agent_arithmetic():
+    # the momentum buffers are mixed along with the iterates
+    n, p, Q = 5, 3, 2
+    mix = lmtsim.build_ring_mixing(n)
+    W = mix.weights
+    oracle = quad(n, p, seed=12)
+    rng = np.random.default_rng(12)
+    X, M = rng.normal(size=(n, p)), rng.normal(size=(n, p))
+    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.6)
+    local, _ = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "pdsgdm")
+    state = bl.baseline_round(bl.BaselineSpec(method="pdsgdm", hp=hp),
+                              {"X": X, "m": M, "t": 0}, oracle, mix)
+    xs, ms = [], []
+    for i in range(n):
+        x, m = X[i], M[i]
+        for _ in range(Q):
+            m = hp.beta * m + oracle.A[i] @ (x - oracle.b[i])
+            x = x - local * m
+        xs.append(x)
+        ms.append(m)
+    for i in range(n):
+        assert np.abs(state["X"][i] - sum(W[i, j] * xs[j] for j in range(n))).max() <= 1e-14
+        assert np.abs(state["m"][i] - sum(W[i, j] * ms[j] for j in range(n))).max() <= 1e-14
+
+
+def test_led_round_on_a_ring_equals_per_agent_arithmetic():
+    # the combine corrects the new local end points by the last round's
+    n, p, Q = 5, 3, 2
+    mix = lmtsim.build_ring_mixing(n)
+    W = mix.weights
+    oracle = quad(n, p, seed=13)
+    rng = np.random.default_rng(13)
+    X, psi = rng.normal(size=(n, p)), rng.normal(size=(n, p))
+    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.0)
+    local, _ = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "led")
+    state = bl.baseline_round(bl.BaselineSpec(method="led", hp=hp),
+                              {"X": X, "psi": psi, "t": 0}, oracle, mix)
+    psi_new = []
+    for i in range(n):
+        y = X[i]
+        for _ in range(Q):
+            y = y - local * (oracle.A[i] @ (y - oracle.b[i]))
+        psi_new.append(y)
+    for i in range(n):
+        combined = sum(W[i, j] * (psi_new[j] + X[j] - psi[j]) for j in range(n))
+        assert np.abs(state["X"][i] - combined).max() <= 1e-14
+        assert np.abs(state["psi"][i] - psi_new[i]).max() <= 1e-14
+
+
 def test_scaffold_zero_variates_is_parallel_sgd():
     n, p = 4, 3
     oracle = quad(n, p, seed=4)

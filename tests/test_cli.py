@@ -249,12 +249,21 @@ def test_a_non_finite_number_in_a_data_file_exits_2_before_any_round_runs(
     assert runs == []
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "Q", "--values", "1,2"]],
-                         ids=["run", "sweep-Q"])
-@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")])
+COMMANDS = {"run": ["run"], "sweep-Q": ["sweep", "--axis", "Q", "--values", "1,2"],
+            "sweep-n": ["sweep", "--axis", "n", "--values", "5,6"]}
+
+
+# --out at a file or below one; and an n sweep whose second group, not its
+# first, finds a file where its point's directory goes
+@pytest.mark.parametrize("command, out, blocker", [
+    *(pytest.param(COMMANDS[name], out, "afile", id=f"{out}-{name}")
+      for name in COMMANDS for out in ("afile", os.path.join("afile", "sub"))),
+    pytest.param(COMMANDS["sweep-n"], "out", os.path.join("out", "point_n_n6"),
+                 id="sweep-n-second-group")])
 def test_an_unusable_output_dir_exits_2_before_any_round_runs(tmp_path, monkeypatch, capsys,
-                                                              command, out):
-    (tmp_path / "afile").write_text("")
+                                                              command, out, blocker):
+    (tmp_path / blocker).parent.mkdir(exist_ok=True)
+    (tmp_path / blocker).write_text("")
 
     def no_round(*args):
         raise AssertionError("a round ran")

@@ -304,8 +304,8 @@ def test_naive_matches_lmt_at_q1():
     for _ in range(40):
         st_a = lmt.lmt_round(st_a, oracle, mix, hp, sa)
         st_b = lmt.naive_local_momentum_round(st_b, oracle, mix, hp, sb)
-        assert np.abs(st_a["X"] - st_b["X"]).max() <= 1e-12
-        assert np.abs(st_a["Z"] - st_b["Z"]).max() <= 1e-12
+        for key in ("X", "Z", "G_avg"):
+            assert np.abs(st_a[key] - st_b[key]).max() <= 1e-12, key
 
 
 def test_naive_matches_lmt_at_beta_zero():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_expit
+from scipy.special import expit, log_expit
 
 from helpers import finite_difference_gradient, fresh_stream, local_reference, \
     quadratic_values_at_rows, round_sites
@@ -146,10 +146,11 @@ def test_log_expit_loss_equals_logaddexp_bit_for_bit():
 
 
 def test_inplace_logistic_loss_within_4_ulp_of_logaddexp():
+    # the in-place loss takes the negated margins
     margins = edge_margins()
     with np.errstate(invalid="ignore"):
         expected = np.logaddexp(0.0, -margins)
-        got = obj.logistic_loss_inplace(margins.copy())
+        got = obj.logistic_loss_inplace(-margins)
     assert_within_ulps(got, expected, 4)
     # the edge values come out exactly as logaddexp gives them
     assert (got[-15:] == expected[-15:])[~np.isnan(expected[-15:])].all()
@@ -272,6 +273,24 @@ def test_stochastic_gradient_matrix_matches_per_agent_calls():
     # within 1e-15, a few ulp of these gradients of size up to 1
     for i in range(3):
         assert np.allclose(G[i], sites[1][i], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("reg", ["l2", "nonconvex"])
+def test_minibatch_logistic_gradient_equals_the_label_signed_formula_bit_for_bit(reg):
+    # the oracle keeps its rows negated; rounding is symmetric in sign, so
+    # its gradient equals the formula on the label-signed rows v u exactly
+    parts = obj.partition_heterogeneous(two_class_dataset(30, 4, seed=8), 3)
+    oracle = obj.LogisticOracle(parts, reg, 0.2, 2)
+    reference = local_reference(oracle, parts)
+    signed = np.concatenate(reference.signed)
+    X = np.random.default_rng(5).normal(size=(2, 3, 4))
+    for draws_step in oracle.draw(TrialStreams(99, [0, 1]), 7, 3):
+        S = signed[draws_step]
+        slope = expit(-np.einsum("...abp,...ap->...ab", S, X))
+        expected = (-np.einsum("...ab,...abp->...ap", slope, S) / 2
+                    + reference._reg_gradient(X))
+        got = oracle.stochastic_gradient_matrix(X, draws_step)
+        assert got.tobytes() == expected.tobytes()
 
 
 def _uneven_partition(sizes, p=3):

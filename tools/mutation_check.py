@@ -40,6 +40,15 @@ MUTANTS = (
      "            if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta\n"
      "                G += shift_k\n",
      ["tests/test_lmt.py"]),
+    # the negative control's momentum weight applied before its gradient is summed
+    ("src/lmtsim/lmt.py",
+     "            G_sum_k += G\n"
+     "            # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)\n"
+     "            G *= 1.0 - hp.beta\n",
+     "            G *= 1.0 - hp.beta\n"
+     "            G_sum_k += G\n"
+     "            # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)\n",
+     ["tests/test_lmt.py", "-k", "naive"]),
     # the steps taken in place, on the round's input iterates
     ("src/lmtsim/lmt.py", "    X = X.copy()\n", "    X = np.asarray(X)\n",
      ["tests/test_properties.py::test_round_writes_into_no_array_of_its_input"]),
@@ -57,6 +66,10 @@ MUTANTS = (
      "for j, result in zip(sorted(js), stop.value):",
      ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
       "[quadratic-Q]"]),
+    # every point of a stack given its first point's surrogate weights
+    ("src/lmtsim/diagnostics.py", "for Q, eta_a in points:",
+     "for Q, eta_a in points[:1] * len(points):",
+     ["tests/test_diagnostics.py::test_a_stack_surrogate_equals_each_points_own_bit_for_bit"]),
     # a stack's surrogate weights laid out by point, read as by weight
     ("src/lmtsim/diagnostics.py", "np.array(weights).T.reshape(",
      "np.array(weights).reshape(",
@@ -73,14 +86,21 @@ MUTANTS = (
     ("src/lmtsim/objectives.py", "np.add(G, draws_step, out=G)",
      "np.add(np.add(G, draws_step, out=G), draws_step, out=G)",
      ["tests/test_objectives.py", "-k", "quadratic"]),
-    # the exact logistic gradient's data term not negated
+    # the exact logistic gradient's data term negated
     ("src/lmtsim/objectives.py",
-     "np.divide(np.negative(g, out=g), S.shape[1], out=G[..., agents, :, None])",
-     "np.divide(g, S.shape[1], out=G[..., agents, :, None])",
+     "np.divide(S.swapaxes(-1, -2) @ slope, S.shape[1]",
+     "np.divide(-(S.swapaxes(-1, -2) @ slope), S.shape[1]",
      ["tests/test_objectives.py", "-k", "gradient"]),
-    # the in-place logistic loss with max for min
-    ("src/lmtsim/objectives.py", "loss -= np.minimum(margins, 0.0, out=margins)",
-     "loss -= np.maximum(margins, 0.0, out=margins)",
+    # the logistic rows stored label-signed, not negated
+    ("src/lmtsim/objectives.py", "[-l[:, None] * f for f, l in data.shards]",
+     "[l[:, None] * f for f, l in data.shards]",
+     ["tests/test_objectives.py", "-k", "gradient"]),
+    # the in-place logistic loss's correction term subtracted
+    ("src/lmtsim/objectives.py", "loss += np.maximum(z, 0.0, out=z)",
+     "loss -= np.maximum(z, 0.0, out=z)",
+     ["tests/test_objectives.py", "-k", "loss or values"]),
+    # the in-place logistic loss with min for max
+    ("src/lmtsim/objectives.py", "np.maximum(z, 0.0, out=z)", "np.minimum(z, 0.0, out=z)",
      ["tests/test_objectives.py", "-k", "loss or values"]),
     # the logistic gap scaled by 1 + 1e-9
     ("src/lmtsim/objectives.py",
@@ -121,6 +141,13 @@ MUTANTS = (
     ("src/lmtsim/baselines.py", "mixed_delta = W.weights @ delta",
      'mixed_delta = W.weights @ __import__("numpy").roll(delta, 1, axis=-2)',
      ["tests/test_baselines.py::test_kgt_round_on_a_ring_equals_per_agent_arithmetic"]),
+    # PD-SGDM's momentum buffers left unmixed
+    ("src/lmtsim/baselines.py", '"m": W.weights @ M', '"m": M',
+     ["tests/test_baselines.py::test_pdsgdm_round_on_a_ring_equals_per_agent_arithmetic"]),
+    # LED's combine without its bias correction
+    ("src/lmtsim/baselines.py", 'W.weights @ (psi_new + state["X"] - state["psi"])',
+     "W.weights @ psi_new",
+     ["tests/test_baselines.py::test_led_round_on_a_ring_equals_per_agent_arithmetic"]),
     # K-GT's corrections divided by Q alone
     ("src/lmtsim/baselines.py", "C_next = C + (delta - mixed_delta) / (Q * local)",
      "C_next = C + (delta - mixed_delta) / Q",
