@@ -68,7 +68,7 @@ def baseline_round(spec: BaselineSpec, state: dict, oracle, W: MixingMatrix,
     ``spec.method``, from a state built by :func:`lmtsim.lmt.init_state`."""
     hp, method = spec.hp, spec.method
     local, outer = stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, method)
-    args = (state, oracle, W, streams, hp.Q, local)
+    args = (state, oracle, W, streams, hp, local)
     if method == "local_dsgd":
         return _round_local_dsgd(*args)
     if method == "led":
@@ -80,33 +80,33 @@ def baseline_round(spec: BaselineSpec, state: dict, oracle, W: MixingMatrix,
     return _round_scaffold(*args, outer)
 
 
-def _round_local_dsgd(state, oracle, W, streams, Q, local):
-    X, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], Q)
+def _round_local_dsgd(state, oracle, W, streams, hp, local):
+    X, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], hp)
     return {"X": W.weights @ X, "t": state["t"] + 1}
 
 
-def _round_led(state, oracle, W, streams, Q, local):
-    psi_new, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], Q)
+def _round_led(state, oracle, W, streams, hp, local):
+    psi_new, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], hp)
     combined = W.weights @ (psi_new + state["X"] - state["psi"])
     return {"X": combined, "t": state["t"] + 1, "psi": psi_new}
 
 
-def _round_kgt(state, oracle, W, streams, Q, local, outer):
+def _round_kgt(state, oracle, W, streams, hp, local, outer):
     X, C = state["X"], state["c"]
-    Y, _ = local_steps(X, C, local, oracle, streams, state["t"], Q)
+    Y, _ = local_steps(X, C, local, oracle, streams, state["t"], hp)
     delta = Y - X
     mixed_delta = W.weights @ delta
     X_next = W.weights @ X + outer * mixed_delta
     # tracking at communication only: corrections converge to the drift
     # compensation  (mean gradient) - (own gradient)
-    C_next = C + (delta - mixed_delta) / (Q * local)
+    C_next = C + (delta - mixed_delta) / (hp.Q * local)
     return {"X": X_next, "t": state["t"] + 1, "c": C_next}
 
 
-def _round_pdsgdm(state, oracle, W, streams, Q, local, beta):
+def _round_pdsgdm(state, oracle, W, streams, hp, local, beta):
     X = state["X"].copy()
     M = state["m"].copy()
-    for k, draws in local_draws(oracle, streams, state["t"], Q):
+    for k, draws in local_draws(oracle, streams, state["t"], hp):
         # views of the stepping points
         X_k, M_k, local_k = X[k], M[k], np.asarray(local)[k]
         for draws_step in draws:
@@ -116,7 +116,7 @@ def _round_pdsgdm(state, oracle, W, streams, Q, local, beta):
     return {"X": W.weights @ X, "t": state["t"] + 1, "m": W.weights @ M}
 
 
-def _round_scaffold(state, oracle, W, streams, Q, local, outer):
+def _round_scaffold(state, oracle, W, streams, hp, local, outer):
     x = state["x_server"]
     c = state["c_server"]
     C = state["c"]
@@ -124,14 +124,14 @@ def _round_scaffold(state, oracle, W, streams, Q, local, outer):
     Y = agent_copies(x, n)
     # its own loop: local_steps would form G + (c - C), which rounds
     # differently from G - C + c
-    for k, draws in local_draws(oracle, streams, state["t"], Q):
+    for k, draws in local_draws(oracle, streams, state["t"], hp):
         # views of the stepping points
         Y_k, C_k, c_k, local_k = Y[k], C[k], c[k][..., None, :], np.asarray(local)[k]
         for draws_step in draws:
             G = oracle.stochastic_gradient_matrix(Y_k, draws_step)
             Y_k -= local_k * (G - C_k + c_k)
     delta_y = Y - x[..., None, :]
-    C_next = C - c[..., None, :] + (x[..., None, :] - Y) / (Q * local)
+    C_next = C - c[..., None, :] + (x[..., None, :] - Y) / (hp.Q * local)
     x_next = x + outer * delta_y.mean(axis=-2)
     c_next = c + (C_next - C).mean(axis=-2)
     X_next = agent_copies(x_next, n)

@@ -209,6 +209,24 @@ def _gap_on_worker(oracle: obj.GradientOracle) -> bool:
     return cpus >= 2
 
 
+def _stack(hps: list[lmt.HyperParams], ndim: int) -> lmt.HyperParams:
+    """One :class:`lmt.HyperParams` for the points ``hps`` of a stack whose
+    states have ``ndim`` axes: their ``Q`` and ``eta_a`` on a leading point
+    axis, and for a stack of one, its point's own floats."""
+    if len(hps) == 1:
+        return hps[0]
+    on_points = (-1,) + (1,) * (ndim - 1)
+    return replace(hps[0], Q=np.array([h.Q for h in hps]).reshape(on_points),
+                   eta_a=np.array([h.eta_a for h in hps]).reshape(on_points))
+
+
+def _input_metrics_on_worker(*args) -> tuple:
+    """:func:`diagnostics.input_metrics` in the round loop's error state,
+    which a worker thread does not inherit: numpy's is context-local."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dg.input_metrics(*args)
+
+
 def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
                   oracle: obj.GradientOracle, hps: list[lmt.HyperParams],
                   streams: TrialStreams, worker):
@@ -220,25 +238,24 @@ def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
     column per round), and each trial's first round whose metrics the
     method defines are not finite, or ``T`` if only the iterates of the
     last round are not (None if every round's are).  A trial's rows from
-    that round on are NaN; the loop stops after the round in which the last
-    trial of the last point diverged.  Given ``worker``, an executor, round
-    t + 1's :func:`diagnostics.input_metrics` is queued on it as soon as
-    round t has returned its state, and round t's metrics and stop still
-    come before round t + 1 runs."""
+    that round on are NaN.  A point leaves the stack after the round in
+    which the last of its trials diverged, and the loop stops after the
+    round in which the last trial of the last point did.  Given ``worker``,
+    an executor, round t + 1's :func:`diagnostics.input_metrics` is queued
+    on it as soon as round t has returned its state, and round t's metrics
+    and stop still come before round t + 1 runs."""
     shape = (len(hps), len(streams.trials))
-    out = {name: np.full(shape + (cfg.T,), np.nan) for name in _METRICS}
     at = np.full(shape, cfg.T + 1)  # each trial's divergence round, T + 1 for none
+    live = slice(None)  # the points in the stack: all, then the indices of those left
 
     X0 = _initial_iterates(cfg, oracle.n_agents, oracle.dim, streams)
     state = lmt.init_state(cfg.method, np.repeat(X0[None], len(hps), axis=0))
-    on_points = (-1,) + (1,) * X0.ndim  # a stack of one runs on its point's floats
-    hp = hps[0] if len(hps) == 1 else replace(
-        hps[0], Q=np.array([h.Q for h in hps]).reshape(on_points),
-        eta_a=np.array([h.eta_a for h in hps]).reshape(on_points))
+    hp = _stack(hps, state["X"].ndim)
     spec = bl.BaselineSpec(method=cfg.method, hp=hp)
-    carry = x_bar_prev = None
+    carry = x_bar_prev = out = None
     if worker:
-        pending = worker.submit(dg.input_metrics, oracle, hp, state, None)
+        pending = worker.submit(_input_metrics_on_worker, oracle, hp, state, None)
+        cut = None  # the points left of the state the pending gap reads
     for t in range(cfg.T):
         # looked up at each call, so wrappers put on the module attributes
         # (such as the benchmark's layer timers) see every round
@@ -252,30 +269,53 @@ def _point_rounds(cfg: ExperimentConfig, mix: tp.MixingMatrix,
             # round t + 1's gap reads only ``new`` and this round's mean
             # iterate, so it is queued behind round t's before that is
             # collected, and the worker goes from one gap to the next
-            queued = (worker.submit(dg.input_metrics, oracle, hp, new,
+            queued = (worker.submit(_input_metrics_on_worker, oracle, hp, new,
                                     dg.axis_mean(state["X"], -2))
                       if t + 1 < cfg.T else None)
             inputs, pending = pending.result(), queued
+            if cut is not None:
+                inputs, cut = tuple(v if v is None else v[cut] for v in inputs), None
         else:
             inputs = dg.input_metrics(oracle, hp, state, x_bar_prev)
         row, carry = dg.round_metrics(oracle, hp, mix, state, new, carry, inputs)
         x_bar_prev, state = inputs[0], new
-        # ``row`` holds exactly the metrics the method defines, each of
-        # shape (points, trials), so the list is one array
-        for name, values in row.items():
-            out[name][..., t] = values
-        bad = ~np.isfinite(list(row.values())).all(axis=0)
-        at[bad & (at > cfg.T)] = t
-        if (at <= t).all():
-            break
+        if out is None:
+            # ``row`` holds exactly the metrics the method defines, each of
+            # shape (points, trials): (metric, point, trial, round)
+            names = list(row)
+            out = np.full((len(names),) + shape + (cfg.T,), np.nan)
+        block = out[..., t]
+        block[:, live] = list(row.values())
+        rows = block[:, live]
+        if not np.isfinite(rows).all():
+            stack_at = at[live]
+            stack_at[~np.isfinite(rows).all(axis=0) & (stack_at > cfg.T)] = t
+            at[live] = stack_at
+            gone = (stack_at <= t).all(axis=1)
+            if gone.all():
+                break
+            if gone.any():
+                keep = ~gone
+                live = np.arange(len(hps))[live][keep]
+                hp = _stack([hps[j] for j in live], state["X"].ndim)
+                spec = bl.BaselineSpec(method=cfg.method, hp=hp)
+                state = {key: v[keep] if isinstance(v, np.ndarray) else v
+                         for key, v in state.items()}
+                carry = carry and tuple(v[keep] for v in carry)
+                x_bar_prev = x_bar_prev[keep]
+                if worker:
+                    cut = keep
         yield
 
     # non-finite iterates make the next round's ``consensus_x`` non-finite,
     # so only those the last round returned need a check of their own
-    at[(at > cfg.T) & ~np.isfinite(state["X"]).all(axis=(-2, -1))] = cfg.T
-    for values in out.values():
+    stack_at = at[live]
+    stack_at[(stack_at > cfg.T) & ~np.isfinite(state["X"]).all(axis=(-2, -1))] = cfg.T
+    at[live] = stack_at
+    for values in out:
         values[np.arange(cfg.T) >= at[..., None]] = np.nan
-    return [({name: values[k] for name, values in out.items()},
+    return [({name: out[names.index(name), k] if name in names
+              else np.full(shape[1:] + (cfg.T,), np.nan) for name in _METRICS},
              [int(a) if a <= cfg.T else None for a in at[k]]) for k in range(len(hps))]
 
 

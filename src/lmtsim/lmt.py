@@ -65,6 +65,39 @@ class HyperParams:
     def eta_hat(self) -> float:
         return self.eta_a * self.eta_s * self.Q
 
+    # a stack's constants, each computed once, at its first round
+
+    @cached_property
+    def eta_a_Q(self) -> float:
+        """``eta_a * Q``, the span of the local steps."""
+        return self.eta_a * self.Q
+
+    @cached_property
+    def eta_hat_of_means(self) -> float:
+        """``eta_hat`` shaped to meet the agents' means of the states, whose
+        agent axis it drops: ``(P, 1, ..., 1)`` for a stack."""
+        return np.reshape(self.eta_hat, np.shape(self.Q)[:-1])
+
+    @cached_property
+    def points(self) -> tuple:
+        """Each point's ``(Q, eta_a)`` as Python numbers."""
+        return tuple(zip(np.ravel(self.Q).tolist(), np.ravel(self.eta_a).tolist()))
+
+    @cached_property
+    def local_runs(self) -> tuple:
+        """The local steps of a round in runs ``(k, start, stop)``: one run
+        from each distinct ``Q`` to the next, taken by the points ``k``, the
+        leading ones whose ``Q`` exceeds its first step (``...`` when every
+        point does), so that each point takes exactly its own ``Q`` steps on
+        the draws it would take alone (:func:`local_draws`)."""
+        qs = np.ravel(self.Q).tolist()
+        ends = sorted(set(qs))
+        runs = []
+        for start, stop in zip([0] + ends, ends):
+            active = sum(q > start for q in qs)
+            runs.append((... if active == len(qs) else slice(active), start, stop))
+        return tuple(runs)
+
 
 def init_state(method: str, X0: np.ndarray) -> dict:
     """Fresh state of ``method`` at the initial iterates ``X0``.
@@ -113,35 +146,28 @@ def agent_copies(x: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(x[..., None, :], n, axis=-2)
 
 
-def local_draws(oracle, streams: TrialStreams | None, t: int, Q):
-    """The draws of the local steps of round ``t`` in runs of steps, each
-    with the index of the points that take them: one run from each
-    distinct ``Q`` to the next, taken by the leading points whose ``Q``
-    exceeds its first step (``...`` when every point does), so that each
-    point takes exactly its own ``Q`` steps on the draws it would take
-    alone.  ``Q`` is one int, or a stack's, which does not increase along
-    its point axis."""
-    qs = np.ravel(Q).tolist()
-    draws = oracle.draw(streams, t, qs[0])
-    ends = sorted(set(qs))
-    for start, stop in zip([0] + ends, ends):
-        active = sum(q > start for q in qs)
-        yield ... if active == len(qs) else slice(active), draws[start:stop]
+def local_draws(oracle, streams: TrialStreams | None, t: int, hp: HyperParams):
+    """The draws of the local steps of round ``t`` in the runs of
+    ``hp.local_runs``, each with the index of the points that take them."""
+    runs = hp.local_runs
+    draws = oracle.draw(streams, t, runs[-1][2])
+    for k, start, stop in runs:
+        yield k, draws[start:stop]
 
 
 def local_steps(X: np.ndarray, shift: np.ndarray | None, eta, oracle,
-                streams: TrialStreams | None, t: int, Q):
-    """Run ``Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
+                streams: TrialStreams | None, t: int, hp: HyperParams):
+    """Run ``hp.Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
 
     ``G`` stacks the agents' stochastic gradients at the current local
     iterates, from the step's entry of the draws of round ``t``;
-    ``shift=None`` takes plain stochastic-gradient steps.  ``eta`` and
-    ``Q`` are numbers, or a stack's arrays (:func:`local_draws`).  Returns
+    ``shift=None`` takes plain stochastic-gradient steps.  ``eta`` is a
+    number, or a stack's array (:func:`local_draws`).  Returns
     ``(X_Q, G_sum)``: the end points and the sum of the drawn gradients.
     """
     X = X.copy()
     G_sum = np.zeros_like(X)
-    for k, draws in local_draws(oracle, streams, t, Q):
+    for k, draws in local_draws(oracle, streams, t, hp):
         # views of the points that take these steps
         X_k, G_sum_k, eta_k = X[k], G_sum[k], np.asarray(eta)[k]
         shift_k = None if shift is None else shift[k]
@@ -164,8 +190,8 @@ def local_update_phase(state: dict, oracle, hp: HyperParams,
     ``G_sum_avg`` is the same average accumulated directly.
     """
     X, C = state["X"], state["C"]
-    X_Q, G_sum = local_steps(X, C, hp.eta_a, oracle, streams, state["t"], hp.Q)
-    R = (X - X_Q) / (hp.eta_a * hp.Q) - C
+    X_Q, G_sum = local_steps(X, C, hp.eta_a, oracle, streams, state["t"], hp)
+    R = (X - X_Q) / hp.eta_a_Q - C
     return X_Q, R, G_sum / hp.Q
 
 
@@ -234,7 +260,7 @@ def naive_local_momentum_round(state: dict, oracle, W: MixingMatrix,
     Z_run = state["Z"].copy()
     M_sum = np.zeros_like(X_cur)
     G_sum = np.zeros_like(X_cur)
-    for k, draws in local_draws(oracle, streams, state["t"], hp.Q):
+    for k, draws in local_draws(oracle, streams, state["t"], hp):
         # views of the points that take these steps
         X_k, Z_k, M_sum_k, G_sum_k = X_cur[k], Z_run[k], M_sum[k], G_sum[k]
         eta_k, C_k = np.asarray(hp.eta_a)[k], state["C"][k]

@@ -485,27 +485,28 @@ class QuadraticOracle(GradientOracle):
         self._Ab = np.einsum("ipq,iq->ip", A, b)
 
     def full_gradients_at(self, x: np.ndarray) -> np.ndarray:
-        return (self.A @ x[..., None, :, None])[..., 0] - self._Ab
+        return np.matvec(self.A, x[..., None, :]) - self._Ab
 
     def draw(self, streams: TrialStreams | None, t: int, Q: int) -> np.ndarray | list[None]:
         """The round's gradient noise, ``(Q, *streams.shape, n, p)``: what
         each trial's ``streams.gradient(t, slot).normal(0.0, sigma /
-        sqrt(p), size=(Q, n, p))`` returns.  ``[None] * Q`` when the oracle
-        is noiseless."""
+        sqrt(p), size=(Q, n, p))`` returns, as its standard normals scaled
+        by ``sigma / sqrt(p)`` once for the whole block.  ``[None] * Q`` when
+        the oracle is noiseless."""
         if self.sigma == 0.0:
             return [None] * Q
         if streams is None:
             raise ValueError("noisy oracle needs random streams")
-        return streams.round_draws(t, Q, self._noise)
+        return streams.round_draws(t, Q, self._noise, self._noise_scale)
 
     def _noise(self, gen: np.random.Generator, steps: int) -> np.ndarray:
-        """One trial's gradient noise for ``steps`` local steps, from its
+        """One trial's standard normals for ``steps`` local steps, from its
         round's stream ``gen``."""
-        return gen.normal(0.0, self._noise_scale, size=(steps, self.n_agents, self.dim))
+        return gen.standard_normal(size=(steps, self.n_agents, self.dim))
 
     def stochastic_gradient_matrix(self, X: np.ndarray,
                                    draws_step: np.ndarray | None) -> np.ndarray:
-        G = (self.A @ (X - self.b)[..., None])[..., 0]
+        G = np.matvec(self.A, X - self.b)
         return G if draws_step is None else np.add(G, draws_step, out=G)
 
     def opt_gap(self, X: np.ndarray) -> np.ndarray:

@@ -45,12 +45,15 @@ def emit_plot(tables: list[ResultTable], metric: str, path: str,
         if not mask.any():
             raise ValueError(f"metric {metric!r} has no positive finite values "
                              f"in table {table.label!r}")
-        series.append((table.label, t, y, std, mask))
         y_lo = min(y_lo, float(y[mask].min()))
         y_hi = max(y_hi, float(y[mask].max()))
+        top = None
         if std is not None:
-            hi = (y + std)[mask]
-            y_hi = max(y_hi, float(hi.max()))
+            with np.errstate(over="ignore"):
+                top = (y + std)[mask]
+            # only finite band tops count, as only a finite std draws a band
+            y_hi = max(y_hi, float(top.max(initial=-math.inf, where=np.isfinite(top))))
+        series.append((table.label, t, y, std, top, mask))
         x_hi = max(x_hi, float(t.max()))
 
     log_lo = math.floor(math.log10(max(y_lo, _FLOOR)))
@@ -103,11 +106,10 @@ def emit_plot(tables: list[ResultTable], metric: str, path: str,
                  f'text-anchor="middle" transform="rotate(-90 16 '
                  f'{_fmt(_MARGIN_T + plot_h / 2)})">{_escape(metric)}</text>')
 
-    for k, (label, t, y, std, mask) in enumerate(series):
+    for k, (label, t, y, std, top, mask) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         if std is not None and np.isfinite(std[mask]).all():
-            upper = [(sx(tv), sy(yv + sv)) for tv, yv, sv
-                     in zip(t[mask], y[mask], std[mask])]
+            upper = [(sx(tv), sy(uv)) for tv, uv in zip(t[mask], top)]
             lower = [(sx(tv), sy(max(yv - sv, _FLOOR))) for tv, yv, sv
                      in zip(t[mask], y[mask], std[mask])]
             pts = " ".join(f"{_fmt(x)},{_fmt(v)}" for x, v in upper + lower[::-1])

@@ -89,7 +89,7 @@ class TrialStreams:
         """Stream feeding the optional random initialization of one agent."""
         return self._reseat(agent, 0, _PURPOSE_INIT, slot)
 
-    def round_draws(self, rnd: int, steps: int, draw) -> np.ndarray:
+    def round_draws(self, rnd: int, steps: int, draw, scale: float | None = None) -> np.ndarray:
         """The draws ``draw`` makes for the first ``steps`` local steps of
         round ``rnd``, ``(steps, *shape, ...)``, read-only.
 
@@ -98,7 +98,9 @@ class TrialStreams:
         Every trial's draws are made together and kept until a request for
         another round, another ``draw`` or more steps: a request for fewer
         steps takes their leading steps, which are the draws of a request
-        for as many.
+        for as many.  Given ``scale``, the block of standard normals
+        ``z`` that ``draw`` makes becomes ``0.0 + scale * z``, once, before
+        it is kept: ``normal(0.0, scale)``'s values, sign of zero included.
         """
         if self._cache is not None:
             (cached_rnd, cached_draw), block = self._cache
@@ -106,6 +108,9 @@ class TrialStreams:
                 return block[:steps]
         drawn = [draw(self.gradient(rnd, slot), steps) for slot in range(len(self.trials))]
         block = np.stack(drawn, axis=1).reshape((steps,) + self.shape + drawn[0].shape[1:])
+        if scale is not None:
+            block *= scale
+            block += 0.0
         block.flags.writeable = False
         self._cache = (rnd, draw), block
         return block[:steps]

@@ -1,16 +1,21 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
 import lmtsim
 from helpers import quadratic_values_at_rows
 from lmtsim import diagnostics as dg
 from lmtsim import lmt
 from lmtsim import objectives as obj
-from lmtsim.config import ExperimentConfig, parse_config_text
-from lmtsim.harness import run_experiment
+from lmtsim.config import METHOD_CHOICES, ExperimentConfig, parse_config_text
+from lmtsim.harness import run_experiment, run_sweep
+
+from test_harness import DIVERGING_TRIALS_CFG
 
 
 def test_consensus_error_values():
@@ -58,6 +63,72 @@ def test_axis_mean_equals_ndarray_mean_bit_for_bit():
             got, expected = dg.axis_mean(M, axis), M.mean(axis=axis)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (shape, axis)
+
+
+def _spread(rng, shape, specials):
+    """Normals scaled over e^+-20, with signed zeros and, given
+    ``specials``, an inf and a NaN."""
+    M = rng.normal(size=shape) * np.exp(rng.uniform(-20.0, 20.0, size=shape))
+    flat = M.reshape(-1)
+    picks = rng.choice(flat.size, size=min(4, flat.size), replace=False)
+    flat[picks[:2]] = [0.0, -0.0][:len(picks[:2])]
+    if specials and flat.size >= 4:
+        flat[picks[2:]] = [np.inf, np.nan]
+    return M
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(lead=st.lists(st.integers(1, 4), max_size=2), n=st.integers(1, 60),
+       p=st.integers(1, 60), view=st.sampled_from(["fresh", "strided_rows", "point_prefix"]),
+       specials=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(lead=[3], n=200, p=1, view="fresh", specials=False, seed=0)
+def test_agent_mean_equals_ndarray_mean_bit_for_bit(lead, n, p, view, specials, seed):
+    # stacks (points, trials), one agent, rows of one entry, and the views a
+    # round takes: every other row, the leading points of a stack
+    rng = np.random.default_rng(seed)
+    if view == "fresh":
+        M = _spread(rng, (*lead, n, p), specials)
+    elif view == "strided_rows":
+        M = _spread(rng, (*lead, 2 * n, p), specials)[..., ::2, :]
+    else:
+        M = _spread(rng, (lead[0] + 2 if lead else 3, *lead[1:], n, p), specials)[:-2]
+    got, expected = dg.axis_mean(M, -2), M.mean(axis=-2)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_agent_mean_needs_the_agent_axis_not_to_be_the_contiguous_one():
+    # the precondition of axis_mean: einsum sums a contiguous agent axis in
+    # blocks of its own, not in np.add.reduce's, so a transposed view of the
+    # agents gives other bits
+    rng = np.random.default_rng(6)
+    differ = 0
+    for _ in range(20):
+        M = _spread(rng, (50, 50), False).T
+        assert M.strides[-2] < M.strides[-1]
+        differ += dg.axis_mean(M, -2).tobytes() != M.mean(axis=-2).tobytes()
+    assert differ > 0
+
+
+@pytest.mark.parametrize("method", METHOD_CHOICES)
+def test_every_agent_mean_of_a_run_meets_the_precondition(method, monkeypatch):
+    # a Q sweep's stack, trials and a point that leaves it: every array whose
+    # agents the round path averages has its last axis of smallest stride
+    axis_mean = dg.axis_mean
+    seen = []
+
+    def checked(M, axis):
+        if axis == -2:
+            seen.append(M.shape[-1] == 1 or 0 < M.strides[-1] < abs(M.strides[-2]))
+        return axis_mean(M, axis)
+
+    monkeypatch.setattr(dg, "axis_mean", checked)
+    cfg = dataclasses.replace(ExperimentConfig.from_mapping(parse_config_text(
+        DIVERGING_TRIALS_CFG.format(T=30))), method=method, beta=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_sweep(cfg, "Q", [2, 8, 1, 4])
+    assert seen and all(seen)
 
 
 def test_consensus_error_shift_invariance():

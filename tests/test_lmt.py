@@ -415,6 +415,25 @@ def test_hyperparams_validation():
     assert hp.eta_hat == 0.3 * 0.11 * 7
 
 
+def test_a_replaced_stack_plans_its_own_local_steps():
+    # the runs of local steps are cached on the HyperParams, so a stack whose
+    # points left it plans anew, and the stack it came from keeps its plan
+    on_points = (-1, 1, 1, 1)
+    hp = lmt.HyperParams(Q=np.array([8, 4, 4, 1]).reshape(on_points),
+                         eta_a=np.array([0.1, 0.2, 0.3, 0.8]).reshape(on_points),
+                         eta_s=0.5, beta=0.0)
+    runs = ((..., 0, 1), (slice(3), 1, 4), (slice(1), 4, 8))
+    assert hp.local_runs == runs
+    fewer = replace(hp, Q=np.array([4, 1]).reshape(on_points),
+                    eta_a=np.array([0.2, 0.8]).reshape(on_points))
+    assert fewer.local_runs == ((..., 0, 1), (slice(1), 1, 4))
+    assert fewer.points == ((4, 0.2), (1, 0.8))
+    assert fewer.eta_a_Q.ravel().tolist() == [0.2 * 4, 0.8 * 1]
+    assert fewer.eta_hat_of_means.shape == (2, 1, 1)
+    assert hp.local_runs == runs and hp.points[0] == (8, 0.1)
+    assert replace(hp, Q=1, eta_a=0.1).local_runs == ((..., 0, 1),)
+
+
 def test_check_momentum_warns_below_consensus_rate():
     with pytest.warns(UserWarning, match="momentum"):
         lmt.check_momentum(0.1, 0.9)

@@ -90,3 +90,14 @@ def test_a_run_plots_the_same_from_memory_and_from_its_trace(tmp_path):
         emit_plot(tables, metric, str(memory_svg))
         emit_plot(read, metric, str(read_svg))
         assert memory_svg.read_bytes() == read_svg.read_bytes(), metric
+
+
+@pytest.mark.parametrize("std", [1e308, np.inf])
+def test_a_band_top_that_overflows_leaves_the_axis_to_the_finite_values(std, tmp_path):
+    # 1e308 + 1e308 overflows to inf, whose decade has no integer; an inf
+    # std draws no band, so neither top counts toward the axis
+    path = tmp_path / "p.svg"
+    emit_plot([make_table("a", [1e308, 1.0], std=[std, 0.5])], "grad_norm_avg", str(path))
+    svg = path.read_text()
+    assert ">1e308</text>" in svg and ">1e309</text>" not in svg
+    assert svg.count("<polygon") == (std < np.inf)

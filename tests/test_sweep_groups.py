@@ -25,6 +25,15 @@ def config(text, **overrides):
                                **overrides)
 
 
+# a step that the ridge turns unstable, from a start far out: the points of
+# a Q sweep diverge at different rounds while the gap runs on a worker
+DIVERGING_LOGISTIC_CFG = LOGISTIC_CFG.format(batch=1).replace(
+    "schedule = figure1", "schedule = explicit") + """
+hyper.eta_a = 80
+hyper.eta_s = 1
+run.init_scale = 1e100
+"""
+
 # beta = 0 lies below rho_w, so lmt, naive_lmt and pdsgdm points each warn;
 # the points of a diverging Q sweep diverge at different rounds
 SETUPS = {
@@ -32,6 +41,8 @@ SETUPS = {
     "logistic_worker": (lambda: config(LOGISTIC_CFG.format(batch=1), beta=0.0), {0, 1}),
     "logistic_inline": (lambda: config(LOGISTIC_CFG.format(batch=1), beta=0.0), {0}),
     "diverging": (lambda: config(DIVERGING_TRIALS_CFG.format(T=60), beta=0.0), None),
+    "diverging_logistic_worker": (lambda: config(DIVERGING_LOGISTIC_CFG, beta=0.0, T=60),
+                                  {0, 1}),
 }
 # Q out of order: a Q sweep runs as one stack, by Q from the largest down
 AXES = {"Q": [2, 8, 1, 4], "n": [4, 5], "method": list(METHOD_CHOICES)}
@@ -88,11 +99,11 @@ def test_every_sweep_point_writes_what_it_writes_alone(setup, axis, tmp_path, mo
                 assert re.fullmatch(rf"sweep {re.escape(label)}: point {k + 1}/{len(values)} "
                                     rf"done in \d+\.\d\d s", progress[k]), progress[k]
         assert len(progress) == len(values)
-        if setup == "diverging" and axis == "Q":
+        if setup.startswith("diverging") and axis == "Q":
             assert len({table.diverged_at for table in tables} - {None}) == len(values)
     # the warnings path is exercised: lmt points warn, led points do not
     assert 0 < warned <= len(values) * len(methods)
-    if setup == "logistic_worker":
+    if setup.endswith("logistic_worker"):
         meta = (out / "sweep" / name / "meta.txt").read_text().splitlines()
         assert "gap_thread = worker" in meta
 
@@ -182,6 +193,27 @@ def test_a_point_that_diverges_stops_alone_while_the_others_run_on(monkeypatch):
             assert table.columns[name].tobytes() == alone[table.label].columns[name].tobytes()
 
 
+def test_a_stack_drops_each_point_after_the_round_its_last_trial_diverged_in(monkeypatch):
+    # the points with Q = 8, 4, 2 and 1 lose their last trial in rounds 9,
+    # 12, 19 and 30, so 74 point-rounds run where four points to round 30
+    # would take 124
+    points = []
+    lmt_round = lmt.lmt_round
+
+    def counted(state, *args):
+        points.append(len(state["X"]))
+        return lmt_round(state, *args)
+
+    monkeypatch.setattr(lmt, "lmt_round", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tables, _ = run_sweep(config(DIVERGING_TRIALS_CFG.format(T=60), beta=0.0), "Q",
+                              [2, 8, 1, 4])
+    assert [table.diverged_at for table in tables] == [19, 9, 30, 12]
+    assert points == [4] * 10 + [3] * 3 + [2] * 7 + [1] * 11
+    assert sum(points) == 74
+
+
 # ---------------------------------------------------------------------------
 # shared draws
 
@@ -234,6 +266,25 @@ def test_a_q_sweep_computes_the_draws_of_its_largest_q(monkeypatch):
             calls.clear()
             run_sweep(noisy_quad(), "Q", values)
             assert 0 < len(alone) and calls == alone, values
+
+
+def test_two_stacks_that_read_one_noise_block_step_on_the_same_noise(monkeypatch):
+    # each method of a method sweep is a stack of its own on the group's
+    # streams: the first to ask for a round's noise draws and scales it, the
+    # second reads the kept block, which must not be scaled again
+    calls = _count_streams(monkeypatch)
+    methods = ["lmt", "kgt"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tables, _ = run_sweep(noisy_quad(), "method", methods)
+        shared = calls[:]
+        for method, table in zip(methods, tables):
+            calls.clear()
+            alone = run_experiment(noisy_quad(method=method))
+            for name, column in alone.columns.items():
+                assert table.columns[name].tobytes() == column.tobytes(), (method, name)
+    # one block a round, read by both stacks
+    assert shared == calls
 
 
 def test_an_n_sweep_computes_no_more_chunks_than_its_points_alone(monkeypatch):

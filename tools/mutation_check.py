@@ -52,7 +52,8 @@ MUTANTS = (
     # the steps taken in place, on the round's input iterates
     ("src/lmtsim/lmt.py", "    X = X.copy()\n", "    X = np.asarray(X)\n",
      ["tests/test_properties.py::test_round_writes_into_no_array_of_its_input"]),
-    # a stack's local step also taken by the points whose Q it reached
+    # a stack's cached plan of local steps also has the points whose Q a run
+    # starts at take it
     ("src/lmtsim/lmt.py", "active = sum(q > start for q in qs)",
      "active = sum(q >= start for q in qs)",
      ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
@@ -79,9 +80,32 @@ MUTANTS = (
      "(axis_mean(M, -2) if x_bar is None else x_bar)", "axis_mean(M, -2)",
      ["tests/test_diagnostics.py::test_consensus_error_measures_from_the_mean_it_is_given"]),
     # a round's finiteness reduced over its trials instead of its metrics
-    ("src/lmtsim/harness.py", "np.isfinite(list(row.values())).all(axis=0)",
-     "np.isfinite(list(row.values())).all(axis=1)",
+    ("src/lmtsim/harness.py", "stack_at[~np.isfinite(rows).all(axis=0)",
+     "stack_at[~np.isfinite(rows).all(axis=1)",
      ["tests/test_harness.py", "-k", "diverg"]),
+    # a point whose trials all diverged kept stepping in its stack
+    ("src/lmtsim/harness.py", "            if gone.any():\n", "            if False:\n",
+     ["tests/test_sweep_groups.py::"
+      "test_a_stack_drops_each_point_after_the_round_its_last_trial_diverged_in"]),
+    # the stack keeps a diverged point's state in place of a survivor's
+    ("src/lmtsim/harness.py", "                keep = ~gone\n",
+     "                keep = np.roll(~gone, 1)\n",
+     ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
+      "[diverging-Q]"]),
+    # the gap the worker queued before points left the stack read with them
+    ("src/lmtsim/harness.py", "                    cut = keep\n", "                    pass\n",
+     ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
+      "[diverging_logistic_worker-Q]"]),
+    # the worker's gap without the round loop's error state
+    ("src/lmtsim/harness.py",
+     '    with np.errstate(over="ignore", invalid="ignore"):\n'
+     "        return dg.input_metrics(*args)\n",
+     "    return dg.input_metrics(*args)\n",
+     ["tests/test_sweep_groups.py::test_every_sweep_point_writes_what_it_writes_alone"
+      "[diverging_logistic_worker-Q]"]),
+    # the agent mean taken over the other axis of a square stack
+    ("src/lmtsim/diagnostics.py", 'np.einsum("...ij->...j", M)', 'np.einsum("...ij->...i", M)',
+     ["tests/test_diagnostics.py", "-k", "agent_mean"]),
     # the quadratic's noise added twice
     ("src/lmtsim/objectives.py", "np.add(G, draws_step, out=G)",
      "np.add(np.add(G, draws_step, out=G), draws_step, out=G)",
@@ -107,6 +131,15 @@ MUTANTS = (
      "return axis_mean(self.global_values_at_rows(X), -1) - self.f_star",
      "return (axis_mean(self.global_values_at_rows(X), -1) - self.f_star) * (1 + 1e-9)",
      ["tests/test_golden.py", "-k", "logistic_l2"]),
+    # a kept noise block scaled again for each stack that reads it
+    ("src/lmtsim/streams.py", "                return block[:steps]\n",
+     "                return block[:steps] * (1.0 if scale is None else scale)\n",
+     ["tests/test_sweep_groups.py::"
+      "test_two_stacks_that_read_one_noise_block_step_on_the_same_noise"]),
+    # the round's noise block scaled twice when it is drawn
+    ("src/lmtsim/streams.py", "            block *= scale\n",
+     "            block *= scale\n            block *= scale\n",
+     ["tests/test_objectives.py", "-k", "noise"]),
     # the round word of a stream's counter shifted by one bit
     ("src/lmtsim/streams.py", "self._counter[2] = agent | (rnd << 32)",
      "self._counter[2] = agent | (rnd << 31)",
@@ -129,13 +162,13 @@ MUTANTS = (
      ["tests/test_objectives.py", "-k", "loss"]),
     # agent 0's quadratic gradient scaled by 1 + 1e-9
     ("src/lmtsim/objectives.py",
-     "        G = (self.A @ (X - self.b)[..., None])[..., 0]\n",
-     "        G = (self.A @ (X - self.b)[..., None])[..., 0]\n"
+     "        G = np.matvec(self.A, X - self.b)\n",
+     "        G = np.matvec(self.A, X - self.b)\n"
      "        G[..., 0, :] *= 1 + 1e-9\n",
      ["tests/test_objectives.py", "-k", "quadratic"]),
     # the quadratic's full gradients with their constant term added
-    ("src/lmtsim/objectives.py", "(self.A @ x[..., None, :, None])[..., 0] - self._Ab",
-     "(self.A @ x[..., None, :, None])[..., 0] + self._Ab",
+    ("src/lmtsim/objectives.py", "np.matvec(self.A, x[..., None, :]) - self._Ab",
+     "np.matvec(self.A, x[..., None, :]) + self._Ab",
      ["tests/test_objectives.py::test_quadratic_gradients_equal_per_agent_products_bit_for_bit"]),
     # K-GT mixing a delta rolled by one agent
     ("src/lmtsim/baselines.py", "mixed_delta = W.weights @ delta",
@@ -149,8 +182,8 @@ MUTANTS = (
      "W.weights @ psi_new",
      ["tests/test_baselines.py::test_led_round_on_a_ring_equals_per_agent_arithmetic"]),
     # K-GT's corrections divided by Q alone
-    ("src/lmtsim/baselines.py", "C_next = C + (delta - mixed_delta) / (Q * local)",
-     "C_next = C + (delta - mixed_delta) / Q",
+    ("src/lmtsim/baselines.py", "C_next = C + (delta - mixed_delta) / (hp.Q * local)",
+     "C_next = C + (delta - mixed_delta) / hp.Q",
      ["tests/test_baselines.py"]),
     # LMT's tracking tail replaced by a Local DSGD round at the same step
     ("src/lmtsim/lmt.py", "    return _track_and_mix(state, Z_next, Z_next, G_avg, W, hp)\n",
