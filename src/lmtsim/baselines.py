@@ -31,9 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .lmt import HyperParams, agent_copies, local_draws, local_steps
+from .lmt import HyperParams, agent_copies, local_gradients, local_steps
 from .topology import MixingMatrix
 from .streams import TrialStreams
 
@@ -66,26 +64,18 @@ def baseline_round(spec: BaselineSpec, state: dict, oracle, W: MixingMatrix,
                    streams: TrialStreams | None = None) -> dict:
     """One communication round (Q local steps + one exchange) of
     ``spec.method``, from a state built by :func:`lmtsim.lmt.init_state`."""
-    hp, method = spec.hp, spec.method
-    local, outer = stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, method)
-    args = (state, oracle, W, streams, hp, local)
-    if method == "local_dsgd":
-        return _round_local_dsgd(*args)
-    if method == "led":
-        return _round_led(*args)
-    if method == "kgt":
-        return _round_kgt(*args, outer)
-    if method == "pdsgdm":
-        return _round_pdsgdm(*args, hp.beta)
-    return _round_scaffold(*args, outer)
+    hp = spec.hp
+    local, outer = stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, spec.method)
+    return _ROUNDS[spec.method](state, oracle, W, streams, hp, local, outer)
 
 
-def _round_local_dsgd(state, oracle, W, streams, hp, local):
+# a round with one flat stepsize ignores ``outer``, which the parity map sets to 1
+def _round_local_dsgd(state, oracle, W, streams, hp, local, outer):
     X, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], hp)
     return {"X": W.weights @ X, "t": state["t"] + 1}
 
 
-def _round_led(state, oracle, W, streams, hp, local):
+def _round_led(state, oracle, W, streams, hp, local, outer):
     psi_new, _ = local_steps(state["X"], None, local, oracle, streams, state["t"], hp)
     combined = W.weights @ (psi_new + state["X"] - state["psi"])
     return {"X": combined, "t": state["t"] + 1, "psi": psi_new}
@@ -103,16 +93,12 @@ def _round_kgt(state, oracle, W, streams, hp, local, outer):
     return {"X": X_next, "t": state["t"] + 1, "c": C_next}
 
 
-def _round_pdsgdm(state, oracle, W, streams, hp, local, beta):
+def _round_pdsgdm(state, oracle, W, streams, hp, local, outer):
     X = state["X"].copy()
     M = state["m"].copy()
-    for k, draws in local_draws(oracle, streams, state["t"], hp):
-        # views of the stepping points
-        X_k, M_k, local_k = X[k], M[k], np.asarray(local)[k]
-        for draws_step in draws:
-            G = oracle.stochastic_gradient_matrix(X_k, draws_step)
-            M_k[...] = beta * M_k + G
-            X_k -= local_k * M_k
+    for G, X_k, M_k, local_k in local_gradients(oracle, streams, state["t"], hp, X, M, local):
+        M_k[...] = hp.beta * M_k + G
+        X_k -= local_k * M_k
     return {"X": W.weights @ X, "t": state["t"] + 1, "m": W.weights @ M}
 
 
@@ -122,14 +108,11 @@ def _round_scaffold(state, oracle, W, streams, hp, local, outer):
     C = state["c"]
     n = oracle.n_agents
     Y = agent_copies(x, n)
-    # its own loop: local_steps would form G + (c - C), which rounds
-    # differently from G - C + c
-    for k, draws in local_draws(oracle, streams, state["t"], hp):
-        # views of the stepping points
-        Y_k, C_k, c_k, local_k = Y[k], C[k], c[k][..., None, :], np.asarray(local)[k]
-        for draws_step in draws:
-            G = oracle.stochastic_gradient_matrix(Y_k, draws_step)
-            Y_k -= local_k * (G - C_k + c_k)
+    # not local_steps, which would form G + (c - C), rounding differently
+    # from G - C + c
+    for G, Y_k, C_k, c_k, local_k in local_gradients(oracle, streams, state["t"], hp,
+                                                     Y, C, c[..., None, :], local):
+        Y_k -= local_k * (G - C_k + c_k)
     delta_y = Y - x[..., None, :]
     C_next = C - c[..., None, :] + (x[..., None, :] - Y) / (hp.Q * local)
     x_next = x + outer * delta_y.mean(axis=-2)
@@ -137,3 +120,8 @@ def _round_scaffold(state, oracle, W, streams, hp, local, outer):
     X_next = agent_copies(x_next, n)
     return {"X": X_next, "t": state["t"] + 1,
             "x_server": x_next, "c_server": c_next, "c": C_next}
+
+
+#: each baseline's round, called by :func:`baseline_round`
+_ROUNDS = {"local_dsgd": _round_local_dsgd, "led": _round_led, "kgt": _round_kgt,
+           "pdsgdm": _round_pdsgdm, "scaffold": _round_scaffold}

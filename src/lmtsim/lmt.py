@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import METHOD_CHOICES
 from .topology import C0, MixingMatrix, lca_mix
 from .streams import TrialStreams
 
@@ -89,7 +90,7 @@ class HyperParams:
         from each distinct ``Q`` to the next, taken by the points ``k``, the
         leading ones whose ``Q`` exceeds its first step (``...`` when every
         point does), so that each point takes exactly its own ``Q`` steps on
-        the draws it would take alone (:func:`local_draws`)."""
+        the draws it would take alone (:func:`local_gradients`)."""
         qs = np.ravel(self.Q).tolist()
         ends = sorted(set(qs))
         runs = []
@@ -118,6 +119,9 @@ def init_state(method: str, X0: np.ndarray) -> dict:
     the points stepped by one :class:`HyperParams` with their ``Q`` and
     ``eta_a`` on the point axis.
     """
+    if method not in METHOD_CHOICES:
+        raise ValueError(f"unknown method {method!r}; expected one of "
+                         f"{', '.join(METHOD_CHOICES)}")
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim < 2:
         raise ValueError(f"X0 must be (n, p) or (..., n, p), got shape {X0.shape}")
@@ -146,13 +150,24 @@ def agent_copies(x: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(x[..., None, :], n, axis=-2)
 
 
-def local_draws(oracle, streams: TrialStreams | None, t: int, hp: HyperParams):
-    """The draws of the local steps of round ``t`` in the runs of
-    ``hp.local_runs``, each with the index of the points that take them."""
+def local_gradients(oracle, streams: TrialStreams | None, t: int, hp: HyperParams,
+                    X: np.ndarray, *along):
+    """The local steps of round ``t``, one ``(G, X_k, *along_k)`` a step.
+
+    ``G`` stacks, in a new array, the stochastic gradients at ``X_k``, the
+    view of ``X`` held by the points that take the step, from the step's
+    entry of the round's draws; ``along_k`` are the same points' views of
+    each array of ``along`` (a number, or None, as it is).  The steps run
+    as ``hp.local_runs`` plans them, so each point of a stack takes its own
+    ``Q`` steps on the draws it would take alone.  A caller updates the
+    views in place between steps.
+    """
     runs = hp.local_runs
     draws = oracle.draw(streams, t, runs[-1][2])
     for k, start, stop in runs:
-        yield k, draws[start:stop]
+        views = (X[k], *(a[k] if isinstance(a, np.ndarray) else a for a in along))
+        for draws_step in draws[start:stop]:
+            yield oracle.stochastic_gradient_matrix(views[0], draws_step), *views
 
 
 def local_steps(X: np.ndarray, shift: np.ndarray | None, eta, oracle,
@@ -160,24 +175,20 @@ def local_steps(X: np.ndarray, shift: np.ndarray | None, eta, oracle,
     """Run ``hp.Q`` local steps ``X <- X - eta (G + shift)`` for every agent.
 
     ``G`` stacks the agents' stochastic gradients at the current local
-    iterates, from the step's entry of the draws of round ``t``;
-    ``shift=None`` takes plain stochastic-gradient steps.  ``eta`` is a
-    number, or a stack's array (:func:`local_draws`).  Returns
-    ``(X_Q, G_sum)``: the end points and the sum of the drawn gradients.
+    iterates (:func:`local_gradients`); ``shift=None`` takes plain
+    stochastic-gradient steps.  ``eta`` is a number, or a stack's array.
+    Returns ``(X_Q, G_sum)``: the end points and the sum of the drawn
+    gradients.
     """
     X = X.copy()
     G_sum = np.zeros_like(X)
-    for k, draws in local_draws(oracle, streams, t, hp):
-        # views of the points that take these steps
-        X_k, G_sum_k, eta_k = X[k], G_sum[k], np.asarray(eta)[k]
-        shift_k = None if shift is None else shift[k]
-        for draws_step in draws:
-            G = oracle.stochastic_gradient_matrix(X_k, draws_step)
-            G_sum_k += G
-            if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta
-                G += shift_k
-            G *= eta_k
-            X_k -= G
+    for G, X_k, G_sum_k, eta_k, shift_k in local_gradients(oracle, streams, t, hp,
+                                                           X, G_sum, eta, shift):
+        G_sum_k += G
+        if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta
+            G += shift_k
+        G *= eta_k
+        X_k -= G
     return X, G_sum
 
 
@@ -260,21 +271,17 @@ def naive_local_momentum_round(state: dict, oracle, W: MixingMatrix,
     Z_run = state["Z"].copy()
     M_sum = np.zeros_like(X_cur)
     G_sum = np.zeros_like(X_cur)
-    for k, draws in local_draws(oracle, streams, state["t"], hp):
-        # views of the points that take these steps
-        X_k, Z_k, M_sum_k, G_sum_k = X_cur[k], Z_run[k], M_sum[k], G_sum[k]
-        eta_k, C_k = np.asarray(hp.eta_a)[k], state["C"][k]
-        for draws_step in draws:
-            G = oracle.stochastic_gradient_matrix(X_k, draws_step)
-            G_sum_k += G
-            # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)
-            G *= 1.0 - hp.beta
-            Z_k *= hp.beta
-            Z_k += G
-            M_sum_k += Z_k
-            np.add(Z_k, C_k, out=G)
-            G *= eta_k
-            X_k -= G
+    for G, X_k, Z_k, M_sum_k, G_sum_k, eta_k, C_k in local_gradients(
+            oracle, streams, state["t"], hp, X_cur, Z_run, M_sum, G_sum, hp.eta_a, state["C"]):
+        G_sum_k += G
+        # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)
+        G *= 1.0 - hp.beta
+        Z_k *= hp.beta
+        Z_k += G
+        M_sum_k += Z_k
+        np.add(Z_k, C_k, out=G)
+        G *= eta_k
+        X_k -= G
     return _track_and_mix(state, M_sum / hp.Q, Z_run, G_sum / hp.Q, W, hp)
 
 

@@ -222,6 +222,59 @@ def test_led_round_on_a_ring_equals_per_agent_arithmetic():
         assert np.abs(state["psi"][i] - psi_new[i]).max() <= 1e-14
 
 
+def test_local_dsgd_round_on_a_ring_equals_per_agent_arithmetic():
+    # Q plain local steps, then one gossip mixing of the end points
+    n, p, Q = 5, 3, 3
+    mix = lmtsim.build_ring_mixing(n)
+    W = mix.weights
+    oracle = quad(n, p, seed=14)
+    X = np.random.default_rng(14).normal(size=(n, p))
+    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.0)
+    local, _ = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "local_dsgd")
+    state = bl.baseline_round(bl.BaselineSpec(method="local_dsgd", hp=hp),
+                              {"X": X, "t": 0}, oracle, mix)
+    ends = []
+    for i in range(n):
+        y = X[i]
+        for _ in range(Q):
+            y = y - local * (oracle.A[i] @ (y - oracle.b[i]))
+        ends.append(y)
+    for i in range(n):
+        mixed = sum(W[i, j] * ends[j] for j in range(n))
+        assert np.abs(state["X"][i] - mixed).max() <= 1e-14
+
+
+def test_scaffold_two_rounds_equal_per_agent_arithmetic():
+    # the first round builds nonzero variates, which the second steps with
+    n, p, Q = 5, 3, 3
+    mix = lmtsim.build_ring_mixing(n)
+    oracle = quad(n, p, seed=15)
+    X0 = np.random.default_rng(15).normal(size=(n, p))
+    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.0)
+    local, outer = bl.stepsize_parity_map(hp.eta_a, hp.eta_s, hp.beta, "scaffold")
+    spec = bl.BaselineSpec(method="scaffold", hp=hp)
+    state = lmt.init_state("scaffold", X0)
+    x, c, C = X0.mean(axis=0), np.zeros(p), [np.zeros(p) for _ in range(n)]
+    for _ in range(2):
+        state = bl.baseline_round(spec, state, oracle, mix)
+        ys = []
+        for i in range(n):
+            y = x
+            for _ in range(Q):
+                y = y - local * (oracle.A[i] @ (y - oracle.b[i]) - C[i] + c)
+            ys.append(y)
+        C_next = [C[i] - c + (x - ys[i]) / (Q * local) for i in range(n)]
+        x = x + outer * sum(y - x for y in ys) / n
+        c = c + sum(C_next[i] - C[i] for i in range(n)) / n
+        C = C_next
+        assert np.abs(np.stack(C)).min() > 1e-3  # the variates are in play
+        for i in range(n):
+            assert np.abs(state["X"][i] - x).max() <= 1e-13
+            assert np.abs(state["c"][i] - C[i]).max() <= 1e-13
+        assert np.abs(state["x_server"] - x).max() <= 1e-13
+        assert np.abs(state["c_server"] - c).max() <= 1e-13
+
+
 def test_scaffold_zero_variates_is_parallel_sgd():
     n, p = 4, 3
     oracle = quad(n, p, seed=4)

@@ -54,6 +54,13 @@ def test_init_state_single_agent_shape():
     assert st["X"].shape == (1, 5)
 
 
+def test_init_state_rejects_an_unknown_method():
+    # a state without the method's arrays would fail only in its first round
+    with pytest.raises(ValueError, match=r"'LMT'.*lmt, naive_lmt, local_dsgd, led, kgt, "
+                                         r"pdsgdm, scaffold"):
+        lmt.init_state("LMT", np.zeros((3, 2)))
+
+
 def test_init_state_rejects_nonfinite():
     with pytest.raises(ValueError):
         lmt.init_state("lmt", np.array([[np.nan, 0.0]]))
@@ -320,6 +327,44 @@ def test_naive_matches_lmt_at_beta_zero():
         st_a = lmt.lmt_round(st_a, oracle, mix, hp, sa)
         st_b = lmt.naive_local_momentum_round(st_b, oracle, mix, hp, sb)
         assert np.abs(st_a["X"] - st_b["X"]).max() <= 1e-12
+
+
+def test_naive_round_on_a_ring_equals_per_agent_arithmetic():
+    # at Q >= 2 with momentum each local step moves along its own momentum,
+    # which is where the negative control leaves LMT
+    n, p, Q = 5, 3, 3
+    mix = lmtsim.build_ring_mixing(n)
+    W, eta_w = mix.weights, mix.eta_w
+    oracle = stochastic_quadratic(n, p, seed=16, sigma=0.0)
+    rng = np.random.default_rng(16)
+    X, X_l, Z, C, C_prev = (rng.normal(size=(n, p)) for _ in range(5))
+    hp = lmt.HyperParams(Q=Q, eta_a=0.1, eta_s=0.5, beta=0.6)
+    start = {"X": X, "X_l": X_l, "Z": Z, "C": C, "C_prev": C_prev, "t": 0}
+    state = lmt.naive_local_momentum_round(start, oracle, mix, hp)
+    zs, m_avg, g_avg = [], [], []
+    for i in range(n):
+        x, z, m_sum, g_sum = X[i], Z[i], 0.0, 0.0
+        for _ in range(Q):
+            g = oracle.A[i] @ (x - oracle.b[i])
+            g_sum = g_sum + g
+            z = hp.beta * z + (1.0 - hp.beta) * g
+            m_sum = m_sum + z
+            x = x - hp.eta_a * (z + C[i])
+        zs.append(z)
+        m_avg.append(m_sum / Q)
+        g_avg.append(g_sum / Q)
+    Y = [m_avg[i] + C[i] for i in range(n)]
+    D = [X[i] - hp.eta_hat * Y[i] for i in range(n)]
+    for i in range(n):
+        mixed_Y = sum(W[i, j] * Y[j] for j in range(n))
+        c_next = C[i] - Y[i] + (1 + eta_w) * mixed_Y - eta_w * (m_avg[i] + C_prev[i])
+        mixed_D = sum(W[i, j] * D[j] for j in range(n))
+        x_next = (1 + eta_w) * mixed_D - eta_w * (X_l[i] - hp.eta_hat * Y[i])
+        for key, value in (("X", x_next), ("X_l", D[i]), ("Z", zs[i]), ("C", c_next),
+                           ("Y", Y[i]), ("G_avg", g_avg[i])):
+            assert np.abs(state[key][i] - value).max() <= 1e-13, key
+    # not the round of LMT
+    assert np.abs(state["Z"] - lmt.lmt_round(start, oracle, mix, hp)["Z"]).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------

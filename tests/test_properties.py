@@ -210,6 +210,33 @@ def test_batched_round_equals_each_trials_round(mix, seed, trials, oracle_kind, 
                     assert batch[key][j].tobytes() == state[key].tobytes(), (method, key, j)
 
 
+def test_a_two_point_stack_steps_each_point_as_it_steps_alone():
+    # Q = 3 and Q = 1 in one stack: its second and third local steps are
+    # taken by the first point alone, on the draws that point takes alone
+    n, p, trials = 4, 3, (0, 5)
+    mix = tp.build_ring_mixing(n)
+    oracle = quad(n, 17, sigma=0.5)
+    X0 = np.random.default_rng(17).normal(size=(len(trials), n, p))
+    solo = [lmt.HyperParams(Q=3, eta_a=0.05, eta_s=0.4, beta=0.5),
+            lmt.HyperParams(Q=1, eta_a=0.15, eta_s=0.4, beta=0.5)]
+    on_points = (-1, 1, 1, 1)
+    stack = dataclasses.replace(solo[0], Q=np.array([3, 1]).reshape(on_points),
+                                eta_a=np.array([0.05, 0.15]).reshape(on_points))
+    for method in METHOD_CHOICES:
+        stacked = lmt.init_state(method, np.stack([X0, X0]))
+        alone = [lmt.init_state(method, X0) for _ in solo]
+        stack_streams = TrialStreams(17, trials)
+        solo_streams = [TrialStreams(17, trials) for _ in solo]
+        for _ in range(3):
+            stacked = one_round(method, stacked, oracle, mix, stack, stack_streams)
+            alone = [one_round(method, state, oracle, mix, hp, streams)
+                     for state, hp, streams in zip(alone, solo, solo_streams)]
+            for k, state in enumerate(alone):
+                assert stacked["t"] == state["t"]
+                for key in state.keys() - {"t"}:
+                    assert stacked[key][k].tobytes() == state[key].tobytes(), (method, key, k)
+
+
 class DoubledOracle:
     """``inner`` with its objective doubled: gradients, gaps, ``f_star``,
     ``mu`` and ``L`` are exactly twice the inner oracle's, from the same

@@ -31,23 +31,23 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = (
     # the step scaled before its gradient is summed
     ("src/lmtsim/lmt.py",
-     "            G_sum_k += G\n"
-     "            if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta\n"
-     "                G += shift_k\n"
-     "            G *= eta_k\n",
-     "            G *= eta_k\n"
-     "            G_sum_k += G\n"
-     "            if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta\n"
-     "                G += shift_k\n",
+     "        G_sum_k += G\n"
+     "        if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta\n"
+     "            G += shift_k\n"
+     "        G *= eta_k\n",
+     "        G *= eta_k\n"
+     "        G_sum_k += G\n"
+     "        if shift_k is not None:  # in the oracle's new array, as (G + shift) * eta\n"
+     "            G += shift_k\n",
      ["tests/test_lmt.py"]),
     # the negative control's momentum weight applied before its gradient is summed
     ("src/lmtsim/lmt.py",
-     "            G_sum_k += G\n"
-     "            # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)\n"
-     "            G *= 1.0 - hp.beta\n",
-     "            G *= 1.0 - hp.beta\n"
-     "            G_sum_k += G\n"
-     "            # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)\n",
+     "        G_sum_k += G\n"
+     "        # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)\n"
+     "        G *= 1.0 - hp.beta\n",
+     "        G *= 1.0 - hp.beta\n"
+     "        G_sum_k += G\n"
+     "        # in place, as Z <- beta Z + (1 - beta) G and X <- X - eta (Z + C)\n",
      ["tests/test_lmt.py", "-k", "naive"]),
     # the steps taken in place, on the round's input iterates
     ("src/lmtsim/lmt.py", "    X = X.copy()\n", "    X = np.asarray(X)\n",
@@ -62,6 +62,18 @@ MUTANTS = (
     # leading axis, which on an unstacked state is its first agent
     ("src/lmtsim/lmt.py", "... if active == len(qs) else slice(active)", "slice(active)",
      ["tests/test_lmt.py", "-k", "local_phase"]),
+    # a run's views of the arrays stepped along its iterates left unsliced,
+    # so the points that have stopped stepping take its steps too
+    ("src/lmtsim/lmt.py", "*(a[k] if isinstance(a, np.ndarray) else a for a in along)",
+     "*along",
+     ["tests/test_properties.py::test_a_two_point_stack_steps_each_point_as_it_steps_alone"]),
+    # every run of a stack's local steps reading the round's draws from step 0
+    ("src/lmtsim/lmt.py", "for draws_step in draws[start:stop]:",
+     "for draws_step in draws[:stop - start]:",
+     ["tests/test_properties.py::test_a_two_point_stack_steps_each_point_as_it_steps_alone"]),
+    # the negative control's momentum buffer not decayed at each local step
+    ("src/lmtsim/lmt.py", "        Z_k *= hp.beta\n", "",
+     ["tests/test_lmt.py::test_naive_round_on_a_ring_equals_per_agent_arithmetic"]),
     # a stack's results handed back in the caller's order, not the stack's
     ("src/lmtsim/harness.py", "for j, result in zip(js, stop.value):",
      "for j, result in zip(sorted(js), stop.value):",
@@ -181,6 +193,13 @@ MUTANTS = (
     ("src/lmtsim/baselines.py", 'W.weights @ (psi_new + state["X"] - state["psi"])',
      "W.weights @ psi_new",
      ["tests/test_baselines.py::test_led_round_on_a_ring_equals_per_agent_arithmetic"]),
+    # Local DSGD's end points left unmixed
+    ("src/lmtsim/baselines.py", 'return {"X": W.weights @ X, "t": state["t"] + 1}\n',
+     'return {"X": X, "t": state["t"] + 1}\n',
+     ["tests/test_baselines.py::test_local_dsgd_round_on_a_ring_equals_per_agent_arithmetic"]),
+    # SCAFFOLD's local steps without the server variate
+    ("src/lmtsim/baselines.py", "Y_k -= local_k * (G - C_k + c_k)", "Y_k -= local_k * (G - C_k)",
+     ["tests/test_baselines.py::test_scaffold_two_rounds_equal_per_agent_arithmetic"]),
     # K-GT's corrections divided by Q alone
     ("src/lmtsim/baselines.py", "C_next = C + (delta - mixed_delta) / (hp.Q * local)",
      "C_next = C + (delta - mixed_delta) / hp.Q",
@@ -188,7 +207,7 @@ MUTANTS = (
     # LMT's tracking tail replaced by a Local DSGD round at the same step
     ("src/lmtsim/lmt.py", "    return _track_and_mix(state, Z_next, Z_next, G_avg, W, hp)\n",
      "    X_Q, _ = local_steps(state[\"X\"], None, hp.eta_a * hp.eta_s, oracle, streams,\n"
-     "                         state[\"t\"], hp.Q)\n"
+     "                         state[\"t\"], hp)\n"
      "    return {**state, \"X\": W.weights @ X_Q, \"t\": state[\"t\"] + 1}\n",
      ["tests/test_acceptance.py::test_criterion_05_deterministic_pl_convergence"]),
     # the LCA step at the contraction rate of the mixing matrix, not its weight
